@@ -3,22 +3,26 @@
 A matrix entry is a Laurent polynomial in t whose coefficients live on the
 monomial basis a^r b^s (r+s < D, a = 1-x, b = 1-y).  Multiplying by a basis
 monomial is an index shift on that basis, so right-multiplying the running
-product by one generator per letter is a handful of shifted scatter-adds.
+product by one generator is a fixed integer linear map on the coefficients.
 Three lanes compute the same thing:
 
   python  exact big-integer dicts, always available, the correctness anchor
-  numpy   int64 [T, N] arrays per entry with an overflow guard
-  numba   the numpy layout inside one jitted loop
+  numpy   int64 [2 rows, T, 2N] window, one sparse gather and segment-sum
+          per letter, with an overflow guard
+  numba   int64 [4, T, N] arrays inside one jitted loop
 
 Lane selection: the BURNMAT_KERNEL environment variable (python / numpy /
 numba / auto, default auto = numba when importable else numpy).  The int64
-lanes raise KernelOverflow past 2^62 / growth and the caller falls back to
-the python lane, so results are exact regardless of lane.
+lanes raise KernelOverflow before a value could leave int64 (for numpy see
+QuotientTables.trip_limit) and the caller falls back to the python lane, so
+results are exact regardless of lane.  Each fallback is counted in FALLBACKS
+under the table label (S9, Sigma12).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,10 @@ except ImportError:
     HAS_NUMBA = False
 
 LANES = ("python", "numpy", "numba", "auto")
+INT64_MAX = 2 ** 63 - 1
+
+# overflow fallbacks to the python lane in this process, by table label
+FALLBACKS: Counter = Counter()
 
 
 class KernelOverflow(RuntimeError):
@@ -72,10 +80,25 @@ class QuotientTables:
     pivot_cols: tuple
     one: tuple
     growth: int
+    # steps[letter]: the numpy lane's sparse form of right multiplication
+    steps: dict
+    # largest max|v| that _np_reduce takes without leaving int64
+    reduce_limit: int
+    # the lattice rows as _np_reduce applies them, see _reduce_plan
+    reduce_plan: tuple
+
+    @property
+    def label(self) -> str:
+        return f"S{self.q}" if self.q else f"Sigma{self.D}"
 
     @property
     def guard_limit(self) -> int:
-        return (2 ** 63 - 1) // (2 * self.growth)
+        return INT64_MAX // (2 * self.growth)
+
+    @property
+    def trip_limit(self) -> int:
+        """Largest max|v| the numpy lane carries into the next letter."""
+        return min(self.guard_limit, self.reduce_limit // self.growth)
 
     def reduce_vec(self, vec: list) -> tuple:
         v = list(vec)
@@ -105,6 +128,102 @@ def _shift_maps(D: int):
     return tuple(maps), map_id, index
 
 
+@dataclass(frozen=True)
+class LetterStep:
+    """Right multiplication by one generator on the numpy lane's layout.
+
+    Row i of the running product is a [T, 2N] array whose column l*N + n holds
+    basis coefficient n of entry (i, l).  The generator sends (column l, index
+    src) at t to (column j, index dst) at t + dt.  Pairs are sorted by
+    destination: pairs starts[k] up to starts[k+1] all land on destination k.
+    """
+
+    src: np.ndarray     # source column l*N + n of each pair
+    coef: np.ndarray    # integer coefficient of each pair
+    starts: np.ndarray  # first pair of each destination segment
+    dt_min: int
+    span: int           # dt_max - dt_min: how far one letter widens the window
+    # (dt - dt_min, first segment, end segment, destination columns) per dt;
+    # the columns are a slice when contiguous, else an index array
+    blocks: tuple
+
+
+def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
+    width = 2 * N
+    dts = [dt for per in terms.values() for (dt, _, _) in per]
+    dt_min = min(dts)
+    keys, coefs = [], []
+    for (l, j), per in terms.items():
+        for dt, mp, c in per:
+            src_idx, dst_idx = maps[mp]
+            dst = (dt - dt_min) * width + j * N + dst_idx
+            keys.append(dst * width + l * N + src_idx)
+            coefs.append(np.full(len(src_idx), c, dtype=np.int64))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    coef = np.add.reduceat(np.concatenate(coefs)[order], first)  # equal pairs summed
+    keep = coef != 0
+    dst, src = np.divmod(keys[first][keep], width)
+    starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
+    off, col = np.divmod(dst[starts], width)
+    blocks = []
+    for o in sorted(set(off.tolist())):
+        a, b = np.searchsorted(off, [o, o + 1]).tolist()
+        cols = col[a:b]
+        if cols[-1] - cols[0] == b - a - 1:
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        blocks.append((o, a, b, cols))
+    return LetterStep(src=src, coef=coef[keep], starts=starts, dt_min=dt_min,
+                      span=max(dts) - dt_min, blocks=tuple(blocks))
+
+
+def _reduce_limit(rows: tuple, pivot_cols: tuple, N: int) -> int:
+    """Largest X such that _np_reduce on entries |v| <= X stays inside int64.
+
+    Row r with pivot c and p = row[c] computes k = v[c] // p and subtracts
+    k * row from v.  If |v[c]| <= B[c] then |k| <= K = ceil(B[c] / |p|), the
+    pivot product is at most K*|p|, v[c] ends in [0, |p|), and column m > c
+    (product included) stays within B[m] + K*|row[m]|.  Propagating these
+    bounds row by row in Python ints gives the peak magnitude for inputs up
+    to X; it grows with X, so the largest X whose peak fits is a threshold.
+    Running the pure rows last (see _reduce_plan) changes no value the other
+    rows see, and a remainder is never larger than its input.
+    """
+    sparse = [(c, abs(row[c]), [(m, abs(row[m])) for m in range(c + 1, N) if row[m]])
+              for row, c in zip(rows, pivot_cols)]
+
+    def peak(x: int) -> int:
+        bound = [x] * N
+        top = x
+        for c, p, tail in sparse:
+            k = -(-bound[c] // p)
+            top = max(top, k * p)
+            bound[c] = p - 1
+            for m, a in tail:
+                bound[m] += k * a
+        return max(top, max(bound))
+
+    def fits(x: int) -> bool:
+        return x <= INT64_MAX and peak(x) <= INT64_MAX
+
+    # The ceilings add a bounded amount to slope * x, so the slope read off at
+    # a huge x lands within a few units of the answer: walk up until hi does
+    # not fit, down until lo fits, with doubling steps, then bisect.
+    huge = 1 << 256
+    lo = hi = min(INT64_MAX, INT64_MAX * huge // peak(huge))
+    step = 1
+    while fits(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo == hi or not fits(lo):
+        hi, lo, step = lo, max(0, lo - step), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
 def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTables:
     from .groups import _free_generators
 
@@ -130,10 +249,13 @@ def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTab
         for j in range(2):
             tot = sum(abs(c) for l in range(2) for (_, _, c) in per_entry[(l, j)])
             growth = max(growth, tot)
+    steps = {letter: _letter_step(terms, maps, N) for letter, terms in gen_terms.items()}
     one = [0] * N
     one[0] = 1
     t = QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms,
-                       rows=rows, pivot_cols=pivot_cols, one=(), growth=growth)
+                       rows=rows, pivot_cols=pivot_cols, one=(), growth=growth,
+                       steps=steps, reduce_limit=_reduce_limit(rows, pivot_cols, N),
+                       reduce_plan=_reduce_plan(rows, pivot_cols))
     object.__setattr__(t, "one", t.reduce_vec(one))
     return t
 
@@ -243,65 +365,98 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int):
 
 
 # ---------------------------------------------------------------------------
-# numpy lane: int64 [T, N] per entry with live t-window tracking
+# numpy lane: two [2 rows, T, 2N] int64 buffers over a trimmed t-window
+#
+# Exactness: an output coefficient sums one product c * v per term
+# (dt, map, c) of the generator's column, because each shift map is
+# injective, so every pair product and every partial sum (in reduceat or in
+# the block adds) is at most growth * max|v|.  A letter starts from
+# max|v| <= trip_limit <= guard_limit, so nothing exceeds 2^62 before the
+# guard looks, and the result is at most growth * trip_limit <= reduce_limit,
+# the largest input _reduce_limit proves _np_reduce safe on.
 
 def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int):
     N = tables.N
-    L = len(word)
-    T = 2 * L + 3
-    c0 = L + 1
-    cur = np.zeros((4, T, N), dtype=np.int64)
-    cur[0, c0, 0] = 1
-    cur[3, c0, 0] = 1
-    lo = hi = c0
-    limit = tables.guard_limit
-    rows = np.array(tables.rows, dtype=np.int64) if tables.rows else None
+    steps = tables.steps
+    T = 1 + sum(steps[ch].span for ch in word)
+    bufs = [np.zeros((2, T, 2, N), dtype=np.int64) for _ in range(2)]
+    # each buffer as (per-entry view for reduction, flat view for the steps)
+    cur, nxt = [(b, b.reshape(2, T, 2 * N)) for b in bufs]
+    cur[0][0, 0, 0, 0] = 1
+    cur[0][1, 0, 1, 0] = 1
+    lo = hi = 0  # live rows of cur
+    t0 = 0       # t-exponent of row 0 of cur
+    limit = tables.trip_limit
+    plan = tables.reduce_plan if tables.rows else None
     for pos, ch in enumerate(word):
-        terms = tables.gen_terms[ch]
-        dts = [dt for per in terms.values() for (dt, _, _) in per]
-        nlo = lo + min(0, min(dts))
-        nhi = hi + max(0, max(dts))
-        new = np.zeros((4, nhi - nlo + 1, N), dtype=np.int64)
-        win = cur[:, lo:hi + 1]
-        for i in range(2):
-            for j in range(2):
-                acc = new[2 * i + j]
-                for l in range(2):
-                    src = win[2 * i + l]
-                    for dt, mp, c in terms[(l, j)]:
-                        src_idx, dst_idx = tables.maps[mp]
-                        off = lo + dt - nlo
-                        acc[off:off + (hi - lo + 1)][:, dst_idx] += c * src[:, src_idx]
-        if np.abs(new).max() > limit:
-            if rows is None:
+        step = steps[ch]
+        w = hi - lo + 1
+        nw = w + step.span
+        out4 = nxt[0][:, :nw]
+        out = nxt[1][:, :nw]
+        out.fill(0)
+        g = np.take(cur[1][:, lo:hi + 1], step.src, axis=2)
+        g *= step.coef
+        seg = np.add.reduceat(g, step.starts, axis=2)
+        for off, a, b, cols in step.blocks:
+            out[:, off:off + w, cols] += seg[:, :, a:b]
+        t0 += lo + step.dt_min
+        mags = np.abs(out).max(axis=(0, 2)).tolist()
+        top = max(mags)
+        if top > limit:
+            if plan is None or top > tables.reduce_limit:
                 raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-            _np_reduce(new, rows, tables.pivot_cols)
-            if np.abs(new).max() > limit:
+            _np_reduce(out4, plan)
+            mags = np.abs(out).max(axis=(0, 2)).tolist()
+            if max(mags) > limit:
                 raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-        elif rows is not None and reduce_every and (pos + 1) % reduce_every == 0:
-            _np_reduce(new, rows, tables.pivot_cols)
-        cur = np.zeros((4, T, N), dtype=np.int64)
-        cur[:, nlo:nhi + 1] = new
-        lo, hi = nlo, nhi
-    out = []
-    for e in range(4):
-        ent = {}
-        for t in range(lo, hi + 1):
-            vec = cur[e, t]
-            if vec.any():
-                ent[t - c0] = [int(v) for v in vec]
-        out.append(ent)
+        elif plan is not None and reduce_every and (pos + 1) % reduce_every == 0:
+            _np_reduce(out4, plan)
+            mags = out.any(axis=(0, 2)).tolist()
+        # trim t-slices that are zero in all four entries
+        lo, hi = 0, nw - 1
+        while lo < hi and not mags[lo]:
+            lo += 1
+        while hi > lo and not mags[hi]:
+            hi -= 1
+        cur, nxt = nxt, cur
+    out = [{}, {}, {}, {}]
+    for i in range(2):
+        for r in range(lo, hi + 1):
+            row = cur[1][i, r].tolist()
+            for l in range(2):
+                vec = row[l * N:(l + 1) * N]
+                if any(vec):
+                    out[2 * i + l][t0 + r] = vec
     return out
 
 
-def _np_reduce(arr: np.ndarray, rows: np.ndarray, pivot_cols: tuple):
-    """In-place canonical reduction of every t-slice by the HNF rows."""
-    for r in range(rows.shape[0]):
-        c = pivot_cols[r]
-        p = rows[r, c]
+def _reduce_plan(rows: tuple, pivot_cols: tuple) -> tuple:
+    """Split the HNF rows for _np_reduce: (mixed rows, pure columns, pure pivots).
+
+    A pure row has no entry besides its pivot: it changes only its own column,
+    and later rows (larger pivots) never read that column, so all pure rows
+    can run after the mixed ones as one remainder.  Mixed rows keep pivot order.
+    """
+    mixed, cols, mods = [], [], []
+    for row, c in zip(rows, pivot_cols):
+        if any(row[c + 1:]):
+            mixed.append((c, row[c], np.array(row[c:], dtype=np.int64)))
+        else:
+            cols.append(c)
+            mods.append(row[c])
+    return tuple(mixed), np.array(cols, dtype=np.int64), np.array(mods, dtype=np.int64)
+
+
+def _np_reduce(arr: np.ndarray, plan: tuple):
+    """In-place canonical reduction of every coefficient vector (last axis)."""
+    mixed, cols, mods = plan
+    for c, p, tail in mixed:
         k = arr[..., c] // p
-        if np.any(k):
-            arr -= k[..., None] * rows[r]
+        if k.any():
+            arr[..., c:] -= k[..., None] * tail
+    if len(cols):
+        arr[..., cols] %= mods
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +605,7 @@ def eval_word_quotient(word: str, tables: QuotientTables, lane: str | None = Non
         try:
             return _normalize(fn(word, tables, reduce_every), tables)
         except KernelOverflow:
-            pass
+            FALLBACKS[tables.label] += 1
     return _normalize(_eval_python(word, tables, reduce_every), tables)
 
 

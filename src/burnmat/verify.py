@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -114,12 +115,16 @@ def _sample_seeds(seed: int, n: int) -> list[int]:
 
 
 def _pmap(worker, items, jobs: int):
-    """Order-preserving map; identical output for any jobs count."""
-    if jobs > 1 and len(items) > 1:
+    """Order-preserving map; identical output for any jobs count.
+
+    Starts at most one process per CPU and per item, whatever jobs asks for.
+    """
+    procs = min(jobs, os.cpu_count() or 1, len(items))
+    if procs > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(processes=jobs) as pool:
-            return pool.map(worker, items, chunksize=max(1, len(items) // (4 * jobs)))
+        with mp.get_context("fork").Pool(processes=procs) as pool:
+            return pool.map(worker, items, chunksize=max(1, len(items) // (4 * procs)))
     return [worker(it) for it in items]
 
 

@@ -1,13 +1,20 @@
 """Lane-parallel word evaluation over quotient tables: agreement and fallback."""
 
+import dataclasses
+import functools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import burnmat.kernels as kernels
 from burnmat import (
     HAS_NUMBA,
     KernelOverflow,
+    SContext,
     entries_at_t1,
     eval_is_identity,
     eval_word_quotient,
@@ -79,7 +86,8 @@ def test_t1_entries_match_exact_quotient(s3, meta_ctx):
         assert got == exact
 
 
-def test_int64_overflow_raises_and_falls_back():
+def test_int64_overflow_raises_and_falls_back(monkeypatch):
+    monkeypatch.setattr(kernels, "FALLBACKS", Counter())
     tables = sigma_tables(12)
     word = "ab" * 120
     with pytest.raises(KernelOverflow):
@@ -87,6 +95,7 @@ def test_int64_overflow_raises_and_falls_back():
     via_numpy = eval_word_quotient(word, tables, lane="numpy")
     via_python = eval_word_quotient(word, tables, lane="python")
     assert via_numpy == via_python
+    assert kernels.FALLBACKS == Counter({"Sigma12": 1})
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba lane unavailable")
@@ -109,3 +118,135 @@ def test_reduce_interval_does_not_change_results(s2):
             for lane in LANES:
                 assert eval_word_quotient(w, tables, lane=lane,
                                           reduce_every=step) == baseline
+
+
+# ---------------------------------------------------------------------------
+# property-based differential tests: numpy lane against the exact python lane
+
+TABLE_LABELS = ["S2", "S3", "S4", "S5", "S7", "S8", "S9", "Sigma2", "Sigma4", "Sigma8"]
+REDUCE_EVERY = st.sampled_from([0, 1, 3, 16, 64])
+LANE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(label):
+    if label.startswith("Sigma"):
+        return sigma_tables(int(label[len("Sigma"):]))
+    return tables_for(SContext.for_q(int(label[1:])))
+
+
+def _letters(max_size, min_size=0):
+    return st.text(alphabet="aAbB", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _zero_sum_words(draw):
+    """Exponent sum zero in b, the letter that carries t."""
+    w = draw(_letters(24))
+    k = w.count("b") - w.count("B")
+    return w + ("B" if k > 0 else "b") * abs(k)
+
+
+@st.composite
+def _powers(draw):
+    return draw(_letters(6)) * draw(st.integers(2, 10))
+
+
+@st.composite
+def _cancelling_words(draw):
+    """The t-span grows, then collapses: u v u^-1 and u u^-1 v."""
+    u, v = draw(_letters(16)), draw(_letters(4))
+    return draw(st.sampled_from([u + v + word_inverse(u), u + word_inverse(u) + v]))
+
+
+WORD_KINDS = {
+    "random": _letters(32),
+    "zero_sum": _zero_sum_words(),
+    "power": _powers(),
+    "cancelling": _cancelling_words(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORD_KINDS))
+@pytest.mark.parametrize("label", TABLE_LABELS)
+def test_numpy_lane_matches_python_lane(label, kind):
+    tables = _tables(label)
+
+    @LANE_SETTINGS
+    @given(word=WORD_KINDS[kind], reduce_every=REDUCE_EVERY)
+    def check(word, reduce_every):
+        exact = kernels._eval_python(word, tables, reduce_every)
+        try:
+            got = kernels._eval_numpy(word, tables, reduce_every)
+        except KernelOverflow:
+            # only plain truncation has no lattice to bring the coefficients down
+            assert not tables.rows
+            return
+        assert kernels._normalize(got, tables) == kernels._normalize(exact, tables)
+
+    check()
+
+
+@pytest.mark.parametrize("label", ["S4", "S8", "S9"])
+def test_guard_reduction_matches_python_lane(label, monkeypatch):
+    # A trip limit of 64 (above every pivot) makes the guard reduce whenever
+    # a coefficient passes 64 instead of only past 2^47..2^59, exercising
+    # that path on short words.
+    tables = _tables(label)
+    tight = dataclasses.replace(tables, reduce_limit=tables.growth * 64)
+    calls = Counter()
+    real_reduce = kernels._np_reduce
+
+    def counting_reduce(arr, plan):
+        calls["reduce"] += 1
+        real_reduce(arr, plan)
+
+    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+
+    @LANE_SETTINGS
+    @given(word=_letters(48, min_size=24))
+    def check(word):
+        expected = kernels._normalize(kernels._eval_python(word, tables, 0), tables)
+        assert kernels._normalize(kernels._eval_numpy(word, tight, 0), tables) == expected
+
+    check()
+    assert calls["reduce"] > 0
+
+
+def _replay_reduction(vec, tables):
+    """reduce_vec in Python ints, also returning the largest magnitude it met."""
+    v = list(vec)
+    peak = max(map(abs, v))
+    for row, c in zip(tables.rows, tables.pivot_cols):
+        k = v[c] // row[c]
+        for m in range(c, tables.N):
+            peak = max(peak, abs(k * row[m]))
+            v[m] -= k * row[m]
+            peak = max(peak, abs(v[m]))
+    return tuple(v), peak
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_np_reduce_stays_in_int64_up_to_reduce_limit(q):
+    tables = _tables(f"S{q}")
+    limit = tables.reduce_limit
+    assert limit < kernels.INT64_MAX
+    rng = random.Random(q)
+    vecs = [[rng.choice((-limit, limit)) for _ in range(tables.N)] for _ in range(40)]
+    vecs += [[rng.randint(-limit, limit) for _ in range(tables.N)] for _ in range(40)]
+    arr = np.array(vecs, dtype=np.int64)
+    kernels._np_reduce(arr, tables.reduce_plan)
+    for vec, got in zip(vecs, arr.tolist()):
+        expected, peak = _replay_reduction(vec, tables)
+        assert peak <= kernels.INT64_MAX
+        assert tuple(got) == expected == tables.reduce_vec(vec)
+
+
+def test_trip_limit_is_below_guard_where_reduction_grows_values():
+    for label in ("S8", "S9"):
+        tables = _tables(label)
+        assert tables.trip_limit == tables.reduce_limit // tables.growth < tables.guard_limit
+    for label in ("S2", "Sigma8"):
+        tables = _tables(label)
+        assert tables.trip_limit == tables.guard_limit

@@ -131,3 +131,41 @@ def test_sanov_suite_counts():
 def test_normal_form_suite_small():
     r = verify_normal_forms(samples=10)
     assert r.passed and r.checks == 10
+
+
+def test_pmap_caps_processes_at_cpus_and_items(monkeypatch):
+    import multiprocessing
+
+    import burnmat.verify as verify
+
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            started.append((self.processes, chunksize))
+            return [fn(it) for it in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    assert verify._pmap(abs, [-1, -2, 3], 10 ** 9) == [1, 2, 3]
+    assert verify._pmap(abs, list(range(-50, 50)), 10 ** 9) == [abs(i) for i in range(-50, 50)]
+    assert verify._pmap(abs, list(range(100)), 2) == list(range(100))
+    assert started == [(3, 1), (4, 6), (2, 12)]
+    # one item, one job or one CPU: no pool at all
+    assert verify._pmap(abs, [-7], 10 ** 9) == [7]
+    assert verify._pmap(abs, [-1, -2], 1) == [1, 2]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert verify._pmap(abs, [-1, -2], 10 ** 9) == [1, 2]
+    assert len(started) == 3
