@@ -1,4 +1,4 @@
-"""Compare word-evaluation lanes (python / numpy / numba) on quotient tables.
+"""Compare word-evaluation lanes (python / numpy) on quotient tables.
 
 Run as a plain script:  python3 benchmarks/bench_kernels.py [--repeats N] [--batch N]
 """
@@ -7,7 +7,7 @@ import argparse
 import random
 import time
 
-from burnmat import HAS_NUMBA, SContext, random_reduced_word
+from burnmat import SContext, random_reduced_word
 from burnmat.kernels import (KernelOverflow, eval_word_quotient, sigma_tables,
                              tables_for)
 
@@ -17,7 +17,7 @@ def _batch(rng, n, max_len):
 
 
 def _time_lane(lane, words, tables, repeats):
-    # warm up once so numba's compile time stays out of the measurement
+    # warm up once so first-call costs stay out of the measurement
     try:
         eval_word_quotient(words[0], tables, lane=lane)
     except KernelOverflow:
@@ -48,9 +48,7 @@ def main():
         ("S(9), len<=40", tables_for(SContext.for_q(9)), _batch(rng, args.batch, 40)),
         ("Sigma^8, len<=30", sigma_tables(8), _batch(rng, args.batch, 30)),
     ]
-    lanes = ["python", "numpy"] + (["numba"] if HAS_NUMBA else [])
-    if not HAS_NUMBA:
-        print("numba not installed; timing python and numpy lanes only")
+    lanes = ["python", "numpy"]
 
     header = f"{'workload':<18}" + "".join(f"{lane:>12}" for lane in lanes)
     print(header)

@@ -6,8 +6,7 @@ from .rings import (LaurentPoly, TruncatedPoly, UnitMonomial, parse_poly,
 from .ideals import (BurnsideParams, IdealLattice, SContext, SElement, STPoly,
                      cyclotomic_generators, cyclotomic_lattice, build_ideal_lattice,
                      sigma_power_lattice, is_member, p_power_sigma_check,
-                     s_reduce, s_add, s_mul, load_or_build, load_lattice,
-                     save_lattice, CacheError)
+                     s_reduce, s_add, s_mul)
 from .groups import (GroupWord, Matrix2, GroupContext, NormalForm, OrderResult,
                      NonConforming, ExponentLawViolation, eval_word, normal_form,
                      power_closed_form, basic_commutator, commutator,
@@ -37,8 +36,7 @@ __all__ = [
     "BurnsideParams", "IdealLattice", "SContext", "SElement", "STPoly",
     "cyclotomic_generators", "cyclotomic_lattice", "build_ideal_lattice",
     "sigma_power_lattice", "is_member", "p_power_sigma_check",
-    "s_reduce", "s_add", "s_mul", "load_or_build", "load_lattice",
-    "save_lattice", "CacheError",
+    "s_reduce", "s_add", "s_mul",
     "GroupWord", "Matrix2", "GroupContext", "NormalForm", "OrderResult",
     "NonConforming", "ExponentLawViolation", "eval_word", "normal_form",
     "power_closed_form", "basic_commutator", "commutator", "commutator_word",

@@ -1,4 +1,4 @@
-"""Command-line surface: ad-hoc queries, verification suites, reports, cache control."""
+"""Command-line surface: ad-hoc queries, verification suites, reports."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from . import verify as V
 from .groups import GroupWord, ExponentLawViolation, order_in_G
-from .ideals import (BurnsideParams, CacheError, SContext, cyclotomic_lattice,
-                     load_lattice, load_or_build)
+from .ideals import BurnsideParams, cyclotomic_lattice
 from .rings import PolyParseError, parse_poly
 
 EXIT_OK = 0
@@ -32,7 +31,6 @@ class Config:
     seed: int = 0
     jobs: int = 0  # 0 = all available cores
     output: str = "text"
-    cache_dir: str = ""
     samples: int | None = None
     infinite_samples: int | None = None
     witness_budget: int | None = None
@@ -44,13 +42,19 @@ class Config:
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
-    def resolved_cache(self) -> str | None:
-        return self.cache_dir or os.environ.get("BURNMAT_CACHE") or None
+    def check(self) -> None:
+        """Raise ValueError naming the first override below its least value."""
+        for k in _OVERRIDE_KEYS:
+            v = getattr(self, k)
+            # a zero witness budget is a real setting: it skips the search
+            least = 0 if k == "witness_budget" else 1
+            if v is not None and v < least:
+                raise ValueError(f"{k} must be >= {least}, got {v}")
 
     def to_lines(self) -> list[str]:
         out = [f"qs = {','.join(str(q) for q in self.qs)}",
                f"seed = {self.seed}", f"jobs = {self.jobs}",
-               f"output = {self.output}", f"cache_dir = {self.cache_dir}"]
+               f"output = {self.output}"]
         for k in _OVERRIDE_KEYS:
             v = getattr(self, k)
             if v is not None:
@@ -58,9 +62,9 @@ class Config:
         return out
 
     def hash(self) -> str:
-        # jobs/output/cache_dir are execution knobs: reports must hash the same
-        # for any worker count, format, or cache location
-        skip = ("jobs = ", "output = ", "cache_dir = ")
+        # jobs/output are execution knobs: reports must hash the same for any
+        # worker count or format
+        skip = ("jobs = ", "output = ")
         lines = [ln for ln in self.to_lines() if not ln.startswith(skip)]
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()[:12]
 
@@ -84,8 +88,6 @@ class Config:
                         raise ValueError(f"{path}:{lineno}: output must be "
                                          f"text or structured")
                     cfg.output = val
-                elif key == "cache_dir":
-                    cfg.cache_dir = val
                 elif key in _OVERRIDE_KEYS:
                     setattr(cfg, key, int(val))
                 else:
@@ -102,10 +104,11 @@ def _load_config(args) -> Config:
     qlist = getattr(args, "qlist", None)
     if qlist:
         cfg.qs = tuple(qlist)
-    for name in ("seed", "jobs", "output", "cache_dir", *_OVERRIDE_KEYS):
+    for name in ("seed", "jobs", "output", *_OVERRIDE_KEYS):
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, v)
+    cfg.check()
     return cfg
 
 
@@ -200,33 +203,25 @@ def cmd_ideal(args, cfg: Config) -> int:
         return EXIT_USAGE
 
     D = cfg.trunc_d or params.D
-    cache = cfg.resolved_cache()
-    if cache:
-        ideal, st1 = load_or_build(cache, params, times_sigma=False, D=D)
-        prod, st2 = load_or_build(cache, params, times_sigma=True, D=D)
-        status = f"cache: ideal {st1}, product {st2} ({cache})"
-    else:
-        ideal = cyclotomic_lattice(params, D=D)
-        prod = cyclotomic_lattice(params, D=D, times_sigma=True)
-        status = "cache: off (in-memory build)"
+    ideal = cyclotomic_lattice(params, D=D)
+    prod = cyclotomic_lattice(params, D=D, times_sigma=True)
 
     vec = f.to_truncated(D)
     print(f"q={params.q} (p={params.p}, e={params.e}), D={D}")
     print(f"member of I({params.q}): {ideal.member(vec)}")
     print(f"member of I({params.q})Sigma: {prod.member(vec)}")
     print(f"sigma-valuation: {f.sigma_valuation()}")
-    print(status)
     return EXIT_OK
 
 
-def cmd_order(args, cfg: Config) -> int:
+def cmd_order(args) -> int:
     try:
         word = GroupWord(args.word)
         params = BurnsideParams.from_q(args.q)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    sctx = SContext.for_q(args.q, cfg.resolved_cache())
+    sctx = V._sctx(args.q)
     try:
         r = order_in_G(word.letters, sctx)
     except ExponentLawViolation as exc:
@@ -258,7 +253,6 @@ def cmd_verify(args, cfg: Config) -> int:
               f"{', '.join(sorted(V.SUITES))} or all", file=sys.stderr)
         return EXIT_USAGE
     names = list(V.SUITES) if args.suite == "all" else [args.suite]
-    V.set_cache_dir(cfg.resolved_cache())
     rc = EXIT_OK
     for name in names:
         for rep in _run_suite(name, cfg):
@@ -270,7 +264,6 @@ def cmd_verify(args, cfg: Config) -> int:
 
 
 def cmd_report(args, cfg: Config) -> int:
-    V.set_cache_dir(cfg.resolved_cache())
     rc = EXIT_OK
     kw = _suite_kwargs(V.verify_solvability, cfg)
     if cfg.output == "text":
@@ -289,45 +282,6 @@ def cmd_report(args, cfg: Config) -> int:
     return rc
 
 
-def cmd_cache(args, cfg: Config) -> int:
-    cache = cfg.resolved_cache()
-    if not cache:
-        print("no cache directory configured (use --cache-dir or BURNMAT_CACHE)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.action == "clear":
-        n = 0
-        if os.path.isdir(cache):
-            for name in sorted(os.listdir(cache)):
-                if name.endswith(".lat"):
-                    os.unlink(os.path.join(cache, name))
-                    n += 1
-        print(f"removed {n} cached lattices from {cache}")
-        return EXIT_OK
-    if args.action == "build":
-        for q in cfg.qs:
-            params = BurnsideParams.from_q(q)
-            for times_sigma in (False, True):
-                lat, status = load_or_build(cache, params, times_sigma=times_sigma)
-                print(f"q={q} {lat.label}: {status} (rank {lat.rank})")
-        return EXIT_OK
-    # status
-    if not os.path.isdir(cache):
-        print(f"{cache}: empty")
-        return EXIT_OK
-    files = [n for n in sorted(os.listdir(cache)) if n.endswith(".lat")]
-    if not files:
-        print(f"{cache}: empty")
-    for name in files:
-        path = os.path.join(cache, name)
-        try:
-            lat, q = load_lattice(path)
-            print(f"{name}: ok ({lat.label}, q={q}, D={lat.D}, rank {lat.rank})")
-        except CacheError as exc:
-            print(f"{name}: CORRUPT ({exc})")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: all cores)")
     ap.add_argument("--output", choices=("text", "structured"), default=None)
-    ap.add_argument("--cache-dir", dest="cache_dir", default=None)
     for name in _OVERRIDE_KEYS:
         ap.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int,
                         default=None, help=argparse.SUPPRESS)
@@ -361,10 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", **qlist)
     p = sub.add_parser("report", help="solvability table over the q list")
     p.add_argument("--q", **qlist)
-    p = sub.add_parser("cache", help="inspect or manage the lattice cache")
-    p.add_argument("action", choices=("status", "build", "clear"),
-                   nargs="?", default="status")
-    p.add_argument("--q", **qlist)
     return ap
 
 
@@ -382,13 +331,11 @@ def main(argv=None) -> int:
     if args.cmd == "ideal":
         return cmd_ideal(args, cfg)
     if args.cmd == "order":
-        return cmd_order(args, cfg)
+        return cmd_order(args)
     if args.cmd == "verify":
         return cmd_verify(args, cfg)
     if args.cmd == "report":
         return cmd_report(args, cfg)
-    if args.cmd == "cache":
-        return cmd_cache(args, cfg)
     ap.error(f"unknown command {args.cmd!r}")
     return EXIT_USAGE
 

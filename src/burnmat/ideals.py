@@ -10,7 +10,6 @@ stabilization check on the (D+1) x (D+1) grid guards that argument at runtime.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -438,12 +437,8 @@ class SContext:
         self._one = tuple(lattice.reduce(one))
 
     @staticmethod
-    def for_q(q: int, cache_dir: str | None = None) -> "SContext":
-        params = BurnsideParams.from_q(q)
-        if cache_dir is not None:
-            lattice, _ = load_or_build(cache_dir, params, times_sigma=True)
-            return SContext(params, lattice)
-        return SContext(params)
+    def for_q(q: int) -> "SContext":
+        return SContext(BurnsideParams.from_q(q))
 
     def reduce(self, f) -> "SElement":
         if isinstance(f, LaurentPoly):
@@ -605,83 +600,3 @@ class STPoly:
 
     def __repr__(self):
         return f"STPoly(q={self.ctx.params.q}, {self.render()})"
-
-
-# ---------------------------------------------------------------------------
-# lattice cache: one lattice per file, header "label q D dim", then HNF rows
-
-def cache_filename(label: str, q: int, D: int) -> str:
-    safe = label.replace("(", "_").replace(")", "").replace("^", "p")
-    return f"{safe}_q{q}_D{D}.lat"
-
-
-def save_lattice(path: str, lattice: IdealLattice, q: int) -> None:
-    lines = [f"{lattice.label} {q} {lattice.D} {lattice.dim}"]
-    for row in lattice.rows:
-        lines.append(" ".join(str(v) for v in row))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-class CacheError(ValueError):
-    pass
-
-
-def load_lattice(path: str) -> tuple[IdealLattice, int]:
-    """Returns (lattice, q); raises CacheError on any malformed content."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise CacheError(f"{path}: empty cache file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise CacheError(f"{path}: bad header {lines[0]!r}")
-    label = head[0]
-    try:
-        q, D, dim = int(head[1]), int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise CacheError(f"{path}: bad header numbers") from exc
-    if dim != tri_dim(D):
-        raise CacheError(f"{path}: dim {dim} != D(D+1)/2 for D={D}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [int(v) for v in ln.split()]
-        except ValueError as exc:
-            raise CacheError(f"{path}: bad row {ln!r}") from exc
-        if len(row) != dim:
-            raise CacheError(f"{path}: row length {len(row)} != {dim}")
-        rows.append(row)
-    try:
-        lattice = IdealLattice(D, label, rows)
-    except ValueError as exc:
-        raise CacheError(f"{path}: {exc}") from exc
-    return lattice, q
-
-
-def load_or_build(cache_dir: str, params: BurnsideParams, times_sigma: bool = False,
-                  D: int | None = None) -> tuple[IdealLattice, str]:
-    """Load a cached lattice or build and persist it; returns (lattice, status).
-
-    status is one of "hit", "rebuilt" (cache invalid), "built" (no cache).
-    Corrupt caches are detected via the header/shape checks and never reused.
-    """
-    D = D or params.D
-    label = (f"CyclotomicTimesSigma({params.q})" if times_sigma
-             else f"Cyclotomic({params.q})")
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, cache_filename(label, params.q, D))
-    status = "built"
-    if os.path.exists(path):
-        try:
-            lattice, q = load_lattice(path)
-            if q == params.q and lattice.D == D and lattice.label == label:
-                return lattice, "hit"
-            status = "rebuilt"
-        except CacheError:
-            status = "rebuilt"
-    lattice = cyclotomic_lattice(params, D=D, times_sigma=times_sigma)
-    save_lattice(path, lattice, params.q)
-    return lattice, status

@@ -4,16 +4,13 @@ A matrix entry is a Laurent polynomial in t whose coefficients live on the
 monomial basis a^r b^s (r+s < D, a = 1-x, b = 1-y).  Multiplying by a basis
 monomial is an index shift on that basis, so right-multiplying the running
 product by one generator is a fixed integer linear map on the coefficients.
-Three lanes compute the same thing:
+Two lanes compute the same thing:
 
-  python  exact big-integer dicts, always available, the correctness anchor
+  python  exact big-integer dicts, the correctness oracle and overflow fallback
   numpy   int64 [2 rows, T, 2N] window, one sparse gather and segment-sum
-          per letter, with an overflow guard
-  numba   int64 [4, T, N] arrays inside one jitted loop
+          per letter, with an overflow guard (the default)
 
-Lane selection: the BURNMAT_KERNEL environment variable (python / numpy /
-numba / auto, default auto = numba when importable else numpy).  The int64
-lanes raise KernelOverflow before a value could leave int64 (for numpy see
+The numpy lane raises KernelOverflow before a value could leave int64 (see
 QuotientTables.trip_limit) and the caller falls back to the python lane, so
 results are exact regardless of lane.  Each fallback is counted in FALLBACKS
 under the table label (S9, Sigma12).
@@ -21,7 +18,6 @@ under the table label (S9, Sigma12).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,15 +26,10 @@ import numpy as np
 from .ideals import SContext
 from .rings import monomial_list, tri_dim
 
-try:
-    from numba import njit
+# no numba lane exists; perfbench reads this name
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:
-    njit = None
-    HAS_NUMBA = False
-
-LANES = ("python", "numpy", "numba", "auto")
+LANES = ("python", "numpy")
 INT64_MAX = 2 ** 63 - 1
 
 # overflow fallbacks to the python lane in this process, by table label
@@ -51,13 +42,9 @@ class KernelOverflow(RuntimeError):
 
 def get_lane(lane: str | None = None) -> str:
     if lane is None:
-        lane = os.environ.get("BURNMAT_KERNEL", "auto")
+        return "numpy"
     if lane not in LANES:
         raise ValueError(f"unknown kernel lane {lane!r}; expected one of {LANES}")
-    if lane == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if lane == "numba" and not HAS_NUMBA:
-        raise ImportError("BURNMAT_KERNEL=numba but numba is not installed")
     return lane
 
 
@@ -460,150 +447,14 @@ def _np_reduce(arr: np.ndarray, plan: tuple):
 
 
 # ---------------------------------------------------------------------------
-# numba lane: same layout, one jitted loop over packed tables
-
-_NUMBA_KERNEL = None
-_PACKED: dict = {}
-
-
-def _pack_tables(tables: QuotientTables):
-    key = (tables.q, tables.D)
-    if key in _PACKED:
-        return _PACKED[key]
-    N = tables.N
-    offs = np.zeros((4, 2, 2, 2), dtype=np.int64)
-    t_dt, t_mp, t_c = [], [], []
-    for li, letter in enumerate("aAbB"):
-        for l in range(2):
-            for j in range(2):
-                offs[li, l, j, 0] = len(t_dt)
-                for dt, mp, c in tables.gen_terms[letter][(l, j)]:
-                    t_dt.append(dt)
-                    t_mp.append(mp)
-                    t_c.append(c)
-                offs[li, l, j, 1] = len(t_dt)
-    map_off = np.zeros(len(tables.maps) + 1, dtype=np.int64)
-    msrc, mdst = [], []
-    for m, (src, dst) in enumerate(tables.maps):
-        msrc.extend(src.tolist())
-        mdst.extend(dst.tolist())
-        map_off[m + 1] = len(msrc)
-    rows = (np.array(tables.rows, dtype=np.int64) if tables.rows
-            else np.zeros((0, N), dtype=np.int64))
-    pivots = np.array(tables.pivot_cols, dtype=np.int64)
-    packed = (offs,
-              np.array(t_dt, dtype=np.int64), np.array(t_mp, dtype=np.int64),
-              np.array(t_c, dtype=np.int64), map_off,
-              np.array(msrc, dtype=np.int64), np.array(mdst, dtype=np.int64),
-              rows, pivots)
-    _PACKED[key] = packed
-    return packed
-
-
-def _get_numba_kernel():
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-
-    @njit
-    def kernel(codes, offs, t_dt, t_mp, t_c, map_off, msrc, mdst,
-               rows, pivots, N, reduce_every, limit):
-        L = codes.shape[0]
-        T = 2 * L + 3
-        c0 = L + 1
-        cur = np.zeros((4, T, N), dtype=np.int64)
-        new = np.zeros((4, T, N), dtype=np.int64)
-        cur[0, c0, 0] = 1
-        cur[3, c0, 0] = 1
-        lo = c0
-        hi = c0
-        R = rows.shape[0]
-        for pos in range(L):
-            letter = codes[pos]
-            nlo = lo - 1
-            nhi = hi + 1
-            for e in range(4):
-                for t in range(nlo, nhi + 1):
-                    for n in range(N):
-                        new[e, t, n] = 0
-            for i in range(2):
-                for l in range(2):
-                    se = 2 * i + l
-                    for j in range(2):
-                        de = 2 * i + j
-                        for ti in range(offs[letter, l, j, 0], offs[letter, l, j, 1]):
-                            dt = t_dt[ti]
-                            c = t_c[ti]
-                            m0 = map_off[t_mp[ti]]
-                            m1 = map_off[t_mp[ti] + 1]
-                            for t in range(lo, hi + 1):
-                                for mi in range(m0, m1):
-                                    v = cur[se, t, msrc[mi]]
-                                    if v != 0:
-                                        new[de, t + dt, mdst[mi]] += c * v
-            do_red = R > 0 and reduce_every > 0 and (pos + 1) % reduce_every == 0
-            if do_red:
-                for e in range(4):
-                    for t in range(nlo, nhi + 1):
-                        for r in range(R):
-                            pc = pivots[r]
-                            k = new[e, t, pc] // rows[r, pc]
-                            if k != 0:
-                                for n in range(pc, N):
-                                    new[e, t, n] -= k * rows[r, n]
-            mx = 0
-            for e in range(4):
-                for t in range(nlo, nhi + 1):
-                    for n in range(N):
-                        v = new[e, t, n]
-                        if v < 0:
-                            v = -v
-                        if v > mx:
-                            mx = v
-            if mx > limit:
-                return cur, lo, hi, 1
-            tmp = cur
-            cur = new
-            new = tmp
-            lo = nlo
-            hi = nhi
-        return cur, lo, hi, 0
-
-    _NUMBA_KERNEL = kernel
-    return kernel
-
-
-def _eval_numba(word: str, tables: QuotientTables, reduce_every: int):
-    codes = np.array([("aAbB").index(ch) for ch in word], dtype=np.int64)
-    packed = _pack_tables(tables)
-    kernel = _get_numba_kernel()
-    cur, lo, hi, flag = kernel(codes, *packed, tables.N, reduce_every,
-                               tables.guard_limit)
-    if flag:
-        raise KernelOverflow("coefficients exceeded int64 guard")
-    c0 = len(word) + 1
-    out = []
-    for e in range(4):
-        ent = {}
-        for t in range(lo, hi + 1):
-            vec = cur[e, t]
-            if vec.any():
-                ent[t - c0] = [int(v) for v in vec]
-        out.append(ent)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # entry points
 
 def eval_word_quotient(word: str, tables: QuotientTables, lane: str | None = None,
                        reduce_every: int = 16) -> QuotientMatrix:
     """Evaluate a word left to right; falls back to the python lane on overflow."""
-    chosen = get_lane(lane)
-    if chosen != "python":
-        fn = _eval_numba if chosen == "numba" else _eval_numpy
+    if get_lane(lane) == "numpy":
         try:
-            return _normalize(fn(word, tables, reduce_every), tables)
+            return _normalize(_eval_numpy(word, tables, reduce_every), tables)
         except KernelOverflow:
             FALLBACKS[tables.label] += 1
     return _normalize(_eval_python(word, tables, reduce_every), tables)

@@ -40,7 +40,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        # a suite that made no checks proves nothing
+        return self.checks > 0 and not self.failures
 
     def to_record(self) -> dict:
         # wall time stays out: structured reports must be byte-identical across runs
@@ -76,8 +77,9 @@ class SolvabilityReport:
     @property
     def passed(self) -> bool:
         # witness absence is reported, never failed; the stored k must agree
-        # with the bound recomputed from q
-        return self.upper_ok and self.k == solvability_bound(self.q)[1]
+        # with the bound recomputed from q, and some tree must have been checked
+        return (self.trees_checked > 0 and self.upper_ok
+                and self.k == solvability_bound(self.q)[1])
 
     def to_record(self) -> dict:
         return {"result": "solvable", "q": self.q, "e_phi": self.e_phi, "k": self.k,
@@ -89,14 +91,9 @@ class SolvabilityReport:
 # ---------------------------------------------------------------------------
 # shared plumbing: per-sample seeds and the optional process pool
 
+# built once per process; suites build what their workers need before
+# _pmap forks, so pool workers inherit it instead of rebuilding it
 _CTX_MEMO: dict = {}
-_CACHE_DIR: str | None = None
-
-
-def set_cache_dir(path: str | None) -> None:
-    """Route lattice construction through the on-disk cache for later suites."""
-    global _CACHE_DIR
-    _CACHE_DIR = path or None
 
 
 def _memo(key, builder):
@@ -107,7 +104,11 @@ def _memo(key, builder):
 
 
 def _sctx(q: int) -> SContext:
-    return _memo(("s", q), lambda: SContext.for_q(q, _CACHE_DIR))
+    return _memo(("s", q), lambda: SContext.for_q(q))
+
+
+def _tables(q: int) -> kernels.QuotientTables:
+    return _memo(("tab", q), lambda: kernels.tables_for(_sctx(q)))
 
 
 def _sample_seeds(seed: int, n: int) -> list[int]:
@@ -240,7 +241,7 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
 # Burnside exponent over S at t = 1
 
 def _t1_is_identity(word: str, sctx: SContext) -> bool:
-    tables = _memo(("tab", sctx.params.q), lambda: kernels.tables_for(sctx))
+    tables = _tables(sctx.params.q)
     res = kernels.eval_word_quotient(word, tables)
     e11, e12, e21, e22 = (tuple(v) for v in kernels.entries_at_t1(res, tables))
     one = sctx.one().coeffs
@@ -265,6 +266,7 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
     """w^q = I in the t=1 image over S(q); exact closure sizes where finite-small."""
     t0 = time.perf_counter()
     failures = []
+    _tables(q)
     args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
     for msg in _pmap(_job_exponent, args, jobs):
         if msg:
@@ -291,7 +293,7 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
 
 def _probe_order(word: str, q: int, cap: int) -> int | None:
     """Least d <= cap with w^d = I over S(q)[t,t^-1], by direct evaluation."""
-    tables = _memo(("tab", q), lambda: kernels.tables_for(_sctx(q)))
+    tables = _tables(q)
     for d in range(1, cap + 1):
         if cap % d == 0 and kernels.eval_is_identity(word * d, tables):
             return d
@@ -338,6 +340,7 @@ def verify_order_dichotomy(q: int, samples: int = 200, infinite_samples: int = 5
     status = "proved" if params.e == 1 else "experimental"
     failures = []
     hist: dict[int, int] = {}
+    _tables(q)
 
     args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
     for order, msg in _pmap(_job_order_zero, args, jobs):
@@ -368,8 +371,7 @@ def _job_tree_identity(args):
     idx, sseed, q, k, base_maxlen = args
     rng = random.Random(sseed)
     w = free_reduce(tree_word(rng, k, base_maxlen))
-    tables = _memo(("tab", q), lambda: kernels.tables_for(_sctx(q)))
-    if not kernels.eval_is_identity(w, tables):
+    if not kernels.eval_is_identity(w, _tables(q)):
         return f"tree {idx}: depth-{k} word of length {len(w)} is not the identity"
     return None
 
@@ -388,8 +390,7 @@ def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
     """Depth-k commutator trees evaluate to I; search one level down for life."""
     t0 = time.perf_counter()
     e_phi, k = solvability_bound(q)
-    sctx = _sctx(q)
-    tables = _memo(("tab", q), lambda: kernels.tables_for(sctx))
+    tables = _tables(q)
 
     args = [(i, s, q, k, base_maxlen)
             for i, s in enumerate(_sample_seeds(seed, samples))]
@@ -438,6 +439,7 @@ def verify_square(q: int, samples: int = 100, max_len: int = 8, seed: int = 0,
                   jobs: int = 1) -> VerificationReport:
     """Quotient-then-specialize equals specialize-then-quotient on sampled words."""
     t0 = time.perf_counter()
+    _tables(q)  # commutative_square_check evaluates on the kernel tables too
     args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
     failures = [m for m in _pmap(_job_square, args, jobs) if m]
     return VerificationReport(
@@ -457,11 +459,14 @@ def _layer_m(k: int) -> int:
     return d + 2 if k >= 4 else d + 1
 
 
+def _series(k: int) -> SeriesContext:
+    return _memo(("series", _layer_m(k)), lambda: SeriesContext(_layer_m(k)))
+
+
 def _job_layer(args):
     idx, sseed, k = args
     d = 1 << (k - 2)
-    ctx = _memo(("series", _layer_m(k)), lambda: SeriesContext(_layer_m(k)))
-    samp = sample_layer_element(random.Random(sseed), k, ctx)
+    samp = sample_layer_element(random.Random(sseed), k, _series(k))
     sigma_ok = kernels.eval_is_identity(samp.word, kernels.sigma_tables(2 * d))
     row = {"k": k, "sample": idx, "word_length": len(samp.word),
            "valuation": samp.valuation, "certified": samp.certified,
@@ -490,6 +495,8 @@ def verify_derived_layers(ks=(2, 3, 4), samples: int = 100, seed: int = 0,
     for k in ks:
         # the exact-matrix path is cheap at k=2 and ~15 s per element at k=3
         crossings = cross_check if k == 2 else (1 if k == 3 else 0)
+        _series(k)
+        kernels.sigma_tables(1 << (k - 1))
         args = [(i, s, k) for i, s in enumerate(_sample_seeds(seed + k, samples))]
         for idx, (row, msg, word) in enumerate(_pmap(_job_layer, args, jobs)):
             rows.append(row)

@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, exit codes, reports, config, cache."""
+"""Command-line surface: subcommands, exit codes, reports, config."""
 
 import contextlib
 import io
@@ -118,8 +118,8 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_hash_skips_execution_knobs():
-    a = Config(qs=(2, 3), seed=1, jobs=1, output="text", cache_dir="")
-    b = Config(qs=(2, 3), seed=1, jobs=8, output="structured", cache_dir="/x")
+    a = Config(qs=(2, 3), seed=1, jobs=1, output="text")
+    b = Config(qs=(2, 3), seed=1, jobs=8, output="structured")
     assert a.hash() == b.hash()
     c = Config(qs=(2, 3), seed=2)
     assert c.hash() != a.hash()
@@ -135,33 +135,38 @@ def test_config_file_feeds_cli(tmp_path):
     assert record["q"] == 2 and record["parameters"]["samples"] == 4
 
 
-def test_cache_build_status_clear(tmp_path):
-    d = str(tmp_path)
-    rc, out, _ = run(["--cache-dir", d, "cache", "build", "--q", "2"])
-    assert rc == EXIT_OK and "built" in out
-    assert len(os.listdir(d)) == 2
-    rc, out, _ = run(["--cache-dir", d, "cache", "status", "--q", "2"])
-    assert rc == EXIT_OK and out.count("ok") == 2
-    rc, out, _ = run(["--cache-dir", d, "cache", "build", "--q", "2"])
-    assert "hit" in out
-    rc, out, _ = run(["--cache-dir", d, "cache", "clear"])
-    assert rc == EXIT_OK
-    assert os.listdir(d) == []
+@pytest.mark.parametrize("argv", [
+    ["--samples", "-3", "verify", "square", "--q", "2"],
+    ["--samples", "0", "verify", "square", "--q", "2"],
+    ["--max-len", "0", "verify", "exponent", "--q", "2"],
+])
+def test_bad_override_is_usage_error(argv):
+    rc, out, err = run(argv)
+    assert rc == EXIT_USAGE and out == ""
+    key = argv[0][2:].replace("-", "_")
+    assert key in err and "Traceback" not in err
 
 
-def test_corrupt_cache_triggers_rebuild(tmp_path):
-    d = str(tmp_path)
-    run(["--cache-dir", d, "cache", "build", "--q", "2"])
-    victim = sorted(os.listdir(d))[0]
-    with open(os.path.join(d, victim), "w") as fh:
-        fh.write("garbage header\n")
-    rc, out, _ = run(["--cache-dir", d, "cache", "build", "--q", "2"])
-    assert rc == EXIT_OK and "rebuilt" in out
+def test_bad_override_in_config_file_is_usage_error(tmp_path):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("qs = 2\ninfinite_samples = 0\n")
+    rc, _, err = run(["--config", path, "verify", "orders"])
+    assert rc == EXIT_USAGE and "infinite_samples" in err
 
 
-def test_cache_dir_env_fallback(tmp_path, monkeypatch):
-    d = str(tmp_path)
-    monkeypatch.setenv("BURNMAT_CACHE", d)
-    rc, out, _ = run(["cache", "build", "--q", "2"])
-    assert rc == EXIT_OK
-    assert len(os.listdir(d)) == 2
+def test_zero_witness_budget_is_accepted():
+    rc, out, _ = run(["--samples", "1", "--witness-budget", "0",
+                      "verify", "solvable", "--q", "2"])
+    assert rc == EXIT_OK and out.startswith("[PASS] solvable q=2")
+
+
+def test_cache_options_are_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["--cache-dir", "/x", "verify", "square"])
+    assert exc.value.code == EXIT_USAGE
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("cache_dir = /x\n")
+    rc, _, err = run(["--config", path, "verify", "square"])
+    assert rc == EXIT_USAGE and "unknown key 'cache_dir'" in err

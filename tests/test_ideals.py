@@ -1,27 +1,22 @@
 """Cyclotomic ideal lattices, membership queries, and quotient arithmetic."""
 
-import os
 import random
 
 import pytest
 
 from burnmat import (
     BurnsideParams,
-    CacheError,
     LaurentPoly,
     TruncatedPoly,
     build_ideal_lattice,
     cyclotomic_generators,
     cyclotomic_lattice,
     is_member,
-    load_lattice,
-    load_or_build,
     p_power_sigma_check,
     parse_poly,
     s_add,
     s_mul,
     s_reduce,
-    save_lattice,
     sigma_power_lattice,
 )
 
@@ -191,42 +186,3 @@ def test_s_context_mismatch_rejected(s2, s3):
     v = s_reduce(TruncatedPoly.one(3), s3)
     with pytest.raises(ValueError):
         s_mul(u, v)
-
-
-def test_cache_round_trip(tmp_path):
-    lat = cyclotomic_lattice(PARAMS[3])
-    path = os.path.join(tmp_path, "lat.txt")
-    save_lattice(path, lat, 3)
-    loaded, q = load_lattice(path)
-    assert q == 3
-    assert loaded.label == lat.label and loaded.D == lat.D
-    assert loaded.rows == lat.rows
-    save_lattice(path, loaded, q)
-    with open(path) as fh:
-        first = fh.read()
-    save_lattice(path, loaded, q)
-    with open(path) as fh:
-        assert fh.read() == first
-
-
-def test_load_or_build_statuses(tmp_path):
-    d = str(tmp_path)
-    lat, status = load_or_build(d, PARAMS[2])
-    assert status == "built"
-    again, status = load_or_build(d, PARAMS[2])
-    assert status == "hit"
-    assert again.rows == lat.rows
-
-
-def test_corrupt_cache_detected_and_rebuilt(tmp_path):
-    d = str(tmp_path)
-    load_or_build(d, PARAMS[2])
-    (name,) = os.listdir(d)
-    path = os.path.join(d, name)
-    with open(path, "w") as fh:
-        fh.write("Cyclotomic(2) 2 2 99\n1 0 0\n")
-    with pytest.raises(CacheError):
-        load_lattice(path)
-    lat, status = load_or_build(d, PARAMS[2])
-    assert status == "rebuilt"
-    assert lat.rows == cyclotomic_lattice(PARAMS[2]).rows

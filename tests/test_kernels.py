@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import burnmat.kernels as kernels
 from burnmat import (
-    HAS_NUMBA,
     KernelOverflow,
     SContext,
     entries_at_t1,
@@ -26,18 +25,19 @@ from burnmat import (
     word_inverse,
 )
 
-LANES = ["python", "numpy"] + (["numba"] if HAS_NUMBA else [])
+LANES = ["python", "numpy"]
 
 
 def test_lane_selection(monkeypatch):
-    monkeypatch.delenv("BURNMAT_KERNEL", raising=False)
-    assert get_lane() in ("numba", "numpy")
-    assert get_lane("python") == "python"
-    monkeypatch.setenv("BURNMAT_KERNEL", "numpy")
     assert get_lane() == "numpy"
-    monkeypatch.setenv("BURNMAT_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        get_lane()
+    assert get_lane("python") == "python"
+    assert get_lane("numpy") == "numpy"
+    # the environment does not select the lane
+    monkeypatch.setenv("BURNMAT_KERNEL", "python")
+    assert get_lane() == "numpy"
+    for bad in ("numba", "auto", "bogus"):
+        with pytest.raises(ValueError):
+            get_lane(bad)
 
 
 def test_lanes_agree_on_sigma_quotients():
@@ -96,16 +96,6 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
     via_python = eval_word_quotient(word, tables, lane="python")
     assert via_numpy == via_python
     assert kernels.FALLBACKS == Counter({"Sigma12": 1})
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba lane unavailable")
-def test_numba_overflow_guard_matches_numpy():
-    tables = sigma_tables(12)
-    word = "ab" * 120
-    with pytest.raises(KernelOverflow):
-        kernels._eval_numba(word, tables, 16)
-    assert (eval_word_quotient(word, tables, lane="numba")
-            == eval_word_quotient(word, tables, lane="python"))
 
 
 def test_reduce_interval_does_not_change_results(s2):

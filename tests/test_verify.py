@@ -169,3 +169,17 @@ def test_pmap_caps_processes_at_cpus_and_items(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify._pmap(abs, [-1, -2], 10 ** 9) == [1, 2]
     assert len(started) == 3
+
+
+def test_suites_build_in_the_parent_before_forking(monkeypatch):
+    import burnmat.verify as verify
+
+    monkeypatch.setattr(verify, "_CTX_MEMO", {})
+    assert verify_square(4, samples=2, jobs=2).passed
+    assert verify_burnside_exponent(4, samples=2, jobs=2).passed
+    assert ("s", 4) in verify._CTX_MEMO and ("tab", 4) in verify._CTX_MEMO
+
+
+def test_zero_checks_never_pass():
+    assert not verify_square(2, samples=0).passed
+    assert not verify_solvability(2, samples=0, witness_budget=0).passed
