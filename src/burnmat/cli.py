@@ -79,17 +79,18 @@ class Config:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
+                where = f"{path}:{lineno}"
                 if key == "qs":
-                    cfg.qs = tuple(int(v) for v in val.split(",") if v)
+                    cfg.qs = tuple(_config_int(where, key, v) for v in val.split(",") if v)
                 elif key in ("seed", "jobs"):
-                    setattr(cfg, key, int(val))
+                    setattr(cfg, key, _config_int(where, key, val))
                 elif key == "output":
                     if val not in ("text", "structured"):
                         raise ValueError(f"{path}:{lineno}: output must be "
                                          f"text or structured")
                     cfg.output = val
                 elif key in _OVERRIDE_KEYS:
-                    setattr(cfg, key, int(val))
+                    setattr(cfg, key, _config_int(where, key, val))
                 else:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         return cfg
@@ -97,6 +98,13 @@ class Config:
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write("\n".join(self.to_lines()) + "\n")
+
+
+def _config_int(where: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
 
 
 def _load_config(args) -> Config:

@@ -13,7 +13,8 @@ Two lanes compute the same thing:
 The numpy lane raises KernelOverflow before a value could leave int64 (see
 QuotientTables.trip_limit) and the caller falls back to the python lane, so
 results are exact regardless of lane.  Each fallback is counted in FALLBACKS
-under the table label (S9, Sigma12).
+under the table label (S9, Sigma12).  Both lanes end with one canonical
+reduction of their result.
 """
 
 from __future__ import annotations
@@ -290,16 +291,9 @@ class QuotientMatrix:
 
 
 def _normalize(raw_entries, tables: QuotientTables) -> QuotientMatrix:
-    zero = (0,) * tables.N
-    out = []
-    for ent in raw_entries:
-        d = {}
-        for t, vec in ent.items():
-            v = tables.reduce_vec([int(c) for c in vec])
-            if v != zero:
-                d[t] = v
-        out.append(d)
-    return QuotientMatrix(q=tables.q, D=tables.D, entries=tuple(out))
+    """A lane's output, already canonically reduced, with zero vectors dropped."""
+    out = tuple({t: tuple(v) for t, v in ent.items() if any(v)} for ent in raw_entries)
+    return QuotientMatrix(q=tables.q, D=tables.D, entries=out)
 
 
 def entries_at_t1(res: QuotientMatrix, tables: QuotientTables) -> list:
@@ -348,7 +342,9 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int):
         if do_reduce and reduce_every and (pos + 1) % reduce_every == 0:
             cur = [{t: list(tables.reduce_vec(v)) for t, v in ent.items()}
                    for ent in cur]
-    return [{t: v for t, v in ent.items() if any(v)} for ent in cur]
+    if do_reduce:
+        cur = [{t: tables.reduce_vec(v) for t, v in ent.items()} for ent in cur]
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +356,9 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int):
 # the block adds) is at most growth * max|v|.  A letter starts from
 # max|v| <= trip_limit <= guard_limit, so nothing exceeds 2^62 before the
 # guard looks, and the result is at most growth * trip_limit <= reduce_limit,
-# the largest input _reduce_limit proves _np_reduce safe on.
+# the largest input _reduce_limit proves _np_reduce safe on.  The guard
+# leaves max|v| <= trip_limit after every letter, so one _np_reduce of the
+# final window returns canonical vectors.
 
 def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int):
     N = tables.N
@@ -407,6 +405,8 @@ def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int):
         while hi > lo and not mags[hi]:
             hi -= 1
         cur, nxt = nxt, cur
+    if plan is not None:
+        _np_reduce(cur[0][:, lo:hi + 1], plan)
     out = [{}, {}, {}, {}]
     for i in range(2):
         for r in range(lo, hi + 1):

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rings import LaurentPoly, divide_by_t_minus_one
 from .groups import (Matrix2, _free_generators, _letters, free_reduce,
                      random_reduced_word, word_inverse)
@@ -100,20 +102,22 @@ def check_derived_layer(g: Matrix2, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # series quotient R[s]/(s^m): slot vectors of exact 2-variable polynomials.
-# Monomials x^i y^j pack into one int key ((i+B) << 16 | (j+B)) so products
-# are key additions; exponents stay far below B for any tractable tree.
+# Monomial x^i y^j is the int key (i << 32) + j + 2^31, so the key of a
+# product is k1 + k2 - 2^31.  The x field has no bound (a floor shift reads
+# it back for any i); the y field holds |j| < 2^31, while a word of n
+# letters has |j| <= n.
 
-_B = 1 << 15
-_KONE = (_B << 16) | _B
-_KBIAS = _KONE
+_YBITS = 32
+_YMASK = (1 << _YBITS) - 1
+_KONE = 1 << (_YBITS - 1)  # the key of 1, which every product key subtracts once
 
 
 def _pack(i: int, j: int) -> int:
-    return ((i + _B) << 16) | (j + _B)
+    return (i << _YBITS) + j + _KONE
 
 
 def _unpack(k: int) -> tuple[int, int]:
-    return (k >> 16) - _B, (k & 0xFFFF) - _B
+    return k >> _YBITS, (k & _YMASK) - _KONE
 
 
 def _p2mul_into(acc: dict, a: dict, b: dict):
@@ -121,7 +125,7 @@ def _p2mul_into(acc: dict, a: dict, b: dict):
         a, b = b, a
     get = acc.get
     for k1, c1 in a.items():
-        k0 = k1 - _KBIAS
+        k0 = k1 - _KONE
         for k2, c2 in b.items():
             k = k0 + k2
             v = get(k, 0) + c1 * c2
@@ -141,19 +145,133 @@ def _p2addto(acc: dict, b: dict):
             del acc[k]
 
 
+# The dict loop multiplies every pair of terms; Kronecker substitution packs
+# each slot into one integer instead.  Packing and decoding cost more than
+# the loop until the term pairs of a product number this many (measured on
+# a 2-core x86 VM, see README "Series ring").
+_PACK_MIN_PAIRS = 8000
+
+# the four entries of a 2x2 product as sums of (left entry, right entry) products
+_MATRIX_SUMS = (((0, 0), (1, 2)), ((0, 1), (1, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 3)))
+
+
+def _sums(left: list, right: list, sums, m: int) -> list:
+    """For each tuple of (l, r) in sums, sum of left[l] * right[r] in R[s]/(s^m).
+
+    Operands are slot lists: m slots of {key: coefficient}.  Large products
+    go through Kronecker substitution, unless the operands are so sparse
+    that the packed integers would hold more fields than they have terms.
+    """
+    terms = [sum(map(len, ent)) for ent in left], [sum(map(len, ent)) for ent in right]
+    if sum(terms[0][l] * terms[1][r] for pairs in sums for l, r in pairs) >= _PACK_MIN_PAIRS:
+        out = _packed_sums(left, right, sums, m, sum(terms[0]) + sum(terms[1]))
+        if out is not None:
+            return out
+    out = []
+    for pairs in sums:
+        acc = [dict() for _ in range(m)]
+        for l, r in pairs:
+            a, b = left[l], right[r]
+            for i, ai in enumerate(a):
+                if ai:
+                    for j in range(m - i):
+                        if b[j]:
+                            _p2mul_into(acc[i + j], ai, b[j])
+        out.append(acc)
+    return out
+
+
 def _series_mul(a: list, b: list, m: int) -> list:
-    out = [dict() for _ in range(m)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(m - i):
-            if b[j]:
-                _p2mul_into(out[i + j], ai, b[j])
+    """a * b in R[s]/(s^m)."""
+    return _sums([a], [b], (((0, 0),),), m)[0]
+
+
+# Kronecker substitution.  A slot polynomial becomes one integer, its value
+# at y = 2^w, x = 2^(w*stride): monomial x^i y^j lands on the w-bit field
+# (i - x0) * stride + (j - y0), and stride is the y-span of the product, so
+# every monomial of a product has a field of its own.  A coefficient of
+# output slot r of sum_k a_k * b_k is at most
+# sum_k sum_i L1(a_k,i) * max|b_k,r-i| in size, and w leaves a sign bit above
+# that bound: adding 2^(w-1) to every field makes all fields non-negative
+# with no carries, and the product reads back field by field.  This is
+# evaluation at one integer point and an exact, unique decoding.
+def _box(slots: list) -> tuple[int, int, int, int]:
+    """Least x and (biased) y field, and the x and y spans, of the keys in slots."""
+    lo = min(min(s) for s in slots)
+    hi = max(max(s) for s in slots)
+    ys = [k & _YMASK for s in slots for k in s]
+    y0 = min(ys)
+    return lo >> _YBITS, y0, (hi >> _YBITS) - (lo >> _YBITS), max(ys) - y0
+
+
+def _pack_slot(poly: dict, corner: int, stride: int, wb: int, n: int) -> int:
+    """poly as one integer of n fields of wb bytes; corner is the key of field 0."""
+    pos = bytearray(n * wb)
+    neg = bytearray(n * wb)
+    for k, c in poly.items():
+        d = k - corner
+        o = ((d >> _YBITS) * stride + (d & _YMASK)) * wb
+        if c > 0:
+            pos[o:o + wb] = c.to_bytes(wb, "little")
+        else:
+            neg[o:o + wb] = (-c).to_bytes(wb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack_slot(v: int, base: int, stride: int, wb: int, n: int) -> dict:
+    """The nonzero fields of v as {key: coefficient}; field 0 has the key base."""
+    half = 1 << (8 * wb - 1)
+    field = half.to_bytes(wb, "little")
+    raw = (v + int.from_bytes(field * n, "little")).to_bytes(n * wb, "little")
+    live = (np.frombuffer(raw, dtype=np.uint8).reshape(n, wb)
+            != np.frombuffer(field, dtype=np.uint8)).any(axis=1)
+    out = {}
+    for f in np.flatnonzero(live).tolist():
+        x, y = divmod(f, stride)
+        out[base + (x << _YBITS) + y] = int.from_bytes(raw[f * wb:f * wb + wb], "little") - half
+    return out
+
+
+def _packed_sums(left: list, right: list, sums, m: int, terms: int) -> list | None:
+    """_sums by Kronecker substitution, or None when the packed integers would
+    hold more fields than the operands have terms.
+
+    Each operand slot is packed once, however many products it takes part
+    in, and only the output slots are decoded.
+    """
+    lslots = [s for ent in left for s in ent if s]
+    rslots = [s for ent in right for s in ent if s]
+    if not lslots or not rslots:
+        return [[dict() for _ in range(m)] for _ in sums]
+    ax, ay, asx, asy = _box(lslots)
+    bx, by, bsx, bsy = _box(rslots)
+    stride = asy + bsy + 1
+    na, nb = asx * stride + asy + 1, bsx * stride + bsy + 1
+    if na + nb - 1 > terms:
+        return None
+    l1 = [[sum(map(abs, s.values())) for s in ent] for ent in left]
+    top = [[max(map(abs, s.values()), default=0) for s in ent] for ent in right]
+    # the operands' own coefficients are written into fields too
+    bound = max(max(map(max, l1)), max(map(max, top)),
+                *(sum(l1[l][i] * top[r][sl - i] for l, r in pairs for i in range(sl + 1))
+                  for pairs in sums for sl in range(m)))
+    wb = (bound.bit_length() + 8) // 8  # field bytes, sign bit included
+    ka, kb = (ax << _YBITS) + ay, (bx << _YBITS) + by
+    pa = [[_pack_slot(s, ka, stride, wb, na) if s else 0 for s in ent] for ent in left]
+    pb = [[_pack_slot(s, kb, stride, wb, nb) if s else 0 for s in ent] for ent in right]
+    base = ka + kb - _KONE
+    out = []
+    for pairs in sums:
+        slots = []
+        for sl in range(m):
+            v = sum(pa[l][i] * pb[r][sl - i] for l, r in pairs for i in range(sl + 1))
+            slots.append(_unpack_slot(v, base, stride, wb, na + nb - 1) if v else {})
+        out.append(slots)
     return out
 
 
 class SeriesMatrix:
-    """2x2 matrix over R[s]/(s^m); entries are slot lists of {(i,j): c} dicts."""
+    """2x2 matrix over R[s]/(s^m); entries are slot lists of {key: c} dicts."""
 
     __slots__ = ("m", "e")
 
@@ -162,16 +280,7 @@ class SeriesMatrix:
         self.e = e
 
     def mul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        m = self.m
-        a, b = self.e, other.e
-        out = []
-        for i in range(2):
-            for j in range(2):
-                acc = _series_mul(a[2 * i], b[j], m)
-                for sl, extra in enumerate(_series_mul(a[2 * i + 1], b[2 + j], m)):
-                    _p2addto(acc[sl], extra)
-                out.append(acc)
-        return SeriesMatrix(m, out)
+        return SeriesMatrix(self.m, _sums(self.e, other.e, _MATRIX_SUMS, self.m))
 
     def sub_identity_valuation(self) -> int:
         """First s-slot where self differs from I, or m if none (image is I)."""
@@ -189,19 +298,21 @@ class SeriesMatrix:
         return self.sub_identity_valuation() >= d
 
 
+def _t_power(k: int, m: int) -> list:
+    """Coefficients of t^k = (1+s)^k mod s^m; t^-1 is the geometric series."""
+    if k >= 0:
+        return [math.comb(k, r) for r in range(m)]
+    return [(-1) ** r * math.comb(-k - 1 + r, r) for r in range(m)]
+
+
 def _laurent_to_series(f: LaurentPoly, m: int) -> list:
-    """Image under t = 1+s in R[s]/(s^m); t^-1 expands as the geometric series."""
+    """Image under t = 1+s in R[s]/(s^m)."""
     slots = [dict() for _ in range(m)]
     for (i, j, k), c in f.terms.items():
         key = _pack(i, j)
-        for r in range(m):
-            if k >= 0:
-                if r > k:
-                    break
-                w = math.comb(k, r)
-            else:
-                w = (-1) ** r * math.comb(-k - 1 + r, r)
-            _p2addto(slots[r], {key: c * w})
+        for r, w in enumerate(_t_power(k, m)):
+            if w:
+                _p2addto(slots[r], {key: c * w})
     return slots
 
 
@@ -250,100 +361,117 @@ def flatten_tree(tree) -> str:
     return lw + rw + word_inverse(lw) + word_inverse(rw)
 
 
-class _Node:
-    """Tree-node value with a lazily computed inverse (often never forced)."""
-
-    __slots__ = ("val", "_inv", "_mk")
-
-    def __init__(self, val: SeriesMatrix, mk):
-        self.val = val
-        self._inv = None
-        self._mk = mk
-
-    def inv(self) -> SeriesMatrix:
-        if self._inv is None:
-            self._inv = self._mk()
-        return self._inv
+def _word_det(w: str) -> tuple[int, int]:
+    """(e1, e2) with det = x^e1 (yt)^e2: det a = x and det b = yt."""
+    return w.count("a") - w.count("A"), w.count("b") - w.count("B")
 
 
-def _delta_of(V: SeriesMatrix):
-    """(V - I as slot lists, its valuation); higher slots are shared, not copied."""
-    m = V.m
-    out = []
-    val = m
-    for idx in range(4):
-        slots = V.e[idx]
-        if idx in (0, 3):
-            s0 = dict(slots[0])
-            c = s0.get(_KONE, 0) - 1
-            if c:
-                s0[_KONE] = c
-            else:
-                s0.pop(_KONE, None)
-            slots = [s0] + list(slots[1:])
-        out.append(slots)
-        for sl in range(val):
-            if slots[sl]:
-                val = sl
-                break
-    return out, val
-
-
-def _dmul(a, b, m: int):
-    """2x2 product of delta matrices given as 4 slot lists."""
-    out = []
-    for i in range(2):
-        for j in range(2):
-            acc = _series_mul(a[2 * i], b[j], m)
-            for sl, extra in enumerate(_series_mul(a[2 * i + 1], b[2 + j], m)):
-                _p2addto(acc[sl], extra)
-            out.append(acc)
-    return out
-
-
-def _plus_identity(delta, m: int, negate: bool = False) -> SeriesMatrix:
-    sign = -1 if negate else 1
+def _combine(m: int, terms, ident: int = 0) -> SeriesMatrix:
+    """ident * I + sum of sign * X over (sign, X) in terms, in new dicts."""
     e = []
     for idx in range(4):
-        slots = [{k: sign * c for k, c in sl.items()} for sl in delta[idx]]
-        if idx in (0, 3):
-            _p2addto(slots[0], {_KONE: 1})
+        slots = []
+        for sl in range(m):
+            acc = {}
+            for sign, X in terms:
+                src = X.e[idx][sl]
+                if sign < 0:
+                    src = {k: -c for k, c in src.items()}
+                if acc:
+                    _p2addto(acc, src)
+                else:
+                    acc = dict(src) if sign > 0 else src
+            if ident and sl == 0 and idx in (0, 3):
+                _p2addto(acc, {_KONE: ident})
+            slots.append(acc)
         e.append(slots)
     return SeriesMatrix(m, e)
 
 
-def _commutator_node(L: _Node, R: _Node, m: int) -> _Node:
-    """[L, R] with an exact short-cut: when 3*min(val A, val B) >= m, every
-    term of (I+A)(I+B)(I+A)^-1(I+B)^-1 with three or more delta factors dies
-    mod s^m and the product collapses to I + (AB - BA); the inverse is then
-    I - (AB - BA) for free."""
-    A, va = _delta_of(L.val)
-    B, vb = _delta_of(R.val)
-    if va >= 1 and vb >= 1 and 3 * min(va, vb) >= m:
-        AB = _dmul(A, B, m)
-        BA = _dmul(B, A, m)
-        delta = []
-        for idx in range(4):
-            slots = AB[idx]
-            for sl, d in enumerate(BA[idx]):
-                _p2addto(slots[sl], {k: -c for k, c in d.items()})
-            delta.append(slots)
-        return _Node(_plus_identity(delta, m),
-                     lambda: _plus_identity(delta, m, negate=True))
-    val = L.val.mul(R.val).mul(L.inv()).mul(R.inv())
-    return _Node(val, lambda: R.val.mul(L.val).mul(R.inv()).mul(L.inv()))
+def _valuation(delta: SeriesMatrix) -> int:
+    """First s-slot where delta is nonzero, or m if none."""
+    for sl in range(delta.m):
+        if any(ent[sl] for ent in delta.e):
+            return sl
+    return delta.m
 
 
-def _eval_tree_node(tree, ctx: SeriesContext) -> _Node:
+def _inverse(V: SeriesMatrix, det: tuple[int, int]) -> SeriesMatrix:
+    """V^-1 = adj(V) / det V, where det V = x^e1 (yt)^e2 and t^-e2 = (1+s)^-e2."""
+    m = V.m
+    p, q, r, u = V.e
+    adj = [u, [{k: -c for k, c in sl.items()} for sl in q],
+           [{k: -c for k, c in sl.items()} for sl in r], p]
+    if det == (0, 0):
+        return SeriesMatrix(m, adj)
+    e1, e2 = det
+    key = _pack(-e1, -e2)
+    scalar = [{key: w} if w else {} for w in _t_power(-e2, m)]
+    return SeriesMatrix(m, [_series_mul(ent, scalar, m) for ent in adj])
+
+
+class _Node:
+    """Tree node: the valuation of value - I and det up front, the value on demand.
+
+    det is (e1, e2) with det value = x^e1 (yt)^e2.  A commutator keeps what
+    its value needs in _parts until a parent asks; a sample's root never does.
+    """
+
+    __slots__ = ("valuation", "det", "_value", "_parts")
+
+    def __init__(self, valuation: int, det: tuple[int, int], value=None, parts=None):
+        self.valuation = valuation
+        self.det = det
+        self._value = value
+        self._parts = parts
+
+    @property
+    def value(self) -> SeriesMatrix:
+        if self._value is None:
+            self._value = _commutator_value(*self._parts)
+            self._parts = None
+        return self._value
+
+
+def _leaf(w: str, ctx: SeriesContext) -> _Node:
+    V = ctx.eval_word(w)
+    return _Node(V.sub_identity_valuation(), _word_det(w), value=V)
+
+
+def _commutator(L: _Node, R: _Node, m: int) -> _Node:
+    """[L, R] - I = (LR - RL)(RL)^-1 and RL is a unit, so [L, R] has the
+    valuation of LR - RL = AB - BA, for the deltas A = L - I and B = R - I."""
+    A = _combine(m, ((1, L.value),), ident=-1)
+    B = _combine(m, ((1, R.value),), ident=-1)
+    AB = A.mul(B)
+    D = _combine(m, ((1, AB), (-1, B.mul(A))))
+    collapses = 3 * min(L.valuation, R.valuation) >= m
+    det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
+    return _Node(_valuation(D), (0, 0), parts=(A, B, AB, D, det, collapses))
+
+
+def _commutator_value(A, B, AB, D, det, collapses: bool) -> SeriesMatrix:
+    """[L, R] = LR (RL)^-1 with LR = I + A + B + AB and RL = LR - (AB - BA).
+
+    When 3 * min(val A, val B) >= m, every term with three or more delta
+    factors dies mod s^m and [L, R] collapses to I + (AB - BA).
+    """
+    m = D.m
+    if collapses:
+        return _combine(m, ((1, D),), ident=1)
+    LR = _combine(m, ((1, A), (1, B), (1, AB)), ident=1)
+    RL = _combine(m, ((1, LR), (-1, D)))
+    return LR.mul(_inverse(RL, det))
+
+
+def _eval_tree(tree, ctx: SeriesContext) -> _Node:
     if tree[0] == "w":
-        w = tree[1]
-        return _Node(ctx.eval_word(w), lambda: ctx.eval_word(word_inverse(w)))
-    return _commutator_node(_eval_tree_node(tree[1], ctx),
-                            _eval_tree_node(tree[2], ctx), ctx.m)
+        return _leaf(tree[1], ctx)
+    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx), ctx.m)
 
 
 def eval_tree_series(tree, ctx: SeriesContext) -> SeriesMatrix:
-    return _eval_tree_node(tree, ctx).val
+    return _eval_tree(tree, ctx).value
 
 
 @dataclass(frozen=True)
@@ -359,30 +487,29 @@ def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3,
     """Balanced depth-k commutator tree, resampled per node to dodge collapses."""
     if retries < 1:
         raise ValueError("retries must be >= 1")
+    m = ctx.m
 
     def build(depth: int):
         if depth == 0:
-            w = random_reduced_word(rng, maxlen)
-            for _ in range(retries - 1):
-                if not ctx.eval_word(w).is_identity_mod(ctx.m):
-                    break
+            for _ in range(retries):
                 w = random_reduced_word(rng, maxlen)
-            return ("w", w), _Node(ctx.eval_word(w),
-                                   lambda: ctx.eval_word(word_inverse(w)))
+                node = _leaf(w, ctx)
+                if node.valuation < m:
+                    break
+            return ("w", w), node
         lt, ln = build(depth - 1)
         rt, rn = build(depth - 1)
-        nd = _commutator_node(ln, rn, ctx.m)
+        nd = _commutator(ln, rn, m)
         for _ in range(retries - 1):
-            if not nd.val.is_identity_mod(ctx.m):
+            if nd.valuation < m:
                 break
             rt, rn = build(depth - 1)
-            nd = _commutator_node(ln, rn, ctx.m)
+            nd = _commutator(ln, rn, m)
         return ("c", lt, rt), nd
 
     tree, node = build(k)
-    v = node.val.sub_identity_valuation()
     return LayerSample(tree=tree, word=free_reduce(flatten_tree(tree)),
-                       certified=v < ctx.m, valuation=v)
+                       certified=node.valuation < m, valuation=node.valuation)
 
 
 @dataclass(frozen=True)
@@ -425,7 +552,7 @@ def check_derived_layer_word(tree_or_word, k: int, lane: str | None = None,
         ctx = SeriesContext(d + 1)
     elif ctx.m < d + 1:
         raise ValueError(f"series context has {ctx.m} slots, need {d + 1}")
-    sval = eval_tree_series(tree, ctx).sub_identity_valuation()
+    sval = _eval_tree(tree, ctx).valuation
     word = free_reduce(flatten_tree(tree))
     sigma_ok = kernels.eval_is_identity(word, kernels.sigma_tables(2 * d), lane=lane)
     return LayerCheck(k=k, d=d, word_length=len(word),

@@ -108,7 +108,8 @@ def _sctx(q: int) -> SContext:
 
 
 def _tables(q: int) -> kernels.QuotientTables:
-    return _memo(("tab", q), lambda: kernels.tables_for(_sctx(q)))
+    # kernels.tables_for keeps the tables; groups reaches them the same way
+    return kernels.tables_for(_sctx(q))
 
 
 def _sample_seeds(seed: int, n: int) -> list[int]:

@@ -155,6 +155,16 @@ def test_bad_override_in_config_file_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE and "infinite_samples" in err
 
 
+def test_non_integer_in_config_file_is_usage_error(tmp_path):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("qs = 2\n# comment\nsamples = abc\n")
+    rc, out, err = run(["--config", path, "verify", "square"])
+    assert rc == EXIT_USAGE and not out
+    assert f"{path}:3: samples must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_zero_witness_budget_is_accepted():
     rc, out, _ = run(["--samples", "1", "--witness-budget", "0",
                       "verify", "solvable", "--q", "2"])

@@ -2,9 +2,13 @@
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import burnmat.tadic as tadic
 from burnmat import (
     ExactDivisionError,
     LaurentPoly,
@@ -223,3 +227,166 @@ def test_tree_flattening_matches_commutator_words():
     nested = ("c", tree, ("w", "a"))
     flat = flatten_tree(nested)
     assert flat == commutator_word(flatten_tree(tree), "a")
+
+
+# ---------------------------------------------------------------------------
+# series ring: packed products, adjugate inverses and node valuations
+
+DIFF_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+# coefficients small, or near a power of two from 2^0 to 2^80, so that the
+# product bound lands on every side of a field-width boundary
+COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(lambda b, sign, d: sign * ((1 << b) + d),
+              st.integers(0, 80), st.sampled_from([1, -1]), st.integers(-1, 1)).filter(bool))
+
+
+def _slot_lists(m, entries):
+    exps = st.integers(-6, 6)
+    poly = st.dictionaries(st.tuples(exps, exps), COEFFS, max_size=8)
+    slots = st.lists(poly, min_size=m, max_size=m).map(
+        lambda ps: [{tadic._pack(i, j): c for (i, j), c in p.items()} for p in ps])
+    return st.lists(slots, min_size=entries, max_size=entries)
+
+
+def _reference_sums(left, right, sums, m):
+    """sum of left[l] * right[r] over (i, j) exponent tuples, independent of the key layout."""
+    out = []
+    for pairs in sums:
+        acc = [Counter() for _ in range(m)]
+        for l, r in pairs:
+            for i, a in enumerate(left[l]):
+                for j in range(m - i):
+                    for k1, c1 in a.items():
+                        for k2, c2 in right[r][j].items():
+                            (x1, y1), (x2, y2) = tadic._unpack(k1), tadic._unpack(k2)
+                            acc[i + j][tadic._pack(x1 + x2, y1 + y2)] += c1 * c2
+        out.append([{k: c for k, c in s.items() if c} for s in acc])
+    return out
+
+
+def _dict_sums(left, right, sums, m, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(tadic, "_PACK_MIN_PAIRS", float("inf"))
+        return tadic._sums(left, right, sums, m)
+
+
+@pytest.mark.parametrize("kind", ["product", "matrix"])
+def test_packed_products_match_dict_loop(kind, monkeypatch):
+    sums = (((0, 0),),) if kind == "product" else tadic._MATRIX_SUMS
+    n = 1 if kind == "product" else 4
+
+    @DIFF_SETTINGS
+    @given(data=st.data(), m=st.integers(1, 6))
+    def check(data, m):
+        left = data.draw(_slot_lists(m, entries=n))
+        right = data.draw(_slot_lists(m, entries=n))
+        expected = _reference_sums(left, right, sums, m)
+        packed = tadic._packed_sums(left, right, sums, m, terms=float("inf"))
+        assert packed == expected
+        assert _dict_sums(left, right, sums, m, monkeypatch) == expected
+        if kind == "product":
+            assert tadic._series_mul(left[0], right[0], m) == expected[0]
+
+    check()
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 15, 16, 27, 28, 55, 56, 63, 64, 100])
+def test_packed_product_at_its_coefficient_bound(bits, monkeypatch):
+    # every term sits on one monomial, so output slot r is (r + 1) * c * c',
+    # exactly the proven bound, whatever the field width it lands in
+    m = 6
+    c = (1 << bits) - 1
+    a = [{tadic._pack(-3, 5): c} for _ in range(m)]
+    b = [{tadic._pack(2, -7): -c} for _ in range(m)]
+    expected = [{tadic._pack(-1, -2): -(r + 1) * c * c} for r in range(m)]
+    assert tadic._packed_sums([a], [b], (((0, 0),),), m, terms=float("inf"))[0] == expected
+    assert _dict_sums([a], [b], (((0, 0),),), m, monkeypatch)[0] == expected
+
+
+@pytest.mark.parametrize("i, j", [(20000, 0), (0, 20000), (-20000, 20000), (40000, -35000)])
+def test_large_exponents_do_not_alias(i, j, monkeypatch):
+    # a 16-bit y field would wrap y^20000 * y^20000 into the x field
+    a = [{tadic._pack(i, j): 1}, {tadic._pack(i + 1, j + 1): 2}]
+    b = [{tadic._pack(i, j): 3}, {}]
+    expected = [{tadic._pack(2 * i, 2 * j): 3}, {tadic._pack(2 * i + 1, 2 * j + 1): 6}]
+    sums = (((0, 0),),)
+    assert tadic._packed_sums([a], [b], sums, 2, terms=float("inf"))[0] == expected
+    assert _dict_sums([a], [b], sums, 2, monkeypatch)[0] == expected
+    assert tadic._unpack(tadic._pack(2 * i, 2 * j)) == (2 * i, 2 * j)
+
+
+def test_sparse_operands_stay_on_the_dict_loop():
+    # packing x^0 and x^100000 would need 10^5 fields for 4 terms
+    a = [{tadic._pack(0, 0): 1, tadic._pack(100000, 0): 1}]
+    assert tadic._packed_sums([a], [a], (((0, 0),),), 1, terms=4) is None
+
+
+def _identity(m):
+    return SeriesContext(m).identity().e
+
+
+@DIFF_SETTINGS
+@given(w=st.text(alphabet="aAbB", min_size=1, max_size=8), m=st.integers(1, 5))
+def test_leaf_inverse_is_adjugate_over_det(w, m):
+    ctx = SeriesContext(m)
+    V = ctx.eval_word(w)
+    inv = tadic._inverse(V, tadic._word_det(w))
+    assert V.mul(inv).e == _identity(m)
+    assert inv.mul(V).e == _identity(m)
+    assert inv.e == ctx.eval_word(word_inverse(w)).e
+
+
+def _subtrees(tree):
+    yield tree
+    if tree[0] == "c":
+        yield from _subtrees(tree[1])
+        yield from _subtrees(tree[2])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 4))
+def test_commutator_inverse_is_adjugate(seed, m):
+    ctx = SeriesContext(m)
+    for sub in _subtrees(sample_layer_element(random.Random(seed), 2, ctx).tree):
+        if sub[0] == "c":
+            V = tadic._eval_tree(sub, ctx).value
+            assert V.mul(tadic._inverse(V, (0, 0))).e == _identity(m)
+
+
+@pytest.mark.parametrize("k, maxlen, examples", [(2, 3, 12), (3, 1, 4)])
+def test_node_values_match_exact_words(k, maxlen, examples, free_ctx):
+    # trees come from the sampler, which resamples collapsing nodes, so they
+    # are nontrivial; every node is checked against its exact flattened word
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32), m=st.integers(2, 4))
+    def check(seed, m):
+        ctx = SeriesContext(m)
+        tree = sample_layer_element(random.Random(seed), k, ctx, maxlen=maxlen).tree
+        for sub in _subtrees(tree):
+            g = free_ctx.eval_word(free_reduce(flatten_tree(sub)))
+            assert tadic._eval_tree(sub, ctx).valuation == min(t1_valuation(g), m)
+            image = [tadic._laurent_to_series(e, m) for e in g.entries()]
+            assert eval_tree_series(sub, ctx).e == image
+
+    check()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(2, 6))
+def test_commutator_value_matches_letter_by_letter_product(seed, m):
+    # children are depth-2 trees (valuation >= 1), so the collapse short-cut
+    # applies for m <= 3 and the full LR (RL)^-1 for larger m
+    ctx = SeriesContext(m)
+    rng = random.Random(seed)
+    left, right = (sample_layer_element(rng, 2, ctx).tree for _ in range(2))
+    node = tadic._eval_tree(("c", left, right), ctx)
+    lw, rw = flatten_tree(left), flatten_tree(right)
+    expected = ctx.eval_word(lw + rw + word_inverse(lw) + word_inverse(rw))
+    assert node.value.e == expected.e
+    assert node.valuation == expected.sub_identity_valuation()

@@ -172,12 +172,14 @@ def test_pmap_caps_processes_at_cpus_and_items(monkeypatch):
 
 
 def test_suites_build_in_the_parent_before_forking(monkeypatch):
+    import burnmat.kernels as kernels
     import burnmat.verify as verify
 
     monkeypatch.setattr(verify, "_CTX_MEMO", {})
+    monkeypatch.setattr(kernels, "_CACHE", {})
     assert verify_square(4, samples=2, jobs=2).passed
     assert verify_burnside_exponent(4, samples=2, jobs=2).passed
-    assert ("s", 4) in verify._CTX_MEMO and ("tab", 4) in verify._CTX_MEMO
+    assert ("s", 4) in verify._CTX_MEMO and ("s", 4) in kernels._CACHE
 
 
 def test_zero_checks_never_pass():
