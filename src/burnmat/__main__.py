@@ -1,0 +1,8 @@
+"""`python -m burnmat`: the same command line as the `burnmat` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,10 @@ class Config:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def check(self) -> None:
-        """Raise ValueError naming the first override below its least value."""
+        """Raise ValueError naming the first unsupported q or the first
+        override below its least value."""
+        for q in self.qs:
+            BurnsideParams.from_q(q)
         for k in _OVERRIDE_KEYS:
             v = getattr(self, k)
             # a zero witness budget is a real setting: it skips the search

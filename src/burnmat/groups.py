@@ -363,9 +363,13 @@ def normal_form(M: Matrix2) -> NormalForm:
 
 def power_closed_form(M: Matrix2, n: int) -> Matrix2:
     """M^n = u^n*I + (1 + u + ... + u^(n-1))*N for M = u*I + N in normal form."""
+    return power_from_normal_form(normal_form(M), n)
+
+
+def power_from_normal_form(nf: NormalForm, n: int) -> Matrix2:
+    """power_closed_form for a matrix whose normal form nf is already known."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    nf = normal_form(M)
     up = nf.u.as_poly()
     geom = LaurentPoly.zero()
     upow = LaurentPoly.const(1)

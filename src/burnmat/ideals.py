@@ -16,10 +16,16 @@ from typing import Callable, Iterable, Sequence
 from .rings import (LaurentPoly, TruncatedPoly, monomial_list, tri_dim,
                     xpow_coeffs, _index_table)
 
+MAX_Q = 13
+
 
 @dataclass(frozen=True)
 class BurnsideParams:
-    """Prime power q = p^e with phi = p^e - p^(e-1), bound = e*phi, D = bound + 1."""
+    """Prime power q = p^e with phi = p^e - p^(e-1), bound = e*phi, D = bound + 1.
+
+    q is at most MAX_Q = 13: D <= 13 holds exactly for the prime powers up to
+    13 (q = 16 already gives D = 33), and the lattice dimension grows as D^2.
+    """
 
     q: int
     p: int
@@ -32,6 +38,8 @@ class BurnsideParams:
     def from_q(q: int) -> "BurnsideParams":
         if q < 2:
             raise ValueError(f"q must be a prime power >= 2, got {q}")
+        if q > MAX_Q:
+            raise ValueError(f"q must be a prime power <= {MAX_Q}, got {q}")
         n, p = q, None
         for cand in range(2, q + 1):
             if n % cand == 0:

@@ -5,15 +5,18 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
 import random
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import kernels
 from .groups import (GroupContext, ExponentLawViolation, basic_commutator,
-                     check_row_fixed, commutator_word, free_reduce,
+                     check_row_fixed, commutator, commutator_word, free_reduce,
                      group_closure, normal_form, order_in_G,
-                     power_closed_form, product_normal_form_rule,
+                     power_from_normal_form, product_normal_form_rule,
                      random_reduced_word, random_zero_sum_word,
                      commutative_square_check, t_exponent_sum, tree_word,
                      _free_generators)
@@ -120,14 +123,66 @@ def _pmap(worker, items, jobs: int):
     """Order-preserving map; identical output for any jobs count.
 
     Starts at most one process per CPU and per item, whatever jobs asks for.
+    Child i forks from this process, so it inherits everything built here,
+    maps items[i::procs] and pickles the results, or the exception it raised,
+    to a pipe; the parent only collects. A worker's exception is re-raised
+    here, a worker that died without a result raises RuntimeError, and no
+    child outlives the call.
     """
     procs = min(jobs, os.cpu_count() or 1, len(items))
-    if procs > 1:
-        import multiprocessing as mp
+    if procs <= 1:
+        return [worker(it) for it in items]
+    pids, pipes = [], []  # a pid becomes None once reaped
+    try:
+        for i in range(procs):
+            r, w = os.pipe()
+            pipes.append(r)
+            pid = os.fork()
+            if pid == 0:
+                _pmap_child(worker, items[i::procs], w)
+            os.close(w)
+            pids.append(pid)
+        out = [None] * len(items)
+        for i in range(procs):
+            with open(pipes[i], "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pids[i], 0)
+            pids[i] = None
+            if not data:
+                raise RuntimeError(f"worker {i} exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} "
+                                   f"without a result")
+            ok, res = pickle.loads(data)
+            if not ok:
+                raise res
+            out[i::procs] = res
+        return out
+    finally:
+        for r in pipes:
+            os.close(r)
+        for pid in pids:
+            if pid is not None:  # alive or a zombie, so the kill cannot miss
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
-        with mp.get_context("fork").Pool(processes=procs) as pool:
-            return pool.map(worker, items, chunksize=max(1, len(items) // (4 * procs)))
-    return [worker(it) for it in items]
+
+def _pmap_child(worker, items, fd: int):
+    """Body of a _pmap child: never returns, always leaves through os._exit."""
+    code = 1
+    try:
+        try:
+            payload = (True, [worker(it) for it in items])
+        except Exception as exc:
+            payload = (False, exc)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(pickle.dumps(payload))
+        code = 0
+    except KeyboardInterrupt:
+        pass
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +194,32 @@ def _job_power(args):
     rng = random.Random(sseed)
     w = random_reduced_word(rng, max_len)
     M = ctx.eval_word(w)
+    nf = normal_form(M)
     acc = ctx.identity()
     for n in range(1, max_n + 1):
         acc = acc.mul(M)
-        if power_closed_form(M, n) != acc:
+        if power_from_normal_form(nf, n) != acc:
             return f"sample {idx}: closed form != product for word {w!r} at n={n}"
     return None
+
+
+def _basic_commutator_matrices(r: int):
+    """(a, b, matrix of basic_commutator(a, b)) for a, b <= r, a outer, b inner.
+
+    Built by the words' own recurrence, w(0,0) = [b,a], w(0,b) = [w(0,b-1), b],
+    w(a,b) = [w(a-1,b), a], one matrix commutator per step, so no word is
+    evaluated letter by letter.
+    """
+    ctx = _memo("metabelian", lambda: GroupContext("metabelian"))
+    gen_a, gen_b = ctx.gens["a"], ctx.gens["b"]
+    row = [commutator(gen_b, gen_a)]
+    for _ in range(r):
+        row.append(commutator(row[-1], gen_b))
+    for a in range(r + 1):
+        if a:
+            row = [commutator(M, gen_a) for M in row]
+        for b, M in enumerate(row):
+            yield a, b, M
 
 
 def verify_power_formula(samples: int = 200, max_n: int = 8, max_len: int = 12,
@@ -160,14 +235,11 @@ def verify_power_formula(samples: int = 200, max_n: int = 8, max_len: int = 12,
             failures.append(msg)
     checks = samples * max_n
 
-    ctx = _memo("metabelian", lambda: GroupContext("metabelian"))
-    for a in range(commutator_range + 1):
-        for b in range(commutator_range + 1):
-            word, predicted = basic_commutator(a, b)
-            got = normal_form(ctx.eval_word(word))
-            if got != predicted:
-                failures.append(f"basic commutator a={a} b={b}: prediction mismatch")
-            checks += 1
+    for a, b, M in _basic_commutator_matrices(commutator_range):
+        _, predicted = basic_commutator(a, b)
+        if normal_form(M) != predicted:
+            failures.append(f"basic commutator a={a} b={b}: prediction mismatch")
+        checks += 1
 
     return VerificationReport(
         result="powers", q=None,

@@ -180,3 +180,34 @@ def test_cache_options_are_gone(tmp_path):
         fh.write("cache_dir = /x\n")
     rc, _, err = run(["--config", path, "verify", "square"])
     assert rc == EXIT_USAGE and "unknown key 'cache_dir'" in err
+
+
+@pytest.mark.parametrize("q", ["6", "16"])
+@pytest.mark.parametrize("cmd", [["verify", "orders"], ["report"]])
+def test_unsupported_q_is_usage_error(cmd, q):
+    rc, out, err = run(cmd + ["--q", f"2,{q}"])
+    assert rc == EXIT_USAGE and out == ""
+    assert f"got {q}" in err and "Traceback" not in err
+
+
+def test_unsupported_q_in_config_file_is_usage_error(tmp_path):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("qs = 2,6\n")
+    rc, out, err = run(["--config", path, "verify", "orders"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "got 6" in err and "Traceback" not in err
+
+
+def test_module_runs_from_a_checkout():
+    import subprocess
+    import sys
+
+    import burnmat
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(burnmat.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "burnmat", "ring", "1-x"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "sigma-valuation: 1" in proc.stdout

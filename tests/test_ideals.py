@@ -42,6 +42,13 @@ def test_non_prime_power_rejected():
             BurnsideParams.from_q(n)
 
 
+def test_q_is_bounded_by_13():
+    assert (BurnsideParams.from_q(11).D, BurnsideParams.from_q(13).D) == (11, 13)
+    for n in (14, 16, 17, 101):
+        with pytest.raises(ValueError, match=f"<= 13, got {n}"):
+            BurnsideParams.from_q(n)
+
+
 def test_generator_at_unit_one_is_constant_q():
     for q in (2, 3, 5):
         gens = cyclotomic_generators(PARAMS[q])

@@ -1,6 +1,9 @@
 """Verification suites: determinism, statuses, and small-sample outcomes."""
 
 import json
+import os
+
+import pytest
 
 from burnmat import (
     SUITES,
@@ -58,6 +61,12 @@ def test_worker_count_does_not_change_reports():
     s2 = verify_power_formula(samples=8, max_n=3, jobs=2)
     s1 = verify_power_formula(samples=8, max_n=3, jobs=1)
     assert s1.to_record() == s2.to_record()
+    n1 = verify_normal_forms(samples=9, jobs=1)
+    n2 = verify_normal_forms(samples=9, jobs=2)
+    assert n1.to_record() == n2.to_record()
+    e1 = verify_burnside_exponent(3, samples=7, jobs=1)
+    e2 = verify_burnside_exponent(3, samples=7, jobs=2)
+    assert e1.to_record() == e2.to_record()
 
 
 def test_inclusion_suite_parameters():
@@ -134,41 +143,91 @@ def test_normal_form_suite_small():
 
 
 def test_pmap_caps_processes_at_cpus_and_items(monkeypatch):
-    import multiprocessing
-
     import burnmat.verify as verify
 
-    started = []
+    real_fork = verify.os.fork
+    forks = []
 
-    class FakePool:
-        def __init__(self, processes):
-            self.processes = processes
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            started.append((self.processes, chunksize))
-            return [fn(it) for it in items]
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(verify.os, "fork", counting_fork)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     assert verify._pmap(abs, [-1, -2, 3], 10 ** 9) == [1, 2, 3]
+    assert len(forks) == 3
     assert verify._pmap(abs, list(range(-50, 50)), 10 ** 9) == [abs(i) for i in range(-50, 50)]
+    assert len(forks) == 3 + 4
     assert verify._pmap(abs, list(range(100)), 2) == list(range(100))
-    assert started == [(3, 1), (4, 6), (2, 12)]
-    # one item, one job or one CPU: no pool at all
+    assert len(forks) == 3 + 4 + 2
+    # one item, one job or one CPU: no fork at all
     assert verify._pmap(abs, [-7], 10 ** 9) == [7]
     assert verify._pmap(abs, [-1, -2], 1) == [1, 2]
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify._pmap(abs, [-1, -2], 10 ** 9) == [1, 2]
-    assert len(started) == 3
+    assert len(forks) == 9
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3, 4])
+def test_pmap_keeps_item_order(monkeypatch, procs):
+    import burnmat.verify as verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    items = list(range(23))
+    got = verify._pmap(lambda i: (i, os.getpid()), items, procs)
+    assert [i for i, _ in got] == items
+    assert len({pid for _, pid in got}) == procs
+    assert (os.getpid() in {pid for _, pid in got}) == (procs == 1)
+
+
+def _fail_on_five(i):
+    if i == 5:
+        raise ValueError(f"item {i} is bad")
+    return i
+
+
+def _exit_on_two(i):
+    if i == 2:
+        os._exit(3)
+    return i
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pmap_reraises_worker_exception(monkeypatch):
+    import burnmat.verify as verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="item 5 is bad"):
+        verify._pmap(_fail_on_five, list(range(10)), 2)
+    _assert_no_child_left()
+
+
+def test_pmap_raises_when_worker_dies(monkeypatch):
+    import burnmat.verify as verify
+
+    # two CPUs even on a one-CPU machine, where the serial path would exit pytest
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="status 3 without a result"):
+        verify._pmap(_exit_on_two, list(range(10)), 2)
+    _assert_no_child_left()
+
+
+def test_basic_commutator_chain_matches_flat_words():
+    import burnmat.verify as verify
+    from burnmat import GroupContext, basic_commutator
+
+    ctx = GroupContext("metabelian")
+    got = list(verify._basic_commutator_matrices(3))
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a in range(4) for b in range(4)]
+    for a, b, M in got:
+        word, _ = basic_commutator(a, b)
+        assert M == ctx.eval_word(word), (a, b)
 
 
 def test_suites_build_in_the_parent_before_forking(monkeypatch):
