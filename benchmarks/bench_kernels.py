@@ -4,8 +4,15 @@ Run as a plain script:  python3 benchmarks/bench_kernels.py [--repeats N] [--bat
 """
 
 import argparse
+import os
 import random
+import sys
 import time
+
+if __name__ == "__main__":
+    # a checkout needs no install: import burnmat from ../src
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "src"))
 
 from burnmat import SContext, random_reduced_word
 from burnmat.kernels import (KernelOverflow, eval_word_quotient, sigma_tables,

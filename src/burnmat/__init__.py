@@ -3,17 +3,16 @@
 from .rings import (LaurentPoly, TruncatedPoly, UnitMonomial, parse_poly,
                     PolyParseError, ExactDivisionError, divide_one_minus,
                     divide_by_t_minus_one)
-from .ideals import (BurnsideParams, IdealLattice, SContext, SElement, STPoly,
+from .ideals import (BurnsideParams, IdealLattice, SContext, SElement,
                      cyclotomic_generators, cyclotomic_lattice, build_ideal_lattice,
-                     sigma_power_lattice, is_member, p_power_sigma_check,
-                     s_reduce, s_add, s_mul)
-from .groups import (GroupWord, Matrix2, GroupContext, NormalForm, OrderResult,
-                     NonConforming, ExponentLawViolation, eval_word, normal_form,
+                     sigma_power_lattice, p_power_sigma_check)
+from .groups import (Matrix2, GroupContext, NormalForm, OrderResult,
+                     NonConforming, ExponentLawViolation, normal_form,
                      power_closed_form, basic_commutator, commutator,
                      commutator_word, matrix_inverse, order_in_G,
                      commutative_square_check, group_closure, check_row_fixed,
                      product_normal_form_rule, det_t_degree, free_reduce,
-                     word_inverse, t_exponent_sum, random_reduced_word,
+                     word_inverse, parse_word, t_exponent_sum, random_reduced_word,
                      random_zero_sum_word, tree_word)
 from .kernels import (KernelOverflow, QuotientTables, QuotientMatrix, get_lane,
                       sigma_tables, tables_for, eval_word_quotient,
@@ -21,8 +20,7 @@ from .kernels import (KernelOverflow, QuotientTables, QuotientMatrix, get_lane,
 from .tadic import (TAdicCoefficient, formal_coefficients, formal_coefficient,
                     t1_valuation, vanishes_mod_sigma, check_derived_layer,
                     SeriesContext, SeriesMatrix, eval_tree_series, flatten_tree,
-                    sample_layer_element, check_derived_layer_word, LayerSample,
-                    LayerCheck)
+                    sample_layer_element, LayerSample)
 from .verify import (VerificationReport, SolvabilityReport, solvability_bound,
                      verify_power_formula, verify_ideal_inclusions,
                      verify_burnside_exponent, verify_order_dichotomy,
@@ -33,16 +31,15 @@ __all__ = [
     "LaurentPoly", "TruncatedPoly", "UnitMonomial", "parse_poly",
     "PolyParseError", "ExactDivisionError", "divide_one_minus",
     "divide_by_t_minus_one",
-    "BurnsideParams", "IdealLattice", "SContext", "SElement", "STPoly",
+    "BurnsideParams", "IdealLattice", "SContext", "SElement",
     "cyclotomic_generators", "cyclotomic_lattice", "build_ideal_lattice",
-    "sigma_power_lattice", "is_member", "p_power_sigma_check",
-    "s_reduce", "s_add", "s_mul",
-    "GroupWord", "Matrix2", "GroupContext", "NormalForm", "OrderResult",
-    "NonConforming", "ExponentLawViolation", "eval_word", "normal_form",
+    "sigma_power_lattice", "p_power_sigma_check",
+    "Matrix2", "GroupContext", "NormalForm", "OrderResult",
+    "NonConforming", "ExponentLawViolation", "normal_form",
     "power_closed_form", "basic_commutator", "commutator", "commutator_word",
     "matrix_inverse", "order_in_G", "commutative_square_check", "group_closure",
     "check_row_fixed", "product_normal_form_rule", "det_t_degree",
-    "free_reduce", "word_inverse", "t_exponent_sum", "random_reduced_word",
+    "free_reduce", "word_inverse", "parse_word", "t_exponent_sum", "random_reduced_word",
     "random_zero_sum_word", "tree_word",
     "KernelOverflow", "QuotientTables", "QuotientMatrix", "get_lane",
     "sigma_tables", "tables_for", "eval_word_quotient", "eval_is_identity",
@@ -50,8 +47,7 @@ __all__ = [
     "TAdicCoefficient", "formal_coefficients", "formal_coefficient",
     "t1_valuation", "vanishes_mod_sigma", "check_derived_layer",
     "SeriesContext", "SeriesMatrix", "eval_tree_series", "flatten_tree",
-    "sample_layer_element", "check_derived_layer_word", "LayerSample",
-    "LayerCheck",
+    "sample_layer_element", "LayerSample",
     "VerificationReport", "SolvabilityReport", "solvability_bound",
     "verify_power_formula", "verify_ideal_inclusions",
     "verify_burnside_exponent", "verify_order_dichotomy", "verify_solvability",

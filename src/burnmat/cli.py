@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from . import verify as V
-from .groups import GroupWord, ExponentLawViolation, order_in_G
+from .groups import ExponentLawViolation, free_reduce, order_in_G, parse_word
 from .ideals import BurnsideParams, cyclotomic_lattice
 from .rings import PolyParseError, parse_poly
 
@@ -43,8 +43,10 @@ class Config:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def check(self) -> None:
-        """Raise ValueError naming the first unsupported q or the first
-        override below its least value."""
+        """Raise ValueError on an empty q list, on the first unsupported q, or
+        on the first override below its least value, naming it."""
+        if not self.qs:
+            raise ValueError("qs must list at least one q")
         for q in self.qs:
             BurnsideParams.from_q(q)
         for k in _OVERRIDE_KEYS:
@@ -227,24 +229,24 @@ def cmd_ideal(args, cfg: Config) -> int:
 
 def cmd_order(args) -> int:
     try:
-        word = GroupWord(args.word)
+        word = parse_word(args.word)
         params = BurnsideParams.from_q(args.q)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     sctx = V._sctx(args.q)
     try:
-        r = order_in_G(word.letters, sctx)
+        r = order_in_G(word, sctx)
     except ExponentLawViolation as exc:
         cap = params.p * params.p * params.q
-        true_order = V._probe_order(word.free_reduce().letters, args.q, cap)
+        true_order = V._probe_order(free_reduce(word), args.q, cap)
         print(f"exponent law violated: {exc}")
         print(f"probed order: {true_order if true_order else f'> {cap}'}")
         # broken law is a verification failure for primes, a reported outcome
         # for the experimental prime-power classes
         return EXIT_FAIL if params.e == 1 else EXIT_OK
     shown = "Infinite" if r.is_infinite else str(r.order)
-    print(f"order({word.letters}) over S({args.q})[t,t^-1] = {shown}")
+    print(f"order({word}) over S({args.q})[t,t^-1] = {shown}")
     print(f"certificate: {r.certificate}")
     return EXIT_OK
 

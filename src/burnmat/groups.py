@@ -1,81 +1,44 @@
-"""Words in the two generator matrices, evaluation into four coefficient rings,
-normal forms, closed-form powers, commutators, and order classification.
+"""Words in the two generator matrices, their evaluation, normal forms,
+closed-form powers, commutators, and order classification.
 
 Generators (letters a/A are the matrix and its inverse, likewise b/B):
 
     a = [[1, 1-y], [0, x]]        b = [[y*t, 0], [1-x*t, 1]]
 
-The four rings: R[t,t^-1] ("free"), R at t=1 ("metabelian"), S(q)[t,t^-1]
-("st"), S(q) at t=1 ("s").  Setting t=1 commutes with reducing R -> S(q),
-which is the commutative-square check at the bottom of this module.
+Words are plain strings over a/A/b/B.  GroupContext evaluates them over
+R[t,t^-1] ("free"), R at t=1 ("metabelian") or S(q) at t=1 ("s"); words over
+S(q)[t,t^-1] go through kernels.QuotientMatrix.  Setting t=1 commutes with
+reducing R -> S(q), which is the commutative-square check at the bottom of
+this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .rings import ExactDivisionError, LaurentPoly, UnitMonomial, divide_one_minus
-from .ideals import SContext, SElement, STPoly
+from .ideals import SContext, SElement
 
 LETTERS = "aAbB"
 
 
-class GroupWord:
-    """A word over a/A/b/B; a = first generator, b = second, capitals = inverses."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: str = ""):
-        bad = set(letters) - set(LETTERS)
-        if bad:
-            raise ValueError(f"invalid letters {sorted(bad)}; expected a, A, b, B")
-        self.letters = letters
-
-    def __str__(self):
-        return self.letters
-
-    def __repr__(self):
-        return f"GroupWord({self.letters!r})"
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.letters == other
-        if isinstance(other, GroupWord):
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + _letters(other))
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(word_inverse(self.letters))
-
-    def free_reduce(self) -> "GroupWord":
-        return GroupWord(free_reduce(self.letters))
-
-    def t_exponent_sum(self) -> int:
-        return t_exponent_sum(self.letters)
+def parse_word(text: str) -> str:
+    """text as a word; a = first generator, b = second, capitals = inverses."""
+    bad = set(text) - set(LETTERS)
+    if bad:
+        raise ValueError(f"invalid letters {sorted(bad)}; expected a, A, b, B")
+    return text
 
 
-def _letters(w) -> str:
-    return w.letters if isinstance(w, GroupWord) else str(w)
+def word_inverse(w: str) -> str:
+    return w[::-1].swapcase()
 
 
-def word_inverse(w) -> str:
-    return _letters(w)[::-1].swapcase()
-
-
-def free_reduce(w) -> str:
+def free_reduce(w: str) -> str:
     out: list[str] = []
-    for ch in _letters(w):
+    for ch in w:
         if out and out[-1] == ch.swapcase():
             out.pop()
         else:
@@ -83,19 +46,12 @@ def free_reduce(w) -> str:
     return "".join(out)
 
 
-def t_exponent_sum(w) -> int:
+def t_exponent_sum(w: str) -> int:
     """Signed count of the t-carrying generator: #b - #B."""
-    s = _letters(w)
-    return s.count("b") - s.count("B")
+    return w.count("b") - w.count("B")
 
 
-def exponent_sums(w) -> tuple[int, int]:
-    s = _letters(w)
-    return (s.count("a") - s.count("A"), s.count("b") - s.count("B"))
-
-
-def commutator_word(w1, w2) -> str:
-    w1, w2 = _letters(w1), _letters(w2)
+def commutator_word(w1: str, w2: str) -> str:
     return w1 + w2 + word_inverse(w1) + word_inverse(w2)
 
 
@@ -190,17 +146,6 @@ def matrix_inverse(M: Matrix2) -> Matrix2:
     return Matrix2(M.e22 * di, -M.e12 * di, -M.e21 * di, M.e11 * di)
 
 
-def power(M: Matrix2, n: int, identity: Matrix2) -> Matrix2:
-    out = identity
-    base = M
-    while n:
-        if n & 1:
-            out = out.mul(base)
-        base = base.mul(base)
-        n >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
@@ -223,18 +168,18 @@ def _free_generators() -> dict[str, Matrix2]:
 
 
 class GroupContext:
-    """Evaluation target: one of the four coefficient rings.
+    """Evaluation target: one of three coefficient rings.
 
-    mode "free" = R[t,t^-1], "metabelian" = R at t=1, "st" = S(q)[t,t^-1],
-    "s" = S(q) at t=1.  The s/st modes need an SContext.
+    mode "free" = R[t,t^-1], "metabelian" = R at t=1, "s" = S(q) at t=1.
+    The s mode needs an SContext.
     """
 
-    MODES = ("free", "metabelian", "st", "s")
+    MODES = ("free", "metabelian", "s")
 
     def __init__(self, mode: str, sctx: SContext | None = None):
         if mode not in self.MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("st", "s") and sctx is None:
+        if mode == "s" and sctx is None:
             raise ValueError(f"mode {mode!r} needs an SContext")
         self.mode = mode
         self.sctx = sctx
@@ -251,46 +196,28 @@ class GroupContext:
         if self.mode == "metabelian":
             return {k: m.map_entries(lambda f: f.specialize(t=1)) for k, m in free.items()}
         sctx = self.sctx
-        if self.mode == "s":
-            return {k: m.map_entries(lambda f: sctx.reduce(f.specialize(t=1)))
-                    for k, m in free.items()}
-        return {k: m.map_entries(lambda f: st_from_laurent(f, sctx))
+        return {k: m.map_entries(lambda f: sctx.reduce(f.specialize(t=1)))
                 for k, m in free.items()}
 
     def zero(self):
-        if self.mode in ("free", "metabelian"):
-            return LaurentPoly.zero()
         if self.mode == "s":
             return self.sctx.zero()
-        return STPoly(self.sctx)
+        return LaurentPoly.zero()
 
     def one(self):
-        if self.mode in ("free", "metabelian"):
-            return LaurentPoly.const(1)
         if self.mode == "s":
             return self.sctx.one()
-        return STPoly.from_s(self.sctx.one())
+        return LaurentPoly.const(1)
 
     def identity(self) -> Matrix2:
         one, zero = self.one(), self.zero()
         return Matrix2(one, zero, zero, one)
 
-    def eval_word(self, w) -> Matrix2:
+    def eval_word(self, w: str) -> Matrix2:
         M = self.identity()
-        for ch in _letters(w):
+        for ch in w:
             M = M.mul(self.gens[ch])
         return M
-
-
-def st_from_laurent(f: LaurentPoly, sctx: SContext) -> STPoly:
-    """Image of an R[t,t^-1] element in S(q)[t,t^-1]."""
-    coeffs = {k: sctx.reduce(g.to_truncated(sctx.params.D))
-              for k, g in f.t_coefficients().items()}
-    return STPoly(sctx, coeffs)
-
-
-def eval_word(w, ctx: GroupContext) -> Matrix2:
-    return ctx.eval_word(w)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +313,7 @@ def commutator(g: Matrix2, h: Matrix2) -> Matrix2:
     return g.mul(h).mul(matrix_inverse(g)).mul(matrix_inverse(h))
 
 
-def basic_commutator(a: int, b: int) -> tuple[GroupWord, NormalForm]:
+def basic_commutator(a: int, b: int) -> tuple[str, NormalForm]:
     """Left-normed [M2, M1, M2 x b, M1 x a] word and its predicted normal form.
 
     The second generator occurs b+1 times and the first a+1 times; predicted
@@ -401,20 +328,12 @@ def basic_commutator(a: int, b: int) -> tuple[GroupWord, NormalForm]:
         w = commutator_word(w, "a")
     lam1 = -((_ONE - _Y) ** (b + 1) * (_ONE - _X) ** a)
     lam2 = (_ONE - _Y) ** b * (_ONE - _X) ** (a + 1)
-    return GroupWord(w), NormalForm(UnitMonomial(1, 0, 0, 0), lam1, lam2)
+    return w, NormalForm(UnitMonomial(1, 0, 0, 0), lam1, lam2)
 
 
 def det_t_degree(M: Matrix2) -> int:
     """t-degree of the determinant (a unit monomial for evaluated words)."""
-    d = M.det()
-    if isinstance(d, LaurentPoly):
-        return UnitMonomial.from_poly(d).k
-    if isinstance(d, STPoly):
-        ks = [k for k, v in d.coeffs.items() if not v.is_zero()]
-        if len(ks) != 1:
-            raise ValueError("determinant is not a t-monomial")
-        return ks[0]
-    raise TypeError(f"unsupported entry type {type(d).__name__}")
+    return UnitMonomial.from_poly(M.det()).k
 
 
 def check_row_fixed(M: Matrix2) -> bool:
@@ -454,18 +373,18 @@ def _divisors(q: int) -> list[int]:
     return [d for d in range(1, q + 1) if q % d == 0]
 
 
-def specialize_xy1(w) -> Matrix2:
+def specialize_xy1(w: str) -> Matrix2:
     """Evaluate the word with x = y = 1 kept exact in t (a triangular Z[t,t^-1] image)."""
     free = _free_generators()
     gens = {k: m.map_entries(lambda f: f.specialize(x=1, y=1)) for k, m in free.items()}
     one, zero = LaurentPoly.const(1), LaurentPoly.zero()
     M = Matrix2(one, zero, zero, one)
-    for ch in _letters(w):
+    for ch in w:
         M = M.mul(gens[ch])
     return M
 
 
-def order_in_G(w, sctx: SContext, lane: str | None = None) -> OrderResult:
+def order_in_G(w: str, sctx: SContext, lane: str | None = None) -> OrderResult:
     """Infinite for nonzero t-exponent sum, else the least divisor d of q with w^d = I.
 
     The q-th power identity is always asserted in the zero-sum case; a failure
@@ -495,7 +414,7 @@ def order_in_G(w, sctx: SContext, lane: str | None = None) -> OrderResult:
     raise AssertionError("unreachable: w^q = I was already verified")
 
 
-def commutative_square_check(w, sctx: SContext, lane: str | None = None) -> bool:
+def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) -> bool:
     """Two paths agree: (R[t,t^-1] -> t=1 -> S) vs (S[t,t^-1] -> t=1), entrywise.
 
     The first path is symbolic evaluation then reduction; the second is the
@@ -503,12 +422,11 @@ def commutative_square_check(w, sctx: SContext, lane: str | None = None) -> bool
     """
     from . import kernels
 
-    word = _letters(w)
     free = GroupContext("free")
-    M = free.eval_word(word)
+    M = free.eval_word(w)
     path1 = [sctx.reduce(e.specialize(t=1)) for e in M.entries()]
     tables = kernels.tables_for(sctx)
-    res = kernels.eval_word_quotient(word, tables, lane=lane)
+    res = kernels.eval_word_quotient(w, tables, lane=lane)
     path2 = [SElement(sctx, v) for v in kernels.entries_at_t1(res, tables)]
     return path1 == path2
 

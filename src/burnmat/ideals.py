@@ -147,21 +147,6 @@ class _HNFBuilder:
             grew = True
         return grew
 
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Canonical residue of vec modulo the lattice."""
-        v = list(vec)
-        if self.M is not None:
-            M = self.M
-            v = [x % M for x in v]
-        for c in sorted(self.rows):
-            if v[c]:
-                r = self.rows[c]
-                q = v[c] // r[c]
-                if q:
-                    for k in range(c, self.n):
-                        v[k] -= q * r[k]
-        return v
-
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.rows[c]) for c in sorted(self.rows))
 
@@ -205,13 +190,18 @@ class IdealLattice:
         return len(self.rows)
 
     def _vec(self, f) -> list[int]:
+        """Coordinates of f: a LaurentPoly is truncated at D (sound for ideals
+        containing Sigma^D), a TruncatedPoly or raw vector must match D."""
         if isinstance(f, LaurentPoly):
             f = f.to_truncated(self.D)
         if isinstance(f, TruncatedPoly):
             if f.D != self.D:
                 raise ValueError(f"truncation mismatch: {f.D} vs {self.D}")
             return list(f.coeffs)
-        return list(f)
+        v = list(f)
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)} != dimension {self.dim}")
+        return v
 
     def reduce(self, f) -> tuple[int, ...]:
         """Canonical residue modulo the lattice, pivot by pivot."""
@@ -386,15 +376,6 @@ def sigma_power_lattice(k: int, D: int) -> IdealLattice:
     return IdealLattice(D, f"Sigma^{k}", rows)
 
 
-def is_member(f, lattice: IdealLattice) -> bool:
-    """Membership of f (LaurentPoly, TruncatedPoly, or vector) in the lattice.
-
-    LaurentPoly inputs are truncated at lattice.D first; sound for ideals
-    containing Sigma^(lattice.D).
-    """
-    return lattice.member(f)
-
-
 class ParamError(ValueError):
     """Precondition violation on (q, j, k) refinement queries."""
 
@@ -425,7 +406,7 @@ def p_power_sigma_check(params: BurnsideParams, j: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# the quotient ring S(q) = R/I(q)Sigma and Laurent polynomials over it
+# the quotient ring S(q) = R/I(q)Sigma
 
 class SContext:
     """Shared immutable context for S(q) arithmetic: params + I(q)Sigma lattice."""
@@ -449,10 +430,7 @@ class SContext:
         return SContext(BurnsideParams.from_q(q))
 
     def reduce(self, f) -> "SElement":
-        if isinstance(f, LaurentPoly):
-            f = f.to_truncated(self.params.D)
-        if isinstance(f, TruncatedPoly):
-            f = f.coeffs
+        """Canonical residue of f (LaurentPoly, TruncatedPoly or vector) in S(q)."""
         return SElement(self, self.lattice.reduce(f))
 
     def zero(self) -> "SElement":
@@ -518,93 +496,3 @@ class SElement:
 
     def __repr__(self):
         return f"SElement(q={self.ctx.params.q}, {self.render()})"
-
-
-def s_reduce(v: TruncatedPoly, ctx: SContext) -> SElement:
-    """Canonical residue of v in S(q)."""
-    if v.D != ctx.params.D:
-        raise ValueError(f"truncation mismatch: {v.D} vs {ctx.params.D}")
-    return ctx.reduce(v)
-
-
-def s_add(u: SElement, v: SElement) -> SElement:
-    return u + v
-
-
-def s_mul(u: SElement, v: SElement) -> SElement:
-    return u * v
-
-
-class STPoly:
-    """Laurent polynomial in t with SElement coefficients."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: SContext, coeffs: dict[int, SElement] | None = None):
-        self.ctx = ctx
-        self.coeffs: dict[int, SElement] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    self.coeffs[k] = v
-
-    @staticmethod
-    def from_s(v: SElement) -> "STPoly":
-        return STPoly(v.ctx, {0: v})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, STPoly):
-            return NotImplemented
-        return self.ctx.params.q == other.ctx.params.q and self.coeffs == other.coeffs
-
-    def __add__(self, other: "STPoly") -> "STPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-        return STPoly(self.ctx, out)
-
-    def __sub__(self, other: "STPoly") -> "STPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "STPoly":
-        return STPoly(self.ctx, {k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other) -> "STPoly":
-        if isinstance(other, SElement):
-            other = STPoly.from_s(other)
-        out: dict[int, SElement] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                p = v1 * v2
-                w = out.get(k)
-                out[k] = p if w is None else w + p
-        return STPoly(self.ctx, out)
-
-    def subs_t1(self) -> SElement:
-        """Evaluate at t = 1."""
-        out = self.ctx.zero()
-        for v in self.coeffs.values():
-            out = out + v
-        return out
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            body = self.coeffs[k].render()
-            if k == 0:
-                parts.append(f"({body})")
-            elif k == 1:
-                parts.append(f"({body})*t")
-            else:
-                parts.append(f"({body})*t^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"STPoly(q={self.ctx.params.q}, {self.render()})"

@@ -12,6 +12,30 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 
+def _render(terms) -> str:
+    """Text of a sum of nonzero terms (c, [(name, exponent), ...]) in the given
+    order: unit coefficients, zero exponents and ^1 elided; "0" when empty."""
+    out = []
+    for c, powers in terms:
+        factors = []
+        for name, e in powers:
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        if out:
+            out.append((" - " if c < 0 else " + ") + body)
+        else:
+            out.append(("-" if c < 0 else "") + body)
+    return "".join(out) or "0"
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial: exponent triple (i,j,k) of x^i y^j t^k -> int coeff."""
 
@@ -54,9 +78,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0, 0): 1}
 
     def const_value(self) -> int:
         """The value of a constant polynomial; rejects non-constants."""
@@ -184,11 +205,6 @@ class LaurentPoly:
             out.setdefault(k, LaurentPoly()).terms[(i, j, 0)] = c
         return out
 
-    def t_shift(self, d: int) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.terms = {(i, j, k + d): c for (i, j, k), c in self.terms.items()}
-        return out
-
     def sigma_valuation(self) -> int | float:
         """Largest k with f in Sigma^k; math.inf for 0.  Rejects inputs containing t.
 
@@ -247,31 +263,7 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Canonical text: terms sorted, c*x^i*y^j*t^k with ^1 elided."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j, k) in sorted(self.terms):
-            c = self.terms[(i, j, k)]
-            factors = []
-            for name, e in (("x", i), ("y", j), ("t", k)):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            parts.append((c < 0, body))
-        out = []
-        for n, (neg, body) in enumerate(parts):
-            if n == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        return _render((self.terms[m], zip("xyt", m)) for m in sorted(self.terms))
 
     __str__ = render
 
@@ -455,40 +447,10 @@ class TruncatedPoly:
 
     __rmul__ = __mul__
 
-    def min_degree(self) -> int | float:
-        """Lowest total degree with a nonzero coefficient; inf when zero."""
-        monos = monomial_list(self.D)
-        degs = [r + s for m, (r, s) in enumerate(monos) if self.coeffs[m]]
-        return min(degs) if degs else math.inf
-
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for m, (r, s) in enumerate(monomial_list(self.D)):
-            c = self.coeffs[m]
-            if not c:
-                continue
-            factors = []
-            for name, e in (("a", r), ("b", s)):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            parts.append((c < 0, body))
-        out = []
-        for n, (neg, body) in enumerate(parts):
-            if n == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        """Canonical text in basis order: c*a^r*b^s with ^1 elided."""
+        return _render((c, zip("ab", rs))
+                       for c, rs in zip(self.coeffs, monomial_list(self.D)) if c)
 
     __str__ = render
 

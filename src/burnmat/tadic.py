@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import LaurentPoly, divide_by_t_minus_one
-from .groups import (Matrix2, _free_generators, _letters, free_reduce,
-                     random_reduced_word, word_inverse)
+from .groups import (Matrix2, _free_generators, free_reduce, random_reduced_word,
+                     word_inverse)
 
 SHIFT = Matrix2(LaurentPoly.const(1), LaurentPoly.zero(),
                 LaurentPoly.const(-1), LaurentPoly.zero())
@@ -294,9 +294,6 @@ class SeriesMatrix:
                     return sl
         return self.m
 
-    def is_identity_mod(self, d: int) -> bool:
-        return self.sub_identity_valuation() >= d
-
 
 def _t_power(k: int, m: int) -> list:
     """Coefficients of t^k = (1+s)^k mod s^m; t^-1 is the geometric series."""
@@ -343,9 +340,9 @@ class SeriesContext:
         return SeriesMatrix(m, [_one_slots(m), _zero_slots(m),
                                 _zero_slots(m), _one_slots(m)])
 
-    def eval_word(self, w) -> SeriesMatrix:
+    def eval_word(self, w: str) -> SeriesMatrix:
         out = None
-        for ch in _letters(w):
+        for ch in w:
             g = self.gens[ch]
             out = g if out is None else out.mul(g)
         return self.identity() if out is None else out
@@ -510,51 +507,3 @@ def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3,
     tree, node = build(k)
     return LayerSample(tree=tree, word=free_reduce(flatten_tree(tree)),
                        certified=node.valuation < m, valuation=node.valuation)
-
-
-@dataclass(frozen=True)
-class LayerCheck:
-    """valuation is exact when certified, otherwise a lower bound (>= that slot)."""
-
-    k: int
-    d: int
-    word_length: int
-    valuation_ok: bool
-    sigma_ok: bool
-    valuation: int
-    certified: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.valuation_ok and self.sigma_ok
-
-
-def check_derived_layer_word(tree_or_word, k: int, lane: str | None = None,
-                             ctx: SeriesContext | None = None) -> LayerCheck:
-    """check_derived_layer on the element a tree or word defines, via quotients.
-
-    Valuation side: exact series image in R[s]/(s^(d+1)) -- a nonzero slot at
-    position v < d+1 certifies t1_valuation exactly v, all-zero certifies
-    >= d+1.  Sigma side: the flat word evaluates to I over
-    (R/Sigma^(2d))[t,t^-1] iff every (t-1)-coefficient of g - I is in
-    Sigma^(2d).
-    """
-    from . import kernels
-
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    d = 2 ** (k - 2)
-    if isinstance(tree_or_word, tuple):
-        tree = tree_or_word
-    else:
-        tree = ("w", _letters(tree_or_word))
-    if ctx is None:
-        ctx = SeriesContext(d + 1)
-    elif ctx.m < d + 1:
-        raise ValueError(f"series context has {ctx.m} slots, need {d + 1}")
-    sval = _eval_tree(tree, ctx).valuation
-    word = free_reduce(flatten_tree(tree))
-    sigma_ok = kernels.eval_is_identity(word, kernels.sigma_tables(2 * d), lane=lane)
-    return LayerCheck(k=k, d=d, word_length=len(word),
-                      valuation_ok=sval >= d, sigma_ok=sigma_ok,
-                      valuation=sval, certified=sval < ctx.m)

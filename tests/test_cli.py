@@ -199,6 +199,16 @@ def test_unsupported_q_in_config_file_is_usage_error(tmp_path):
     assert "got 6" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", [["verify", "orders"], ["report"]])
+def test_empty_q_list_in_config_file_is_usage_error(tmp_path, cmd):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("qs = ,\n")
+    rc, out, err = run(["--config", path] + cmd)
+    assert rc == EXIT_USAGE and out == ""
+    assert "qs" in err and "Traceback" not in err
+
+
 def test_module_runs_from_a_checkout():
     import subprocess
     import sys

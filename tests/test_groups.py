@@ -5,7 +5,6 @@ import random
 import pytest
 
 from burnmat import (
-    GroupWord,
     LaurentPoly,
     NonConforming,
     UnitMonomial,
@@ -19,6 +18,7 @@ from burnmat import (
     normal_form,
     order_in_G,
     parse_poly,
+    parse_word,
     power_closed_form,
     product_normal_form_rule,
     random_reduced_word,
@@ -70,9 +70,9 @@ def test_word_inverse_and_free_reduction():
     assert word_inverse("abAB") == "baBA"
     assert free_reduce("abBA") == ""
     assert free_reduce("aAbbBa") == "ba"
-    assert GroupWord("abAB").inverse().letters == "baBA"
+    assert word_inverse(parse_word("abAB")) == "baBA"
     with pytest.raises(ValueError):
-        GroupWord("axq")
+        parse_word("axq")
 
 
 def test_normal_form_of_generators(meta_ctx):
@@ -157,10 +157,9 @@ def test_basic_commutator_letter_counts():
     for a in range(3):
         for b in range(3):
             word, _ = basic_commutator(a, b)
-            w = word.letters
-            assert w.count("a") + w.count("A") > 0
+            assert word.count("a") + word.count("A") > 0
             # the two generators occur a+1 and b+1 times net of inverse pairs
-            assert t_exponent_sum(w) == 0
+            assert t_exponent_sum(word) == 0
 
 
 def test_basic_commutator_lower_central_valuation(meta_ctx):

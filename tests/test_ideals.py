@@ -11,12 +11,8 @@ from burnmat import (
     build_ideal_lattice,
     cyclotomic_generators,
     cyclotomic_lattice,
-    is_member,
     p_power_sigma_check,
     parse_poly,
-    s_add,
-    s_mul,
-    s_reduce,
     sigma_power_lattice,
 )
 
@@ -95,9 +91,9 @@ def test_hnf_is_independent_of_generator_order():
 
 def test_membership_examples():
     lat3 = cyclotomic_lattice(PARAMS[3])
-    assert is_member(LaurentPoly.const(3), lat3)
-    assert is_member(parse_poly("(1-x)^2"), lat3)
-    assert not is_member(parse_poly("1-x"), lat3)
+    assert lat3.member(LaurentPoly.const(3))
+    assert lat3.member(parse_poly("(1-x)^2"))
+    assert not lat3.member(parse_poly("1-x"))
 
 
 def test_boundary_monomials_small_q():
@@ -105,9 +101,9 @@ def test_boundary_monomials_small_q():
         pr = PARAMS[q]
         lat = cyclotomic_lattice(pr)
         top = [_unit(pr.D, r, pr.bound - r) for r in range(pr.bound + 1)]
-        assert all(is_member(m, lat) for m in top)
+        assert all(lat.member(m) for m in top)
         below = [_unit(pr.D, r, pr.bound - 1 - r) for r in range(pr.bound)]
-        assert not all(is_member(m, lat) for m in below)
+        assert not all(lat.member(m) for m in below)
 
 
 def test_ideal_closure_under_a_and_b():
@@ -127,10 +123,10 @@ def test_augmentation_obstructions():
 
 def test_sigma_power_lattice_membership():
     lat = sigma_power_lattice(2, 4)
-    assert is_member(_unit(4, 1, 1), lat)
-    assert is_member(_unit(4, 3, 0), lat)
-    assert not is_member(_unit(4, 1, 0), lat)
-    assert not is_member(TruncatedPoly.one(4), lat)
+    assert lat.member(_unit(4, 1, 1))
+    assert lat.member(_unit(4, 3, 0))
+    assert not lat.member(_unit(4, 1, 0))
+    assert not lat.member(TruncatedPoly.one(4))
 
 
 def test_prime_q_membership_matches_valuation(s3):
@@ -146,7 +142,7 @@ def test_prime_q_membership_matches_valuation(s3):
         if f.is_zero():
             continue
         if f.sigma_valuation() >= PARAMS[3].phi:
-            assert is_member(f, lat)
+            assert lat.member(f)
 
 
 def test_p_power_refinement_q4():
@@ -164,32 +160,40 @@ def test_p_power_refinement_preconditions():
 
 
 def test_s_reduce_examples(s2):
-    assert s_reduce(TruncatedPoly.zero(2), s2).is_zero()
-    assert s_reduce(_unit(2, 1, 0, 2), s2).is_zero()  # 2a lies in the lattice
+    assert s2.reduce(TruncatedPoly.zero(2)).is_zero()
+    assert s2.reduce(_unit(2, 1, 0, 2)).is_zero()  # 2a lies in the lattice
 
 
 def test_s_reduce_idempotent(s2):
     rng = random.Random(2)
     for _ in range(25):
         v = TruncatedPoly(2, [rng.randint(-9, 9) for _ in range(3)])
-        r = s_reduce(v, s2)
-        assert s_reduce(TruncatedPoly(2, r.coeffs), s2) == r
+        r = s2.reduce(v)
+        assert s2.reduce(TruncatedPoly(2, r.coeffs)) == r
 
 
 def test_s_arithmetic(s2, s3):
-    xbar = s_reduce(parse_poly("x").to_truncated(3), s3)
-    xinv = s_reduce(parse_poly("x^-1").to_truncated(3), s3)
-    one = s_reduce(TruncatedPoly.one(3), s3)
-    zero = s_reduce(TruncatedPoly.zero(3), s3)
-    assert s_mul(xbar, xinv) == one
-    assert s_mul(xbar, zero).is_zero()
-    assert s_add(xbar, zero) == xbar
-    abar = s_reduce(_unit(2, 1, 0), s2)
-    assert s_mul(abar, abar).is_zero()
+    xbar = s3.reduce(parse_poly("x").to_truncated(3))
+    xinv = s3.reduce(parse_poly("x^-1").to_truncated(3))
+    one = s3.reduce(TruncatedPoly.one(3))
+    zero = s3.reduce(TruncatedPoly.zero(3))
+    assert xbar * xinv == one
+    assert (xbar * zero).is_zero()
+    assert xbar + zero == xbar
+    abar = s2.reduce(_unit(2, 1, 0))
+    assert (abar * abar).is_zero()
 
 
 def test_s_context_mismatch_rejected(s2, s3):
-    u = s_reduce(TruncatedPoly.one(2), s2)
-    v = s_reduce(TruncatedPoly.one(3), s3)
+    u = s2.reduce(TruncatedPoly.one(2))
+    v = s3.reduce(TruncatedPoly.one(3))
     with pytest.raises(ValueError):
-        s_mul(u, v)
+        u * v
+
+
+def test_s_reduce_rejects_mismatched_truncation(s3):
+    for D in (2, 4):
+        with pytest.raises(ValueError, match=f"truncation mismatch: {D} vs 3"):
+            s3.reduce(TruncatedPoly.one(D))
+    with pytest.raises(ValueError, match="vector length 5 != dimension 6"):
+        s3.reduce([1, 0, 0, 0, 0])

@@ -172,6 +172,31 @@ def test_parse_render_round_trip():
         assert parse_poly(f.render()) == f
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("0", "0"),
+    ("-x", "-x"),
+    ("7", "7"),
+    ("-3*x + 1", "1 - 3*x"),
+    ("x^-2*y - 2*y^-1", "x^-2*y - 2*y^-1"),
+    ("t - 2*x*t^-1 + 1", "1 + t - 2*x*t^-1"),
+    ("-1 + t^3*y^2", "-1 + y^2*t^3"),
+    ("(1-x)*(1-y)^2", "1 - 2*y + y^2 - x + 2*x*y - x*y^2"),
+])
+def test_laurent_render_strings(text, expected):
+    assert parse_poly(text).render() == expected
+
+
+@pytest.mark.parametrize("D, coeffs, expected", [
+    (2, [0, 0, 0], "0"),
+    (2, [1, -1, 2], "1 - b + 2*a"),
+    (3, [0, -1, 0, 0, 0, 0], "-b"),
+    (3, [-2, 0, 1, -1, 0, 3], "-2 + a - b^2 + 3*a^2"),
+    (4, [0, 0, 0, 0, 0, 0, 1, -1, 0, 5], "b^3 - a*b^2 + 5*a^3"),
+])
+def test_truncated_render_strings(D, coeffs, expected):
+    assert TruncatedPoly(D, coeffs).render() == expected
+
+
 def test_parse_whitespace_and_parens():
     assert parse_poly(" ( 1 - x ) * (1-y) ") == (ONE - X) * (ONE - Y)
     assert parse_poly("x^-2") == LaurentPoly.monomial(1, -2)
