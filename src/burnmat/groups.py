@@ -354,7 +354,15 @@ def product_normal_form_rule(W1: NormalForm, W2: NormalForm) -> NormalForm:
 # order classification over S(q)[t,t^-1]
 
 class ExponentLawViolation(RuntimeError):
-    """An order bound that the library treats as law failed on a concrete word."""
+    """An order bound that the library treats as law failed on a concrete word.
+
+    order is the probed order: the least p^j <= p^2 q with w^(p^j) = I, or
+    None when there is none.
+    """
+
+    def __init__(self, message: str, order: int | None = None):
+        super().__init__(message)
+        self.order = order
 
 
 @dataclass(frozen=True)
@@ -367,10 +375,6 @@ class OrderResult:
     @property
     def is_infinite(self) -> bool:
         return self.order == math.inf
-
-
-def _divisors(q: int) -> list[int]:
-    return [d for d in range(1, q + 1) if q % d == 0]
 
 
 def specialize_xy1(w: str) -> Matrix2:
@@ -388,7 +392,9 @@ def order_in_G(w: str, sctx: SContext, lane: str | None = None) -> OrderResult:
     """Infinite for nonzero t-exponent sum, else the least divisor d of q with w^d = I.
 
     The q-th power identity is always asserted in the zero-sum case; a failure
-    raises ExponentLawViolation rather than returning.
+    raises ExponentLawViolation rather than returning.  The divisors of q are
+    powers of p, so one scan of w, w, w, ... up to p^2 q finds both the order
+    and, on a failure, the probed order the exception carries.
     """
     from . import kernels
 
@@ -404,14 +410,12 @@ def order_in_G(w: str, sctx: SContext, lane: str | None = None) -> OrderResult:
                            f"specialization x=y=1 has determinant t^{k}, k != 0")
     if not word:
         return OrderResult(word, q, 1, "empty word")
-    tables = kernels.tables_for(sctx)
-    if not kernels.eval_is_identity(word * q, tables, lane=lane):
+    p = sctx.params.p
+    d = kernels.least_identity_power(word, kernels.tables_for(sctx), p * p * q, lane=lane)
+    if d is None or q % d:
         raise ExponentLawViolation(
-            f"word {word!r} has zero t-exponent sum but w^{q} != I over S({q})[t,t^-1]")
-    for d in _divisors(q):
-        if kernels.eval_is_identity(word * d, tables, lane=lane):
-            return OrderResult(word, q, d, f"w^{d} = I over S({q})[t,t^-1]")
-    raise AssertionError("unreachable: w^q = I was already verified")
+            f"word {word!r} has zero t-exponent sum but w^{q} != I over S({q})[t,t^-1]", d)
+    return OrderResult(word, q, d, f"w^{d} = I over S({q})[t,t^-1]")
 
 
 def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) -> bool:

@@ -13,8 +13,9 @@ Two lanes compute the same thing:
 The numpy lane raises KernelOverflow before a value could leave int64 (see
 QuotientTables.trip_limit) and the caller falls back to the python lane, so
 results are exact regardless of lane.  Each fallback is counted in FALLBACKS
-under the table label (S9, Sigma12).  Both lanes end with one canonical
-reduction of their result.
+under the table label (S9, Sigma12).  Both lanes reduce canonically before
+they hand out a result.  eval_word_quotient takes one word's value;
+least_identity_power runs a lane once over w, w, w, ... to find w's order.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ HAS_NUMBA = False
 
 LANES = ("python", "numpy")
 INT64_MAX = 2 ** 63 - 1
+# letters between lattice reductions of the running product
+REDUCE_EVERY = 16
 
 # overflow fallbacks to the python lane in this process, by table label
 FALLBACKS: Counter = Counter()
@@ -310,41 +313,54 @@ def entries_at_t1(res: QuotientMatrix, tables: QuotientTables) -> list:
 
 # ---------------------------------------------------------------------------
 # python lane: dict t -> bigint list, exact
+#
+# Both lanes are generators over word, word, word, ...: after the copies
+# listed in stops (increasing, 1 by default) they reduce the running product
+# canonically and yield its entries, then carry on from the reduced state,
+# which is what reduce_every already relies on.
 
-def _eval_python(word: str, tables: QuotientTables, reduce_every: int):
+def _eval_python(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)):
     N = tables.N
     one = [0] * N
     one[0] = 1
     cur = [{0: one[:]}, {}, {}, {0: one[:]}]
     do_reduce = bool(tables.rows)
-    for pos, ch in enumerate(word):
-        terms = tables.gen_terms[ch]
-        new = [{}, {}, {}, {}]
-        for i in range(2):
-            for j in range(2):
-                acc = new[2 * i + j]
-                for l in range(2):
-                    src_ent = cur[2 * i + l]
-                    if not src_ent:
-                        continue
-                    for dt, mp, c in terms[(l, j)]:
-                        src_idx, dst_idx = tables.maps[mp]
-                        for t, vec in src_ent.items():
-                            row = acc.get(t + dt)
-                            if row is None:
-                                row = [0] * N
-                                acc[t + dt] = row
-                            for s, d in zip(src_idx, dst_idx):
-                                v = vec[s]
-                                if v:
-                                    row[d] += c * v
-        cur = new
-        if do_reduce and reduce_every and (pos + 1) % reduce_every == 0:
-            cur = [{t: list(tables.reduce_vec(v)) for t, v in ent.items()}
-                   for ent in cur]
-    if do_reduce:
-        cur = [{t: tables.reduce_vec(v) for t, v in ent.items()} for ent in cur]
-    return cur
+
+    def reduced(ent):
+        # zero vectors are dropped, so a long run does not carry dead t-slices
+        return {t: r for t, v in ent.items() if any(r := tables.reduce_vec(v))}
+
+    pos = 0
+    for copy in range(1, stops[-1] + 1):
+        for ch in word:
+            terms = tables.gen_terms[ch]
+            new = [{}, {}, {}, {}]
+            for i in range(2):
+                for j in range(2):
+                    acc = new[2 * i + j]
+                    for l in range(2):
+                        src_ent = cur[2 * i + l]
+                        if not src_ent:
+                            continue
+                        for dt, mp, c in terms[(l, j)]:
+                            src_idx, dst_idx = tables.maps[mp]
+                            for t, vec in src_ent.items():
+                                row = acc.get(t + dt)
+                                if row is None:
+                                    row = [0] * N
+                                    acc[t + dt] = row
+                                for s, d in zip(src_idx, dst_idx):
+                                    v = vec[s]
+                                    if v:
+                                        row[d] += c * v
+            cur = new
+            pos += 1
+            if do_reduce and reduce_every and pos % reduce_every == 0:
+                cur = [reduced(ent) for ent in cur]
+        if copy in stops:
+            if do_reduce:
+                cur = [reduced(ent) for ent in cur]
+            yield cur
 
 
 # ---------------------------------------------------------------------------
@@ -358,64 +374,82 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int):
 # guard looks, and the result is at most growth * trip_limit <= reduce_limit,
 # the largest input _reduce_limit proves _np_reduce safe on.  The guard
 # leaves max|v| <= trip_limit after every letter, so one _np_reduce of the
-# final window returns canonical vectors.
+# window at a stop returns canonical vectors.  Those are no larger: column 0
+# (the constant term) has no pivot and is left alone, and every other column
+# ends in [0, pivot), so a run may go on from them (tested per q).
+#
+# The window is re-based to row 0 on every letter, so T only has to hold the
+# live window: it starts at one copy's 1 + sum of spans and doubles on demand.
 
-def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int):
+def _buffers(T: int, N: int) -> list:
+    """Two zeroed buffers, each as (per-entry view for reduction, flat view for steps)."""
+    bufs = [np.zeros((2, T, 2, N), dtype=np.int64) for _ in range(2)]
+    return [(b, b.reshape(2, T, 2 * N)) for b in bufs]
+
+
+def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)):
     N = tables.N
     steps = tables.steps
     T = 1 + sum(steps[ch].span for ch in word)
-    bufs = [np.zeros((2, T, 2, N), dtype=np.int64) for _ in range(2)]
-    # each buffer as (per-entry view for reduction, flat view for the steps)
-    cur, nxt = [(b, b.reshape(2, T, 2 * N)) for b in bufs]
+    cur, nxt = _buffers(T, N)
     cur[0][0, 0, 0, 0] = 1
     cur[0][1, 0, 1, 0] = 1
     lo = hi = 0  # live rows of cur
     t0 = 0       # t-exponent of row 0 of cur
     limit = tables.trip_limit
     plan = tables.reduce_plan if tables.rows else None
-    for pos, ch in enumerate(word):
-        step = steps[ch]
-        w = hi - lo + 1
-        nw = w + step.span
-        out4 = nxt[0][:, :nw]
-        out = nxt[1][:, :nw]
-        out.fill(0)
-        g = np.take(cur[1][:, lo:hi + 1], step.src, axis=2)
-        g *= step.coef
-        seg = np.add.reduceat(g, step.starts, axis=2)
-        for off, a, b, cols in step.blocks:
-            out[:, off:off + w, cols] += seg[:, :, a:b]
-        t0 += lo + step.dt_min
-        mags = np.abs(out).max(axis=(0, 2)).tolist()
-        top = max(mags)
-        if top > limit:
-            if plan is None or top > tables.reduce_limit:
-                raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-            _np_reduce(out4, plan)
+    pos = 0
+    for copy in range(1, stops[-1] + 1):
+        for ch in word:
+            step = steps[ch]
+            w = hi - lo + 1
+            nw = w + step.span
+            if nw > T:
+                T = max(nw, 2 * T)
+                grown, nxt = _buffers(T, N)
+                grown[0][:, :w] = cur[0][:, lo:hi + 1]
+                cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
+            out4 = nxt[0][:, :nw]
+            out = nxt[1][:, :nw]
+            out.fill(0)
+            g = np.take(cur[1][:, lo:hi + 1], step.src, axis=2)
+            g *= step.coef
+            seg = np.add.reduceat(g, step.starts, axis=2)
+            for off, a, b, cols in step.blocks:
+                out[:, off:off + w, cols] += seg[:, :, a:b]
+            t0 += lo + step.dt_min
             mags = np.abs(out).max(axis=(0, 2)).tolist()
-            if max(mags) > limit:
-                raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-        elif plan is not None and reduce_every and (pos + 1) % reduce_every == 0:
-            _np_reduce(out4, plan)
-            mags = out.any(axis=(0, 2)).tolist()
-        # trim t-slices that are zero in all four entries
-        lo, hi = 0, nw - 1
-        while lo < hi and not mags[lo]:
-            lo += 1
-        while hi > lo and not mags[hi]:
-            hi -= 1
-        cur, nxt = nxt, cur
-    if plan is not None:
-        _np_reduce(cur[0][:, lo:hi + 1], plan)
-    out = [{}, {}, {}, {}]
-    for i in range(2):
-        for r in range(lo, hi + 1):
-            row = cur[1][i, r].tolist()
-            for l in range(2):
-                vec = row[l * N:(l + 1) * N]
-                if any(vec):
-                    out[2 * i + l][t0 + r] = vec
-    return out
+            top = max(mags)
+            if top > limit:
+                if plan is None or top > tables.reduce_limit:
+                    raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
+                _np_reduce(out4, plan)
+                mags = np.abs(out).max(axis=(0, 2)).tolist()
+                if max(mags) > limit:
+                    raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
+            elif plan is not None and reduce_every and (pos + 1) % reduce_every == 0:
+                _np_reduce(out4, plan)
+                mags = out.any(axis=(0, 2)).tolist()
+            # trim t-slices that are zero in all four entries
+            lo, hi = 0, nw - 1
+            while lo < hi and not mags[lo]:
+                lo += 1
+            while hi > lo and not mags[hi]:
+                hi -= 1
+            cur, nxt = nxt, cur
+            pos += 1
+        if copy in stops:
+            if plan is not None:
+                _np_reduce(cur[0][:, lo:hi + 1], plan)
+            out = [{}, {}, {}, {}]
+            for i in range(2):
+                for r in range(lo, hi + 1):
+                    row = cur[1][i, r].tolist()
+                    for l in range(2):
+                        vec = row[l * N:(l + 1) * N]
+                        if any(vec):
+                            out[2 * i + l][t0 + r] = vec
+            yield out
 
 
 def _reduce_plan(rows: tuple, pivot_cols: tuple) -> tuple:
@@ -450,15 +484,45 @@ def _np_reduce(arr: np.ndarray, plan: tuple):
 # entry points
 
 def eval_word_quotient(word: str, tables: QuotientTables, lane: str | None = None,
-                       reduce_every: int = 16) -> QuotientMatrix:
+                       reduce_every: int = REDUCE_EVERY) -> QuotientMatrix:
     """Evaluate a word left to right; falls back to the python lane on overflow."""
     if get_lane(lane) == "numpy":
         try:
-            return _normalize(_eval_numpy(word, tables, reduce_every), tables)
+            return _normalize(next(_eval_numpy(word, tables, reduce_every)), tables)
         except KernelOverflow:
             FALLBACKS[tables.label] += 1
-    return _normalize(_eval_python(word, tables, reduce_every), tables)
+    return _normalize(next(_eval_python(word, tables, reduce_every)), tables)
 
 
 def eval_is_identity(word: str, tables: QuotientTables, lane: str | None = None) -> bool:
     return eval_word_quotient(word, tables, lane=lane).is_identity(tables)
+
+
+def least_identity_power(word: str, tables: QuotientTables, cap: int,
+                         lane: str | None = None) -> int | None:
+    """Least p^j <= cap with word^(p^j) = I over S(q)[t,t^-1], p the prime of q; else None.
+
+    One run of the lane over word, word, word, ..., tested for the identity
+    only after copies 1, p, p^2, ...  These are the divisors of q and of
+    p^2 q that order_in_G asks about, and word^n = I implies
+    word^(p*n) = I, so the first hit is the least.
+    """
+    if not tables.q:
+        raise ValueError("least_identity_power needs S(q) tables, not plain truncation")
+    p = next(d for d in range(2, tables.q + 1) if tables.q % d == 0)
+    stops = [p ** j for j in range(cap.bit_length()) if p ** j <= cap]
+    if not stops:
+        return None
+    if get_lane(lane) == "numpy":
+        try:
+            return _first_identity(_eval_numpy(word, tables, REDUCE_EVERY, stops), stops, tables)
+        except KernelOverflow:
+            FALLBACKS[tables.label] += 1
+    return _first_identity(_eval_python(word, tables, REDUCE_EVERY, stops), stops, tables)
+
+
+def _first_identity(states, stops, tables: QuotientTables) -> int | None:
+    for d, raw in zip(stops, states):
+        if _normalize(raw, tables).is_identity(tables):
+            return d
+    return None

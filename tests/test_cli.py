@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from burnmat import ExponentLawViolation, SContext, order_in_G
 from burnmat.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, Config, main
 
 
@@ -67,6 +68,30 @@ def test_order_violation_is_reported_not_fatal_for_composite_exponent():
     rc, out, _ = run(["order", "--q", "4", "abaB"])
     assert rc == EXIT_OK
     assert "violated" in out and "probed order: 8" in out
+
+
+# Outcomes of the earlier order check, which evaluated w^q and each divisor
+# of q, then probed w^d from d = 1 up to p^2 q, each power from scratch.
+PINNED_VIOLATIONS = [
+    (4, "abaB", "word 'abaB' has zero t-exponent sum but w^4 != I over S(4)[t,t^-1]", 8),
+    (4, "aBbbaB", "word 'abaB' has zero t-exponent sum but w^4 != I over S(4)[t,t^-1]", 8),
+    (8, "AbaaB", "word 'AbaaB' has zero t-exponent sum but w^8 != I over S(8)[t,t^-1]", 16),
+    (8, "abaB", "word 'abaB' has zero t-exponent sum but w^8 != I over S(8)[t,t^-1]", 32),
+    (9, "abaB", "word 'abaB' has zero t-exponent sum but w^9 != I over S(9)[t,t^-1]", 27),
+]
+
+
+@pytest.mark.parametrize("q, word, message, order", PINNED_VIOLATIONS,
+                         ids=[f"q{q}-{word}" for q, word, _, _ in PINNED_VIOLATIONS])
+def test_pinned_order_violations(q, word, message, order):
+    for lane in ("numpy", "python"):
+        with pytest.raises(ExponentLawViolation) as info:
+            order_in_G(word, SContext.for_q(q), lane=lane)
+        assert str(info.value) == message
+        assert info.value.order == order
+    rc, out, _ = run(["order", "--q", str(q), word])
+    assert rc == EXIT_OK
+    assert out == f"exponent law violated: {message}\nprobed order: {order}\n"
 
 
 def test_verify_unknown_suite():

@@ -7,12 +7,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import burnmat.kernels as kernels
 from burnmat import (
+    GroupContext,
     KernelOverflow,
+    QuotientMatrix,
     SContext,
     entries_at_t1,
     eval_is_identity,
@@ -91,7 +93,7 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
     tables = sigma_tables(12)
     word = "ab" * 120
     with pytest.raises(KernelOverflow):
-        kernels._eval_numpy(word, tables, 16)
+        next(kernels._eval_numpy(word, tables, 16))
     via_numpy = eval_word_quotient(word, tables, lane="numpy")
     via_python = eval_word_quotient(word, tables, lane="python")
     assert via_numpy == via_python
@@ -166,9 +168,9 @@ def test_numpy_lane_matches_python_lane(label, kind):
     @LANE_SETTINGS
     @given(word=WORD_KINDS[kind], reduce_every=REDUCE_EVERY)
     def check(word, reduce_every):
-        exact = kernels._eval_python(word, tables, reduce_every)
+        exact = next(kernels._eval_python(word, tables, reduce_every))
         try:
-            got = kernels._eval_numpy(word, tables, reduce_every)
+            got = next(kernels._eval_numpy(word, tables, reduce_every))
         except KernelOverflow:
             # only plain truncation has no lattice to bring the coefficients down
             assert not tables.rows
@@ -198,8 +200,8 @@ def test_guard_reduction_matches_python_lane(label, monkeypatch):
     @given(word=_letters(48, min_size=24))
     def check(word):
         calls["words"] += 1
-        expected = kernels._normalize(kernels._eval_python(word, tables, 0), tables)
-        assert kernels._normalize(kernels._eval_numpy(word, tight, 0), tables) == expected
+        expected = kernels._normalize(next(kernels._eval_python(word, tables, 0)), tables)
+        assert kernels._normalize(next(kernels._eval_numpy(word, tight, 0)), tables) == expected
 
     check()
     # one reduction per word is the lane's final one; the rest are the guard's
@@ -242,3 +244,149 @@ def test_trip_limit_is_below_guard_where_reduction_grows_values():
     for label in ("S2", "Sigma8"):
         tables = _tables(label)
         assert tables.trip_limit == tables.guard_limit
+
+
+# ---------------------------------------------------------------------------
+# the order scan against flat evaluation of word * p^j
+
+SCAN_QS = [2, 3, 4, 5, 7, 8, 9]
+SCAN_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def _scan_cap(q):
+    p = SContext.for_q(q).params.p
+    return p, p * p * q
+
+
+def _powers(p, top):
+    out = [1]
+    while out[-1] * p <= top:
+        out.append(out[-1] * p)
+    return out
+
+
+def _least_power_by_flat_words(word, tables, p, cap):
+    return next((d for d in _powers(p, cap) if eval_is_identity(word * d, tables)), None)
+
+
+@st.composite
+def _scan_words(draw):
+    """Mostly zero t-sum words, which have finite order; short words of any sum."""
+    if draw(st.booleans()):
+        return draw(_letters(4))
+    w = draw(_letters(8))
+    k = w.count("b") - w.count("B")
+    return w + ("B" if k > 0 else "b") * abs(k)
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_least_identity_power_matches_flat_powers(q, lane):
+    tables = _tables(f"S{q}")
+    p, cap = _scan_cap(q)
+
+    @SCAN_SETTINGS
+    @given(word=_scan_words())
+    @example(word="")
+    @example(word="aAbaBbB")  # not freely reduced
+    @example(word="abaB")  # order p*q at q = 4, 9 and p^2*q at q = 8
+    def check(word):
+        # a nonzero t-sum word is never the identity, and its t-window grows
+        # with every copy: scan it to q only, which still reaches None
+        top = cap if word.count("b") == word.count("B") else q
+        expected = _least_power_by_flat_words(word, tables, p, top)
+        assert kernels.least_identity_power(word, tables, top, lane=lane) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_least_identity_power_through_guard_reductions(q, monkeypatch):
+    # Trip limit 64 as in test_guard_reduction_matches_python_lane, and no
+    # reduction cadence: every reduction is a tested copy's or the guard's.
+    tables = _tables(f"S{q}")
+    tight = dataclasses.replace(tables, reduce_limit=tables.growth * 64)
+    p, cap = _scan_cap(q)
+    calls = Counter()
+    real_reduce = kernels._np_reduce
+
+    def counting_reduce(arr, plan):
+        calls["reduce"] += 1
+        real_reduce(arr, plan)
+
+    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+    monkeypatch.setattr(kernels, "REDUCE_EVERY", 0)
+
+    @SCAN_SETTINGS
+    @given(word=_zero_sum_words())
+    def check(word):
+        expected = _least_power_by_flat_words(word, tables, p, cap)
+        before = calls["reduce"]
+        assert kernels.least_identity_power(word, tight, cap, lane="numpy") == expected
+        calls["guard"] += calls["reduce"] - before - len(_powers(p, expected or cap))
+
+    check()
+    assert calls["guard"] > 0
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_least_identity_power_falls_back_on_overflow(q, monkeypatch):
+    monkeypatch.setattr(kernels, "FALLBACKS", Counter())
+    tables = _tables(f"S{q}")
+    tripping = dataclasses.replace(tables, reduce_limit=0)
+    p, cap = _scan_cap(q)
+    word = "abaB"
+    expected = _least_power_by_flat_words(word, tables, p, cap)
+    assert expected is not None
+    assert kernels.least_identity_power(word, tripping, cap) == expected
+    assert kernels.FALLBACKS == Counter({f"S{q}": 1})
+
+
+def test_least_identity_power_needs_a_lattice():
+    with pytest.raises(ValueError):
+        kernels.least_identity_power("ab", sigma_tables(4), 8)
+
+
+# ---------------------------------------------------------------------------
+# both lanes against the exact LaurentPoly path, at full t
+
+@functools.lru_cache(maxsize=None)
+def _sctx(q):
+    return SContext.for_q(q)
+
+
+def _exact_quotient(word, q):
+    """GroupContext("free") evaluation with each t-coefficient reduced into S(q)."""
+    sctx = _sctx(q)
+    entries = []
+    for f in GroupContext("free").eval_word(word).entries():
+        ent = {}
+        for t, g in f.t_coefficients().items():
+            vec = sctx.reduce(g).coeffs
+            if any(vec):
+                ent[t] = tuple(vec)
+        entries.append(ent)
+    return QuotientMatrix(q=q, D=sctx.params.D, entries=tuple(entries))
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_lanes_match_exact_laurent_path(q, lane):
+    tables = tables_for(_sctx(q))
+
+    @SCAN_SETTINGS
+    @given(word=_letters(10))
+    def check(word):
+        assert eval_word_quotient(word, tables, lane=lane) == _exact_quotient(word, q)
+
+    check()
+
+
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_canonical_vectors_stay_below_the_trip_limit(q):
+    # the numpy lane goes on from a canonically reduced window; that needs
+    # every column but the constant term reduced below its pivot
+    tables = _tables(f"S{q}")
+    assert tables.pivot_cols == tuple(range(1, tables.N))
+    assert max(row[c] for row, c in zip(tables.rows, tables.pivot_cols)) <= tables.trip_limit
