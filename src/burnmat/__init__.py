@@ -3,7 +3,7 @@
 from .rings import (LaurentPoly, TruncatedPoly, UnitMonomial, parse_poly,
                     PolyParseError, ExactDivisionError, divide_one_minus,
                     divide_by_t_minus_one)
-from .ideals import (BurnsideParams, IdealLattice, SContext, SElement,
+from .ideals import (BurnsideParams, IdealLattice, SContext,
                      cyclotomic_generators, cyclotomic_lattice, build_ideal_lattice,
                      sigma_power_lattice, p_power_sigma_check)
 from .groups import (Matrix2, GroupContext, NormalForm, OrderResult,
@@ -31,7 +31,7 @@ __all__ = [
     "LaurentPoly", "TruncatedPoly", "UnitMonomial", "parse_poly",
     "PolyParseError", "ExactDivisionError", "divide_one_minus",
     "divide_by_t_minus_one",
-    "BurnsideParams", "IdealLattice", "SContext", "SElement",
+    "BurnsideParams", "IdealLattice", "SContext",
     "cyclotomic_generators", "cyclotomic_lattice", "build_ideal_lattice",
     "sigma_power_lattice", "p_power_sigma_check",
     "Matrix2", "GroupContext", "NormalForm", "OrderResult",

@@ -43,10 +43,13 @@ class Config:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def check(self) -> None:
-        """Raise ValueError on an empty q list, on the first unsupported q, or
-        on the first override below its least value, naming it."""
+        """Raise ValueError on an empty q list, on the first unsupported q, on a
+        negative jobs count, or on the first override below its least value,
+        naming it."""
         if not self.qs:
             raise ValueError("qs must list at least one q")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, got {self.jobs} (0 = all cores)")
         for q in self.qs:
             BurnsideParams.from_q(q)
         for k in _OVERRIDE_KEYS:

@@ -6,10 +6,11 @@ Generators (letters a/A are the matrix and its inverse, likewise b/B):
     a = [[1, 1-y], [0, x]]        b = [[y*t, 0], [1-x*t, 1]]
 
 Words are plain strings over a/A/b/B.  GroupContext evaluates them over
-R[t,t^-1] ("free"), R at t=1 ("metabelian") or S(q) at t=1 ("s"); words over
-S(q)[t,t^-1] go through kernels.QuotientMatrix.  Setting t=1 commutes with
-reducing R -> S(q), which is the commutative-square check at the bottom of
-this module.
+R[t,t^-1] ("free") or R at t=1 ("metabelian"); words over S(q)[t,t^-1] go
+through kernels.QuotientMatrix.  An element of S(q) is its canonical
+coefficient tuple (SContext.reduce), so S(q) at t=1 is reached by reducing
+metabelian entries.  Setting t=1 commutes with reducing R -> S(q), which is
+the commutative-square check at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .rings import ExactDivisionError, LaurentPoly, UnitMonomial, divide_one_minus
-from .ideals import SContext, SElement
+from .ideals import SContext
 
 LETTERS = "aAbB"
 
@@ -80,12 +81,19 @@ def random_zero_sum_word(rng, maxlen: int) -> str:
             return w2
 
 
+def balanced_commutator_word(leaves) -> str:
+    """[[l0, l1], [l2, l3]], ...: pair adjacent words until one is left."""
+    layer = list(leaves)
+    while len(layer) > 1:
+        layer = [commutator_word(layer[i], layer[i + 1])
+                 for i in range(0, len(layer), 2)]
+    return layer[0]
+
+
 def tree_word(rng, depth: int, maxlen: int) -> str:
-    """Balanced commutator tree of the given depth over random base words."""
-    if depth == 0:
-        return random_reduced_word(rng, maxlen)
-    return commutator_word(tree_word(rng, depth - 1, maxlen),
-                           tree_word(rng, depth - 1, maxlen))
+    """Balanced commutator of 2^depth random base words, drawn left to right."""
+    return balanced_commutator_word(random_reduced_word(rng, maxlen)
+                                    for _ in range(1 << depth))
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +176,17 @@ def _free_generators() -> dict[str, Matrix2]:
 
 
 class GroupContext:
-    """Evaluation target: one of three coefficient rings.
+    """Evaluation target: one of two coefficient rings.
 
-    mode "free" = R[t,t^-1], "metabelian" = R at t=1, "s" = S(q) at t=1.
-    The s mode needs an SContext.
+    mode "free" = R[t,t^-1], "metabelian" = R at t=1.
     """
 
-    MODES = ("free", "metabelian", "s")
+    MODES = ("free", "metabelian")
 
-    def __init__(self, mode: str, sctx: SContext | None = None):
+    def __init__(self, mode: str):
         if mode not in self.MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "s" and sctx is None:
-            raise ValueError(f"mode {mode!r} needs an SContext")
         self.mode = mode
-        self.sctx = sctx
         self.gens = self._build_generators()
         ident = self.identity()
         for g, gi in (("a", "A"), ("b", "B")):
@@ -193,24 +197,10 @@ class GroupContext:
         free = _free_generators()
         if self.mode == "free":
             return free
-        if self.mode == "metabelian":
-            return {k: m.map_entries(lambda f: f.specialize(t=1)) for k, m in free.items()}
-        sctx = self.sctx
-        return {k: m.map_entries(lambda f: sctx.reduce(f.specialize(t=1)))
-                for k, m in free.items()}
-
-    def zero(self):
-        if self.mode == "s":
-            return self.sctx.zero()
-        return LaurentPoly.zero()
-
-    def one(self):
-        if self.mode == "s":
-            return self.sctx.one()
-        return LaurentPoly.const(1)
+        return {k: m.map_entries(lambda f: f.specialize(t=1)) for k, m in free.items()}
 
     def identity(self) -> Matrix2:
-        one, zero = self.one(), self.zero()
+        one, zero = LaurentPoly.const(1), LaurentPoly.zero()
         return Matrix2(one, zero, zero, one)
 
     def eval_word(self, w: str) -> Matrix2:
@@ -225,14 +215,6 @@ class GroupContext:
 
 class NonConforming(ValueError):
     """Input matrix is not of the form u*I + [lambda_i * (1-x, 1-y)]."""
-
-
-def divide_by_one_minus_x(f: LaurentPoly) -> LaurentPoly:
-    return divide_one_minus(f, 0)
-
-
-def divide_by_one_minus_y(f: LaurentPoly) -> LaurentPoly:
-    return divide_one_minus(f, 1)
 
 
 @dataclass(frozen=True)
@@ -269,15 +251,15 @@ def normal_form(M: Matrix2) -> NormalForm:
         raise NonConforming(f"determinant {u.as_poly().render()} is not a positive x,y unit")
     up = u.as_poly()
 
-    def extract(primary: LaurentPoly, primary_div, fallback: LaurentPoly, fallback_div):
+    def extract(by_one_minus_x: LaurentPoly, by_one_minus_y: LaurentPoly):
         try:
-            return primary_div(primary)
+            return divide_one_minus(by_one_minus_x, 0)
         except ExactDivisionError:
-            return fallback_div(fallback)
+            return divide_one_minus(by_one_minus_y, 1)
 
     try:
-        lam1 = extract(M.e11 - up, divide_by_one_minus_x, M.e12, divide_by_one_minus_y)
-        lam2 = extract(M.e21, divide_by_one_minus_x, M.e22 - up, divide_by_one_minus_y)
+        lam1 = extract(M.e11 - up, M.e12)
+        lam2 = extract(M.e21, M.e22 - up)
     except ExactDivisionError as exc:
         raise NonConforming("entries are not multiples of (1-x)/(1-y)") from exc
     nf = NormalForm(u, lam1, lam2)
@@ -431,15 +413,19 @@ def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) ->
     path1 = [sctx.reduce(e.specialize(t=1)) for e in M.entries()]
     tables = kernels.tables_for(sctx)
     res = kernels.eval_word_quotient(w, tables, lane=lane)
-    path2 = [SElement(sctx, v) for v in kernels.entries_at_t1(res, tables)]
-    return path1 == path2
+    return path1 == kernels.entries_at_t1(res, tables)
 
 
-def group_closure(ctx: GroupContext, max_size: int = 100000) -> int:
-    """Breadth-first closure size of the generator set (finite groups only)."""
+def group_closure(sctx: SContext, max_size: int = 100000) -> int:
+    """Breadth-first closure size of the generators over S(q) at t=1 (finite groups only).
+
+    The search walks metabelian matrices and compares them by their entries
+    reduced into S(q); R -> S(q) is a ring map, so this is the closure in S(q).
+    """
     def key(M: Matrix2):
-        return tuple(e.coeffs for e in M.entries())
+        return tuple(sctx.reduce(e) for e in M.entries())
 
+    ctx = GroupContext("metabelian")
     ident = ctx.identity()
     seen = {key(ident)}
     frontier = [ident]

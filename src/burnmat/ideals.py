@@ -409,9 +409,12 @@ def p_power_sigma_check(params: BurnsideParams, j: int, k: int,
 # the quotient ring S(q) = R/I(q)Sigma
 
 class SContext:
-    """Shared immutable context for S(q) arithmetic: params + I(q)Sigma lattice."""
+    """Shared immutable context for S(q) arithmetic: params + I(q)Sigma lattice.
 
-    __slots__ = ("params", "lattice", "dimension", "_one")
+    An element of S(q) is its canonical coefficient tuple, as reduce returns it.
+    """
+
+    __slots__ = ("params", "lattice")
 
     def __init__(self, params: BurnsideParams, lattice: IdealLattice | None = None):
         self.params = params
@@ -420,79 +423,14 @@ class SContext:
         if lattice.D != params.D:
             raise ValueError(f"lattice D={lattice.D} != params D={params.D}")
         self.lattice = lattice
-        self.dimension = tri_dim(params.D)
-        one = [0] * self.dimension
-        one[0] = 1
-        self._one = tuple(lattice.reduce(one))
 
     @staticmethod
     def for_q(q: int) -> "SContext":
         return SContext(BurnsideParams.from_q(q))
 
-    def reduce(self, f) -> "SElement":
+    def reduce(self, f) -> tuple[int, ...]:
         """Canonical residue of f (LaurentPoly, TruncatedPoly or vector) in S(q)."""
-        return SElement(self, self.lattice.reduce(f))
-
-    def zero(self) -> "SElement":
-        return SElement(self, (0,) * self.dimension)
-
-    def one(self) -> "SElement":
-        return SElement(self, self._one)
+        return self.lattice.reduce(f)
 
     def __repr__(self):
         return f"SContext(q={self.params.q}, D={self.params.D})"
-
-
-class SElement:
-    """Element of S(q): canonical residue vector modulo the I(q)Sigma lattice."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: SContext, coeffs: Iterable[int]):
-        self.ctx = ctx
-        self.coeffs = tuple(coeffs)
-
-    def _check(self, other: "SElement"):
-        if self.ctx is not other.ctx and self.ctx.params.q != other.ctx.params.q:
-            raise ValueError("context mismatch")
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SElement):
-            return NotImplemented
-        return self.ctx.params.q == other.ctx.params.q and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ctx.params.q, self.coeffs))
-
-    def __add__(self, other: "SElement") -> "SElement":
-        self._check(other)
-        return SElement(self.ctx, self.ctx.lattice.reduce(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)]))
-
-    def __sub__(self, other: "SElement") -> "SElement":
-        self._check(other)
-        return SElement(self.ctx, self.ctx.lattice.reduce(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)]))
-
-    def __neg__(self) -> "SElement":
-        return SElement(self.ctx, self.ctx.lattice.reduce([-a for a in self.coeffs]))
-
-    def __mul__(self, other) -> "SElement":
-        if isinstance(other, int):
-            return SElement(self.ctx, self.ctx.lattice.reduce(
-                [other * a for a in self.coeffs]))
-        self._check(other)
-        D = self.ctx.params.D
-        prod = TruncatedPoly(D, self.coeffs) * TruncatedPoly(D, other.coeffs)
-        return SElement(self.ctx, self.ctx.lattice.reduce(prod.coeffs))
-
-    __rmul__ = __mul__
-
-    def render(self) -> str:
-        return TruncatedPoly(self.ctx.params.D, self.coeffs).render()
-
-    def __repr__(self):
-        return f"SElement(q={self.ctx.params.q}, {self.render()})"

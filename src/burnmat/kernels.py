@@ -284,9 +284,6 @@ class QuotientMatrix:
     D: int
     entries: tuple  # (e11, e12, e21, e22)
 
-    def entry(self, i: int, j: int) -> dict:
-        return self.entries[2 * i + j]
-
     def is_identity(self, tables: QuotientTables) -> bool:
         one = {0: tables.one}
         return (self.entries[0] == one and self.entries[3] == one

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import LaurentPoly, divide_by_t_minus_one
-from .groups import (Matrix2, _free_generators, free_reduce, random_reduced_word,
-                     word_inverse)
+from .groups import (Matrix2, _free_generators, commutator_word, free_reduce,
+                     random_reduced_word)
 
 SHIFT = Matrix2(LaurentPoly.const(1), LaurentPoly.zero(),
                 LaurentPoly.const(-1), LaurentPoly.zero())
@@ -354,8 +354,7 @@ class SeriesContext:
 def flatten_tree(tree) -> str:
     if tree[0] == "w":
         return tree[1]
-    lw, rw = flatten_tree(tree[1]), flatten_tree(tree[2])
-    return lw + rw + word_inverse(lw) + word_inverse(rw)
+    return commutator_word(flatten_tree(tree[1]), flatten_tree(tree[2]))
 
 
 def _word_det(w: str) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .groups import (GroupContext, ExponentLawViolation, basic_commutator,
-                     check_row_fixed, commutator, commutator_word, free_reduce,
+                     balanced_commutator_word, check_row_fixed, commutator, free_reduce,
                      group_closure, normal_form, order_in_G,
                      power_from_normal_form, product_normal_form_rule,
                      random_reduced_word, random_zero_sum_word,
@@ -313,20 +313,17 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
 # ---------------------------------------------------------------------------
 # Burnside exponent over S at t = 1
 
-def _t1_is_identity(word: str, sctx: SContext) -> bool:
-    tables = _tables(sctx.params.q)
+def _t1_is_identity(word: str, tables: kernels.QuotientTables) -> bool:
     res = kernels.eval_word_quotient(word, tables)
-    e11, e12, e21, e22 = (tuple(v) for v in kernels.entries_at_t1(res, tables))
-    one = sctx.one().coeffs
-    zero = sctx.zero().coeffs
-    return e11 == one and e22 == one and e12 == zero and e21 == zero
+    zero = (0,) * tables.N
+    return kernels.entries_at_t1(res, tables) == [tables.one, zero, zero, tables.one]
 
 
 def _job_exponent(args):
     idx, sseed, q, max_len = args
     rng = random.Random(sseed)
     w = random_reduced_word(rng, max_len)
-    if not _t1_is_identity(w * q, _sctx(q)):
+    if not _t1_is_identity(w * q, _tables(q)):
         return f"sample {idx}: w^{q} != I at t=1 for word {w!r}"
     return None
 
@@ -348,7 +345,7 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
 
     closure = None
     if q in _CLOSURE_SIZES:
-        closure = group_closure(GroupContext("s", _sctx(q)))
+        closure = group_closure(_sctx(q))
         checks += 1
         if closure != _CLOSURE_SIZES[q]:
             failures.append(f"q={q}: closure size {closure}, "
@@ -439,14 +436,6 @@ def _job_tree_identity(args):
     return None
 
 
-def _balanced_word(leaves) -> str:
-    layer = list(leaves)
-    while len(layer) > 1:
-        layer = [commutator_word(layer[i], layer[i + 1])
-                 for i in range(0, len(layer), 2)]
-    return layer[0]
-
-
 def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
                        base_maxlen: int = 3, seed: int = 0,
                        jobs: int = 1) -> SolvabilityReport:
@@ -464,7 +453,7 @@ def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
     witness = None
     tried = 0
     arity = 1 << (k - 1)
-    candidates = (_balanced_word(t) for t in
+    candidates = (balanced_commutator_word(t) for t in
                   itertools.product(("a", "b"), repeat=arity))
     rng = random.Random(seed * SAMPLE_SEED_STRIDE + samples)
     while tried < witness_budget:
@@ -598,9 +587,6 @@ def _sanov_generators() -> dict[str, tuple[int, int, int, int]]:
     return out
 
 
-_INV_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
-
-
 def verify_sanov(max_len: int = 10) -> VerificationReport:
     """Every freely reduced nonempty word of bounded length lands off the identity."""
     t0 = time.perf_counter()
@@ -615,7 +601,7 @@ def verify_sanov(max_len: int = 10) -> VerificationReport:
     while stack:
         mat, last, depth = stack.pop()
         for ch in "aAbB":
-            if last and ch == _INV_LETTER[last]:
+            if last and ch == last.swapcase():
                 continue
             a11, a12, a21, a22 = mat
             b11, b12, b21, b22 = gens[ch]

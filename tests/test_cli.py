@@ -180,6 +180,24 @@ def test_bad_override_in_config_file_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE and "infinite_samples" in err
 
 
+def test_negative_jobs_is_usage_error(tmp_path):
+    rc, out, err = run(["--jobs", "-1", "verify", "sanov"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "jobs must be >= 0, got -1" in err and "Traceback" not in err
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("jobs = -3\n")
+    rc, out, err = run(["--config", path, "verify", "sanov"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "jobs must be >= 0, got -3" in err
+
+
+def test_zero_jobs_means_all_cores():
+    assert Config(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
+    rc, out, _ = run(["--jobs", "0", "verify", "sanov"])
+    assert rc == EXIT_OK and out.startswith("[PASS] sanov")
+
+
 def test_non_integer_in_config_file_is_usage_error(tmp_path):
     path = os.path.join(tmp_path, "run.cfg")
     with open(path, "w") as fh:

@@ -7,6 +7,7 @@ import pytest
 from burnmat import (
     LaurentPoly,
     NonConforming,
+    SContext,
     UnitMonomial,
     basic_commutator,
     check_row_fixed,
@@ -14,6 +15,7 @@ from burnmat import (
     commutator,
     det_t_degree,
     free_reduce,
+    group_closure,
     matrix_inverse,
     normal_form,
     order_in_G,
@@ -23,8 +25,10 @@ from burnmat import (
     product_normal_form_rule,
     random_reduced_word,
     t_exponent_sum,
+    tree_word,
     word_inverse,
 )
+from burnmat.groups import balanced_commutator_word
 
 ONE = LaurentPoly.const(1)
 X = LaurentPoly.var_x()
@@ -280,6 +284,27 @@ def test_commutative_square_basics(s2, s3):
         w = random_reduced_word(rng, 8)
         assert commutative_square_check(w, s2)
         assert commutative_square_check(w, s3)
+
+
+def test_group_closure_sizes(s2, s3):
+    assert group_closure(s2) == 4
+    assert group_closure(s3) == 27
+
+
+def test_group_closure_respects_max_size():
+    # the q=4 closure has 1,024 elements
+    with pytest.raises(RuntimeError, match="exceeded 100 elements"):
+        group_closure(SContext.for_q(4), max_size=100)
+
+
+def test_tree_word_is_balanced_commutator_of_leaves_in_order():
+    assert balanced_commutator_word(["a"]) == "a"
+    assert balanced_commutator_word("ab") == "abAB"
+    assert balanced_commutator_word("abab") == "abABabABbaBAbaBA"
+    for depth in range(4):
+        rng, ref = random.Random(depth), random.Random(depth)
+        leaves = [random_reduced_word(ref, 3) for _ in range(1 << depth)]
+        assert tree_word(rng, depth, 3) == balanced_commutator_word(leaves)
 
 
 def test_short_words_separate_under_integer_specialization(free_ctx):

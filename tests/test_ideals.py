@@ -160,8 +160,8 @@ def test_p_power_refinement_preconditions():
 
 
 def test_s_reduce_examples(s2):
-    assert s2.reduce(TruncatedPoly.zero(2)).is_zero()
-    assert s2.reduce(_unit(2, 1, 0, 2)).is_zero()  # 2a lies in the lattice
+    assert not any(s2.reduce(TruncatedPoly.zero(2)))
+    assert not any(s2.reduce(_unit(2, 1, 0, 2)))  # 2a lies in the lattice
 
 
 def test_s_reduce_idempotent(s2):
@@ -169,26 +169,19 @@ def test_s_reduce_idempotent(s2):
     for _ in range(25):
         v = TruncatedPoly(2, [rng.randint(-9, 9) for _ in range(3)])
         r = s2.reduce(v)
-        assert s2.reduce(TruncatedPoly(2, r.coeffs)) == r
+        assert s2.reduce(r) == r
 
 
 def test_s_arithmetic(s2, s3):
-    xbar = s3.reduce(parse_poly("x").to_truncated(3))
-    xinv = s3.reduce(parse_poly("x^-1").to_truncated(3))
-    one = s3.reduce(TruncatedPoly.one(3))
-    zero = s3.reduce(TruncatedPoly.zero(3))
-    assert xbar * xinv == one
-    assert (xbar * zero).is_zero()
-    assert xbar + zero == xbar
-    abar = s2.reduce(_unit(2, 1, 0))
-    assert (abar * abar).is_zero()
-
-
-def test_s_context_mismatch_rejected(s2, s3):
-    u = s2.reduce(TruncatedPoly.one(2))
-    v = s3.reduce(TruncatedPoly.one(3))
-    with pytest.raises(ValueError):
-        u * v
+    # S(q) elements are canonical tuples; products go through TruncatedPoly
+    xbar = TruncatedPoly(3, s3.reduce(parse_poly("x").to_truncated(3)))
+    xinv = TruncatedPoly(3, s3.reduce(parse_poly("x^-1").to_truncated(3)))
+    zero = TruncatedPoly.zero(3)
+    assert s3.reduce(xbar * xinv) == s3.reduce(TruncatedPoly.one(3))
+    assert not any(s3.reduce(xbar * zero))
+    assert s3.reduce(xbar + zero) == xbar.coeffs
+    abar = TruncatedPoly(2, s2.reduce(_unit(2, 1, 0)))
+    assert not any(s2.reduce(abar * abar))
 
 
 def test_s_reduce_rejects_mismatched_truncation(s3):
