@@ -3,18 +3,21 @@
 A matrix entry is a Laurent polynomial in t whose coefficients live on the
 monomial basis a^r b^s (r+s < D, a = 1-x, b = 1-y).  Multiplying by a basis
 monomial is an index shift on that basis, so right-multiplying the running
-product by one generator is a fixed integer linear map on the coefficients.
-Two lanes compute the same thing:
+product by one generator, or by the product xy of two, is a fixed integer
+linear map on the coefficients.  Two lanes compute the same thing:
 
-  python  exact big-integer dicts, the correctness oracle and overflow fallback
+  python  exact big-integer dicts, one letter at a time, reduced every
+          REDUCE_EVERY letters: the correctness oracle and overflow fallback
   numpy   int64 [2 rows, T, 2N] window, one sparse gather and segment-sum
-          per letter, with an overflow guard (the default)
+          per two letters (an odd last letter alone), with an overflow guard
+          (the default)
 
 The numpy lane raises KernelOverflow before a value could leave int64 (see
 QuotientTables.trip_limit) and the caller falls back to the python lane, so
 results are exact regardless of lane.  Each fallback is counted in FALLBACKS
-under the table label (S9, Sigma12).  Both lanes reduce canonically before
-they hand out a result.  eval_word_quotient takes one word's value;
+under the table label (S9, Sigma12).  The numpy lane reduces by the lattice
+only when its guard trips; both lanes reduce canonically before they hand
+out a result.  eval_word_quotient takes one word's value;
 least_identity_power runs a lane once over w, w, w, ... to find w's order.
 """
 
@@ -33,7 +36,7 @@ HAS_NUMBA = False
 
 LANES = ("python", "numpy")
 INT64_MAX = 2 ** 63 - 1
-# letters between lattice reductions of the running product
+# letters between the python lane's lattice reductions of the running product
 REDUCE_EVERY = 16
 
 # overflow fallbacks to the python lane in this process, by table label
@@ -64,14 +67,15 @@ class QuotientTables:
     N: int
     # maps[m] = (src_idx, dst_idx): multiply by a^r b^s sends coeff[src] to coeff[dst]
     maps: tuple
-    # gen_terms[letter][(l, j)] = ((dt, map_id, coeff), ...)
+    # gen_terms[w][(l, j)] = ((dt, map_id, coeff), ...) for the matrix of w, a
+    # generator letter or a product of two
     gen_terms: dict
     # lattice rows sorted by pivot column, empty for plain truncation
     rows: tuple
     pivot_cols: tuple
     one: tuple
     growth: int
-    # steps[letter]: the numpy lane's sparse form of right multiplication
+    # steps[w]: the numpy lane's sparse form of right multiplication by w
     steps: dict
     # largest max|v| that _np_reduce takes without leaving int64
     reduce_limit: int
@@ -88,7 +92,7 @@ class QuotientTables:
 
     @property
     def trip_limit(self) -> int:
-        """Largest max|v| the numpy lane carries into the next letter."""
+        """Largest max|v| the numpy lane carries into the next step."""
         return min(self.guard_limit, self.reduce_limit // self.growth)
 
     def reduce_vec(self, vec: list) -> tuple:
@@ -121,19 +125,21 @@ def _shift_maps(D: int):
 
 @dataclass(frozen=True)
 class LetterStep:
-    """Right multiplication by one generator on the numpy lane's layout.
+    """Right multiplication by one or two generators on the numpy lane's layout.
 
     Row i of the running product is a [T, 2N] array whose column l*N + n holds
-    basis coefficient n of entry (i, l).  The generator sends (column l, index
+    basis coefficient n of entry (i, l).  The step sends (column l, index
     src) at t to (column j, index dst) at t + dt.  Pairs are sorted by
     destination: pairs starts[k] up to starts[k+1] all land on destination k.
+    The arrays are int32, which holds every value (src < 2N, |coef| <= growth,
+    starts < pairs); products are formed in the int64 gather.
     """
 
     src: np.ndarray     # source column l*N + n of each pair
     coef: np.ndarray    # integer coefficient of each pair
     starts: np.ndarray  # first pair of each destination segment
     dt_min: int
-    span: int           # dt_max - dt_min: how far one letter widens the window
+    span: int           # dt_max - dt_min: how far one step widens the window
     # (dt - dt_min, first segment, end segment, destination columns) per dt;
     # the columns are a slice when contiguous, else an index array
     blocks: tuple
@@ -141,20 +147,24 @@ class LetterStep:
 
 def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
     width = 2 * N
-    dts = [dt for per in terms.values() for (dt, _, _) in per]
+    flat = [(l, j, dt, mp, c) for (l, j), per in terms.items() for dt, mp, c in per]
+    dts = [dt for _, _, dt, _, _ in flat]
     dt_min = min(dts)
-    keys, coefs = [], []
-    for (l, j), per in terms.items():
-        for dt, mp, c in per:
-            src_idx, dst_idx = maps[mp]
-            dst = (dt - dt_min) * width + j * N + dst_idx
-            keys.append(dst * width + l * N + src_idx)
-            coefs.append(np.full(len(src_idx), c, dtype=np.int64))
-    keys = np.concatenate(keys)
+    lens = [len(maps[mp][0]) for _, _, _, mp, _ in flat]
+
+    def per_pair(vals):
+        return np.repeat(np.array(vals, dtype=np.int64), lens)
+
+    src_idx = np.concatenate([maps[mp][0] for _, _, _, mp, _ in flat])
+    dst_idx = np.concatenate([maps[mp][1] for _, _, _, mp, _ in flat])
+    # key = destination * width + source, destination = (dt - dt_min) * width + j*N + dst_idx
+    base = [((dt - dt_min) * width + j * N) * width + l * N for l, j, dt, _, _ in flat]
+    keys = per_pair(base) + dst_idx * width + src_idx
+    coefs = per_pair([c for _, _, _, _, c in flat])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    coef = np.add.reduceat(np.concatenate(coefs)[order], first)  # equal pairs summed
+    coef = np.add.reduceat(coefs[order], first)  # equal pairs summed
     keep = coef != 0
     dst, src = np.divmod(keys[first][keep], width)
     starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
@@ -166,7 +176,8 @@ def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
         if cols[-1] - cols[0] == b - a - 1:
             cols = slice(int(cols[0]), int(cols[-1]) + 1)
         blocks.append((o, a, b, cols))
-    return LetterStep(src=src, coef=coef[keep], starts=starts, dt_min=dt_min,
+    return LetterStep(src=src.astype(np.int32), coef=coef[keep].astype(np.int32),
+                      starts=starts.astype(np.int32), dt_min=dt_min,
                       span=max(dts) - dt_min, blocks=tuple(blocks))
 
 
@@ -215,32 +226,36 @@ def _reduce_limit(rows: tuple, pivot_cols: tuple, N: int) -> int:
     return lo
 
 
+def _matrix_terms(M, D: int, map_id: dict) -> dict:
+    """{(l, j): ((dt, map_id, coeff), ...)} of an exact Laurent matrix truncated to R/Sigma^D."""
+    basis = monomial_list(D)
+    per_entry = {}
+    for e, f in enumerate(M.entries()):
+        terms = []
+        for dt, g in f.t_coefficients().items():
+            for idx, c in enumerate(g.to_truncated(D).coeffs):
+                if c:
+                    terms.append((dt, map_id[basis[idx]], c))
+        per_entry[divmod(e, 2)] = tuple(terms)
+    return per_entry
+
+
 def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTables:
     from .groups import _free_generators
 
     N = tri_dim(D)
     maps, map_id, _ = _shift_maps(D)
-    gen_terms = {}
-    for letter, M in _free_generators().items():
-        per_entry = {}
-        for l in range(2):
-            for j in range(2):
-                f = M.entries()[2 * l + j]
-                terms = []
-                for dt, g in f.t_coefficients().items():
-                    vec = g.to_truncated(D).coeffs
-                    for idx, c in enumerate(vec):
-                        if c:
-                            rs = monomial_list(D)[idx]
-                            terms.append((dt, map_id[rs], c))
-                per_entry[(l, j)] = tuple(terms)
-        gen_terms[letter] = per_entry
+    gens = _free_generators()
+    # truncation R -> R/Sigma^D is a ring map, so the step of a pair xy is
+    # the step of x followed by the step of y
+    mats = dict(gens, **{x + y: gens[x].mul(gens[y]) for x in gens for y in gens})
+    gen_terms = {w: _matrix_terms(M, D, map_id) for w, M in mats.items()}
     growth = 1
     for per_entry in gen_terms.values():
         for j in range(2):
             tot = sum(abs(c) for l in range(2) for (_, _, c) in per_entry[(l, j)])
             growth = max(growth, tot)
-    steps = {letter: _letter_step(terms, maps, N) for letter, terms in gen_terms.items()}
+    steps = {w: _letter_step(terms, maps, N) for w, terms in gen_terms.items()}
     one = [0] * N
     one[0] = 1
     t = QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms,
@@ -314,9 +329,10 @@ def entries_at_t1(res: QuotientMatrix, tables: QuotientTables) -> list:
 # Both lanes are generators over word, word, word, ...: after the copies
 # listed in stops (increasing, 1 by default) they reduce the running product
 # canonically and yield its entries, then carry on from the reduced state,
-# which is what reduce_every already relies on.
+# which is what reduce_every (python) and the guard (numpy) already rely on.
 
-def _eval_python(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)):
+def _eval_python(word: str, tables: QuotientTables, reduce_every: int = REDUCE_EVERY,
+                 stops=(1,)):
     N = tables.N
     one = [0] * N
     one[0] = 1
@@ -363,19 +379,22 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int, stops=(1,
 # ---------------------------------------------------------------------------
 # numpy lane: two [2 rows, T, 2N] int64 buffers over a trimmed t-window
 #
-# Exactness: an output coefficient sums one product c * v per term
-# (dt, map, c) of the generator's column, because each shift map is
-# injective, so every pair product and every partial sum (in reduceat or in
-# the block adds) is at most growth * max|v|.  A letter starts from
-# max|v| <= trip_limit <= guard_limit, so nothing exceeds 2^62 before the
-# guard looks, and the result is at most growth * trip_limit <= reduce_limit,
-# the largest input _reduce_limit proves _np_reduce safe on.  The guard
-# leaves max|v| <= trip_limit after every letter, so one _np_reduce of the
-# window at a stop returns canonical vectors.  Those are no larger: column 0
-# (the constant term) has no pivot and is left alone, and every other column
-# ends in [0, pivot), so a run may go on from them (tested per q).
+# Exactness: a step is right multiplication by one generator or by the
+# product of two.  An output coefficient sums one product c * v per term
+# (dt, map, c) of the step's column, because each shift map is injective, so
+# every pair product and every partial sum (in reduceat or in the block adds)
+# is at most growth * max|v|, growth being the largest column L1 over all
+# steps.  A step starts from max|v| <= trip_limit <= guard_limit, so nothing
+# exceeds 2^62 before the guard looks, and the result is at most
+# growth * trip_limit <= reduce_limit, the largest input _reduce_limit proves
+# _np_reduce safe on.  The lane reduces only then, when the guard trips, and
+# at a stop.  The guard leaves max|v| <= trip_limit after every step, so one
+# _np_reduce of the window at a stop returns canonical vectors.  Those are no
+# larger: column 0 (the constant term) has no pivot and is left alone, and
+# every other column ends in [0, pivot), so a run may go on from them
+# (tested per q).
 #
-# The window is re-based to row 0 on every letter, so T only has to hold the
+# The window is re-based to row 0 on every step, so T only has to hold the
 # live window: it starts at one copy's 1 + sum of spans and doubles on demand.
 
 def _buffers(T: int, N: int) -> list:
@@ -384,10 +403,12 @@ def _buffers(T: int, N: int) -> list:
     return [(b, b.reshape(2, T, 2 * N)) for b in bufs]
 
 
-def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)):
+def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
-    steps = tables.steps
-    T = 1 + sum(steps[ch].span for ch in word)
+    # two letters per step, an odd last letter alone; each copy is chunked on
+    # its own, so the stops fall between steps
+    chunks = [tables.steps[word[i:i + 2]] for i in range(0, len(word), 2)]
+    T = 1 + sum(step.span for step in chunks)
     cur, nxt = _buffers(T, N)
     cur[0][0, 0, 0, 0] = 1
     cur[0][1, 0, 1, 0] = 1
@@ -395,10 +416,8 @@ def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)
     t0 = 0       # t-exponent of row 0 of cur
     limit = tables.trip_limit
     plan = tables.reduce_plan if tables.rows else None
-    pos = 0
     for copy in range(1, stops[-1] + 1):
-        for ch in word:
-            step = steps[ch]
+        for k, step in enumerate(chunks):
             w = hi - lo + 1
             nw = w + step.span
             if nw > T:
@@ -418,15 +437,15 @@ def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)
             mags = np.abs(out).max(axis=(0, 2)).tolist()
             top = max(mags)
             if top > limit:
-                if plan is None or top > tables.reduce_limit:
-                    raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-                _np_reduce(out4, plan)
-                mags = np.abs(out).max(axis=(0, 2)).tolist()
-                if max(mags) > limit:
-                    raise KernelOverflow(f"coefficients exceeded int64 guard at letter {pos}")
-            elif plan is not None and reduce_every and (pos + 1) % reduce_every == 0:
-                _np_reduce(out4, plan)
-                mags = out.any(axis=(0, 2)).tolist()
+                if plan is not None and top <= tables.reduce_limit:
+                    _np_reduce(out4, plan)
+                    mags = np.abs(out).max(axis=(0, 2)).tolist()
+                    top = max(mags)
+                if top > limit:
+                    # name the step's last letter, counted over all copies
+                    letter = (copy - 1) * len(word) + min(2 * k + 2, len(word)) - 1
+                    raise KernelOverflow(
+                        f"coefficients exceeded int64 guard at letter {letter}")
             # trim t-slices that are zero in all four entries
             lo, hi = 0, nw - 1
             while lo < hi and not mags[lo]:
@@ -434,7 +453,6 @@ def _eval_numpy(word: str, tables: QuotientTables, reduce_every: int, stops=(1,)
             while hi > lo and not mags[hi]:
                 hi -= 1
             cur, nxt = nxt, cur
-            pos += 1
         if copy in stops:
             if plan is not None:
                 _np_reduce(cur[0][:, lo:hi + 1], plan)
@@ -480,15 +498,15 @@ def _np_reduce(arr: np.ndarray, plan: tuple):
 # ---------------------------------------------------------------------------
 # entry points
 
-def eval_word_quotient(word: str, tables: QuotientTables, lane: str | None = None,
-                       reduce_every: int = REDUCE_EVERY) -> QuotientMatrix:
+def eval_word_quotient(word: str, tables: QuotientTables,
+                       lane: str | None = None) -> QuotientMatrix:
     """Evaluate a word left to right; falls back to the python lane on overflow."""
     if get_lane(lane) == "numpy":
         try:
-            return _normalize(next(_eval_numpy(word, tables, reduce_every)), tables)
+            return _normalize(next(_eval_numpy(word, tables)), tables)
         except KernelOverflow:
             FALLBACKS[tables.label] += 1
-    return _normalize(next(_eval_python(word, tables, reduce_every)), tables)
+    return _normalize(next(_eval_python(word, tables)), tables)
 
 
 def eval_is_identity(word: str, tables: QuotientTables, lane: str | None = None) -> bool:
@@ -512,10 +530,10 @@ def least_identity_power(word: str, tables: QuotientTables, cap: int,
         return None
     if get_lane(lane) == "numpy":
         try:
-            return _first_identity(_eval_numpy(word, tables, REDUCE_EVERY, stops), stops, tables)
+            return _first_identity(_eval_numpy(word, tables, stops), stops, tables)
         except KernelOverflow:
             FALLBACKS[tables.label] += 1
-    return _first_identity(_eval_python(word, tables, REDUCE_EVERY, stops), stops, tables)
+    return _first_identity(_eval_python(word, tables, stops=stops), stops, tables)
 
 
 def _first_identity(states, stops, tables: QuotientTables) -> int | None:

@@ -449,12 +449,15 @@ def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
     upper_failures = [m for m in _pmap(_job_tree_identity, args, jobs) if m]
 
     # structured candidates first (all generator-letter leaf tuples), then
-    # random trees up to the budget; first non-identity word wins
+    # random trees up to the budget; first non-identity word wins.  With more
+    # than two leaves in {a, b} every depth-1 commutator is [a,b]^±1 or 1,
+    # these commute, and every candidate freely reduces to the empty word,
+    # which never counts: only two leaves give structured candidates.
     witness = None
     tried = 0
     arity = 1 << (k - 1)
-    candidates = (balanced_commutator_word(t) for t in
-                  itertools.product(("a", "b"), repeat=arity))
+    leaf_tuples = itertools.product(("a", "b"), repeat=arity) if arity <= 2 else ()
+    candidates = (balanced_commutator_word(t) for t in leaf_tuples)
     rng = random.Random(seed * SAMPLE_SEED_STRIDE + samples)
     while tried < witness_budget:
         w = next(candidates, None)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -93,23 +95,37 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
     tables = sigma_tables(12)
     word = "ab" * 120
     with pytest.raises(KernelOverflow):
-        next(kernels._eval_numpy(word, tables, 16))
+        next(kernels._eval_numpy(word, tables))
     via_numpy = eval_word_quotient(word, tables, lane="numpy")
     via_python = eval_word_quotient(word, tables, lane="python")
     assert via_numpy == via_python
     assert kernels.FALLBACKS == Counter({"Sigma12": 1})
 
 
+def test_kernel_overflow_names_the_letter():
+    # the numpy lane steps two letters at a time; the message gives the index
+    # of the step's last letter, where the exact values first pass the limit
+    tables = sigma_tables(12)
+    with pytest.raises(KernelOverflow) as exc:
+        next(kernels._eval_numpy("ab" * 120, tables))
+    letter = int(re.search(r"at letter (\d+)$", str(exc.value)).group(1))
+    assert letter % 2 == 1
+    before, after = kernels._eval_python("ab", tables, stops=(letter // 2, letter // 2 + 1))
+    top = [max(abs(c) for ent in state for vec in ent.values() for c in vec)
+           for state in (before, after)]
+    assert top[0] <= tables.trip_limit < top[1]
+
+
 def test_reduce_interval_does_not_change_results(s2):
+    # only the python lane has a cadence; the numpy lane reduces when its guard trips
     tables = tables_for(s2)
     rng = random.Random(97)
     for _ in range(6):
         w = random_reduced_word(rng, 12)
-        baseline = eval_word_quotient(w, tables, lane="python", reduce_every=16)
-        for step in (1, 3, 64):
-            for lane in LANES:
-                assert eval_word_quotient(w, tables, lane=lane,
-                                          reduce_every=step) == baseline
+        baseline = eval_word_quotient(w, tables, lane="numpy")
+        for step in (0, 1, 3, 16, 64):
+            got = next(kernels._eval_python(w, tables, step))
+            assert kernels._normalize(got, tables) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +186,7 @@ def test_numpy_lane_matches_python_lane(label, kind):
     def check(word, reduce_every):
         exact = next(kernels._eval_python(word, tables, reduce_every))
         try:
-            got = next(kernels._eval_numpy(word, tables, reduce_every))
+            got = next(kernels._eval_numpy(word, tables))
         except KernelOverflow:
             # only plain truncation has no lattice to bring the coefficients down
             assert not tables.rows
@@ -178,6 +194,19 @@ def test_numpy_lane_matches_python_lane(label, kind):
         assert kernels._normalize(got, tables) == kernels._normalize(exact, tables)
 
     check()
+
+
+@pytest.mark.parametrize("label", TABLE_LABELS)
+def test_every_step_matches_python_lane(label):
+    # all 16 two-letter steps, unreduced pairs such as aA included, and odd
+    # lengths, whose last letter is a step of its own
+    tables = _tables(label)
+    for n in (1, 2, 3):
+        for letters in itertools.product("aAbB", repeat=n):
+            word = "".join(letters)
+            exact = next(kernels._eval_python(word, tables))
+            got = next(kernels._eval_numpy(word, tables))
+            assert kernels._normalize(got, tables) == kernels._normalize(exact, tables), word
 
 
 @pytest.mark.parametrize("label", ["S4", "S8", "S9"])
@@ -201,7 +230,7 @@ def test_guard_reduction_matches_python_lane(label, monkeypatch):
     def check(word):
         calls["words"] += 1
         expected = kernels._normalize(next(kernels._eval_python(word, tables, 0)), tables)
-        assert kernels._normalize(next(kernels._eval_numpy(word, tight, 0)), tables) == expected
+        assert kernels._normalize(next(kernels._eval_numpy(word, tight)), tables) == expected
 
     check()
     # one reduction per word is the lane's final one; the rest are the guard's
@@ -291,6 +320,7 @@ def test_least_identity_power_matches_flat_powers(q, lane):
     @example(word="")
     @example(word="aAbaBbB")  # not freely reduced
     @example(word="abaB")  # order p*q at q = 4, 9 and p^2*q at q = 8
+    @example(word="bAB")  # order q; odd length puts copy boundaries mid-pair
     def check(word):
         # a nonzero t-sum word is never the identity, and its t-window grows
         # with every copy: scan it to q only, which still reaches None
@@ -303,8 +333,8 @@ def test_least_identity_power_matches_flat_powers(q, lane):
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_least_identity_power_through_guard_reductions(q, monkeypatch):
-    # Trip limit 64 as in test_guard_reduction_matches_python_lane, and no
-    # reduction cadence: every reduction is a tested copy's or the guard's.
+    # Trip limit 64 as in test_guard_reduction_matches_python_lane: every
+    # reduction is a tested copy's or the guard's.
     tables = _tables(f"S{q}")
     tight = dataclasses.replace(tables, reduce_limit=tables.growth * 64)
     p, cap = _scan_cap(q)
@@ -316,7 +346,6 @@ def test_least_identity_power_through_guard_reductions(q, monkeypatch):
         real_reduce(arr, plan)
 
     monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
-    monkeypatch.setattr(kernels, "REDUCE_EVERY", 0)
 
     @SCAN_SETTINGS
     @given(word=_zero_sum_words())

@@ -1,5 +1,6 @@
 """Verification suites: determinism, statuses, and small-sample outcomes."""
 
+import itertools
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from burnmat import (
     SUITES,
+    free_reduce,
     solvability_bound,
     verify_burnside_exponent,
     verify_derived_layers,
@@ -18,6 +20,7 @@ from burnmat import (
     verify_solvability,
     verify_square,
 )
+from burnmat.groups import balanced_commutator_word
 
 
 def test_suite_registry():
@@ -110,6 +113,13 @@ def test_solvable_suite_q2():
     r = verify_solvability(2, samples=5)
     assert r.passed and r.k == 2 and r.upper_ok
     assert r.witness == "abAB" and r.witness_tried == 1
+
+
+@pytest.mark.parametrize("arity", [4, 8])
+def test_structured_candidates_of_more_than_two_leaves_are_empty(arity):
+    # why the witness search builds structured candidates only for two leaves
+    for leaves in itertools.product("ab", repeat=arity):
+        assert free_reduce(balanced_commutator_word(leaves)) == ""
 
 
 def test_solvable_suite_witness_absence_not_failed():
