@@ -19,7 +19,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _OVERRIDE_KEYS = ("samples", "infinite_samples", "witness_budget", "max_len",
-                  "max_n", "base_maxlen", "trunc_d")
+                  "max_n", "base_maxlen")
 
 
 @dataclass
@@ -37,7 +37,6 @@ class Config:
     max_len: int | None = None
     max_n: int | None = None
     base_maxlen: int | None = None
-    trunc_d: int | None = None
 
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
@@ -137,8 +136,7 @@ def _suite_kwargs(fn, cfg: Config) -> dict:
         kw["seed"] = cfg.seed
     if "jobs" in params:
         kw["jobs"] = cfg.resolved_jobs()
-    for name in ("samples", "infinite_samples", "witness_budget", "max_len",
-                 "max_n", "base_maxlen"):
+    for name in _OVERRIDE_KEYS:
         v = getattr(cfg, name)
         if v is not None and name in params:
             kw[name] = v
@@ -203,7 +201,7 @@ def cmd_ring(args) -> int:
     return EXIT_OK
 
 
-def cmd_ideal(args, cfg: Config) -> int:
+def cmd_ideal(args) -> int:
     try:
         params = BurnsideParams.from_q(args.q)
     except ValueError as exc:
@@ -218,12 +216,11 @@ def cmd_ideal(args, cfg: Config) -> int:
         print("ideal membership is defined in R: drop the t terms", file=sys.stderr)
         return EXIT_USAGE
 
-    D = cfg.trunc_d or params.D
-    ideal = cyclotomic_lattice(params, D=D)
-    prod = cyclotomic_lattice(params, D=D, times_sigma=True)
+    ideal = cyclotomic_lattice(params)
+    prod = cyclotomic_lattice(params, times_sigma=True)
 
-    vec = f.to_truncated(D)
-    print(f"q={params.q} (p={params.p}, e={params.e}), D={D}")
+    vec = f.to_truncated(params.D)
+    print(f"q={params.q} (p={params.p}, e={params.e}), D={params.D}")
     print(f"member of I({params.q}): {ideal.member(vec)}")
     print(f"member of I({params.q})Sigma: {prod.member(vec)}")
     print(f"sigma-valuation: {f.sigma_valuation()}")
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
     if args.cmd == "ring":
         return cmd_ring(args)
     if args.cmd == "ideal":
-        return cmd_ideal(args, cfg)
+        return cmd_ideal(args)
     if args.cmd == "order":
         return cmd_order(args)
     if args.cmd == "verify":

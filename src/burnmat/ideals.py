@@ -6,17 +6,37 @@ Its image in R/Sigma^D is spanned by the generators for u on the finite grid
 u-generator are integer-valued polynomials in (i,j) of degree < D per variable,
 so the D x D grid already spans everything (finite-difference argument).  A
 stabilization check on the (D+1) x (D+1) grid guards that argument at runtime.
+
+The u = 1 generator is the constant q, so each lattice contains q times every
+coordinate it can reach; it is built in one elimination pass modulo q = p^e
+(Howell form over Z/p^e, see _closure_hnf) and kept as its canonical Hermite
+normal form, which depends only on the ideal, not on the generators.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .rings import (LaurentPoly, TruncatedPoly, monomial_list, tri_dim,
                     xpow_coeffs, _index_table)
 
 MAX_Q = 13
+
+
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e for a prime p and e >= 1, or None; n >= 2."""
+    p = next((c for c in range(2, math.isqrt(n) + 1) if n % c == 0), n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
 
 
 @dataclass(frozen=True)
@@ -40,115 +60,13 @@ class BurnsideParams:
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         if q > MAX_Q:
             raise ValueError(f"q must be a prime power <= {MAX_Q}, got {q}")
-        n, p = q, None
-        for cand in range(2, q + 1):
-            if n % cand == 0:
-                p = cand
-                break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
+        pe = _prime_power(q)
+        if pe is None:
             raise ValueError(f"q must be a prime power, got {q}")
+        p, e = pe
         phi = p ** e - p ** (e - 1)
         bound = e * phi
         return BurnsideParams(q=q, p=p, e=e, phi=phi, bound=bound, D=bound + 1)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-class _HNFBuilder:
-    """Incremental row-style Hermite normal form over Python integers.
-
-    Canonical form is maintained after every mutation (pivots positive, entries
-    above a pivot reduced into [0, pivot)); once full rank is reached, incoming
-    vectors are pre-reduced modulo M = product of pivots, which is legal because
-    M * Z^n is contained in any full-rank sublattice with pivot product M.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: dict[int, list[int]] = {}
-        self.M: int | None = None
-
-    def _update_M(self):
-        if len(self.rows) == self.n:
-            M = 1
-            for c, r in self.rows.items():
-                M *= r[c]
-            self.M = M
-
-    def _fix_row(self, c: int):
-        """Re-canonicalize after row c changed: reduce its tail, then earlier rows against it."""
-        n = self.n
-        row = self.rows[c]
-        if row[c] < 0:
-            self.rows[c] = row = [-v for v in row]
-        for c2 in range(c + 1, n):
-            if c2 in self.rows and row[c2]:
-                p2 = self.rows[c2][c2]
-                q = row[c2] // p2
-                if q:
-                    r2 = self.rows[c2]
-                    for k in range(c2, n):
-                        row[k] -= q * r2[k]
-        p = row[c]
-        for c1, r1 in self.rows.items():
-            if c1 < c and r1[c]:
-                q = r1[c] // p
-                if q:
-                    for k in range(c, n):
-                        r1[k] -= q * row[k]
-
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Add a vector to the lattice; returns True when the lattice grew."""
-        n = self.n
-        v = list(vec)
-        if self.M is not None:
-            M = self.M
-            v = [x % M for x in v]
-        grew = False
-        for c in range(n):
-            if not v[c]:
-                continue
-            if c not in self.rows:
-                if v[c] < 0:
-                    v = [-x for x in v]
-                self.rows[c] = v
-                self._fix_row(c)
-                self._update_M()
-                return True
-            r = self.rows[c]
-            p = r[c]
-            if v[c] % p == 0:
-                q = v[c] // p
-                for k in range(c, n):
-                    v[k] -= q * r[k]
-                continue
-            g, s, t = _xgcd(p, v[c])
-            pq, vq = p // g, v[c] // g
-            new_r = [s * r[k] + t * v[k] for k in range(n)]
-            new_v = [vq * r[k] - pq * v[k] for k in range(n)]
-            self.rows[c] = new_r
-            self._fix_row(c)
-            self._update_M()
-            v = new_v
-            grew = True
-        return grew
-
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.rows[c]) for c in sorted(self.rows))
 
 
 class StabilizationError(RuntimeError):
@@ -173,12 +91,13 @@ class IdealLattice:
             if c is None or c in piv:
                 raise ValueError("rows are not in echelon form")
             piv[c] = ri
-        self._pivots = piv
+        # (pivot column, row) in column order, the order reduce applies them
+        self._pivots = tuple((c, self.rows[piv[c]]) for c in sorted(piv))
         self._M = None
         if len(piv) == n:
             M = 1
-            for c, ri in piv.items():
-                M *= self.rows[ri][c]
+            for c, row in self._pivots:
+                M *= row[c]
             self._M = M
 
     @property
@@ -208,9 +127,8 @@ class IdealLattice:
         v = self._vec(f)
         if self._M is not None:
             v = [x % self._M for x in v]
-        for c in sorted(self._pivots):
+        for c, row in self._pivots:
             if v[c]:
-                row = self.rows[self._pivots[c]]
                 q = v[c] // row[c]
                 if q:
                     for k in range(c, len(v)):
@@ -241,113 +159,156 @@ class IdealLattice:
         return f"IdealLattice({self.label}, D={self.D}, rank={self.rank})"
 
 
-def mul_by_a(vec: Sequence[int], D: int) -> list[int]:
-    """Coordinates of a * f truncated at degree D."""
+@lru_cache(maxsize=None)
+def _shift_maps(D: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(source, target) coordinate maps of multiplication by a and by b in R/Sigma^D."""
     idx = _index_table(D)
     monos = monomial_list(D)
+    src = tuple(m for m, (r, s) in enumerate(monos) if r + s + 1 < D)
+
+    def target(dr: int, ds: int) -> tuple[int, ...]:
+        return tuple(idx[(monos[m][0] + dr, monos[m][1] + ds)] for m in src)
+
+    return (src, target(1, 0)), (src, target(0, 1))
+
+
+def _mul_by(vec: Sequence[int], D: int, which: int) -> list[int]:
     out = [0] * tri_dim(D)
-    for m, c in enumerate(vec):
-        if c:
-            r, s = monos[m]
-            if r + 1 + s < D:
-                out[idx[(r + 1, s)]] = c
+    for m, t in zip(*_shift_maps(D)[which]):
+        out[t] = vec[m]
     return out
+
+
+def mul_by_a(vec: Sequence[int], D: int) -> list[int]:
+    """Coordinates of a * f truncated at degree D."""
+    return _mul_by(vec, D, 0)
 
 
 def mul_by_b(vec: Sequence[int], D: int) -> list[int]:
-    idx = _index_table(D)
-    monos = monomial_list(D)
-    out = [0] * tri_dim(D)
-    for m, c in enumerate(vec):
-        if c:
-            r, s = monos[m]
-            if r + s + 1 < D:
-                out[idx[(r, s + 1)]] = c
-    return out
-
-
-def cyclotomic_generator(q: int, i: int, j: int, D: int) -> TruncatedPoly:
-    """Image of 1 + u + ... + u^(q-1) for u = x^i y^j in R/Sigma^D."""
-    idx = _index_table(D)
-    coeffs = [0] * tri_dim(D)
-    for m in range(q):
-        row_x = xpow_coeffs(i * m, D)
-        row_y = xpow_coeffs(j * m, D)
-        for r in range(D):
-            cr = row_x[r]
-            if not cr:
-                continue
-            for s in range(D - r):
-                cs = row_y[s]
-                if cs:
-                    coeffs[idx[(r, s)]] += cr * cs
-    return TruncatedPoly(D, coeffs)
+    return _mul_by(vec, D, 1)
 
 
 def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
                           grid: int | None = None) -> list[TruncatedPoly]:
-    """Generators on the grid 0 <= i,j < grid (default D x D)."""
+    """Images of 1 + u + ... + u^(q-1) in R/Sigma^D for u = x^i y^j on the grid
+    0 <= i,j < grid (default D x D), i-major.
+
+    u^m = x^(im) y^(jm) has coefficient X[im][r] * X[jm][s] at a^r b^s, where
+    X[n] = xpow_coeffs(n, D) is the image of x^n (and of y^n in b).
+    """
     D = D or params.D
     grid = grid or D
-    return [cyclotomic_generator(params.q, i, j, D)
-            for i in range(grid) for j in range(grid)]
+    q = params.q
+    # cols[i][r] = (X[0][r], X[i][r], ..., X[(q-1)i][r])
+    cols = [list(zip(*(xpow_coeffs(i * m, D) for m in range(q)))) for i in range(grid)]
+    monos = monomial_list(D)
+    return [TruncatedPoly(D, [sum(map(operator.mul, xc[r], yc[s])) for r, s in monos])
+            for xc in cols for yc in cols]
+
+
+# Moduli below 2^15 keep _closure_hnf inside int32: see its docstring.
+_MAX_MODULUS = 1 << 15
+
+
+def _modulus(gens: list[TruncatedPoly], D: int) -> int:
+    """The gcd q of the constant generators, checked to be 1 or a prime power."""
+    q = 0
+    for g in gens:
+        if not isinstance(g, TruncatedPoly) or g.D != D:
+            raise ValueError(f"generator {g!r} does not lie in R/Sigma^{D}")
+        if not any(g.coeffs[1:]):
+            q = math.gcd(q, g.coeffs[0])
+    if q == 0:
+        raise ValueError("the generators need a nonzero constant")
+    if q > 1 and (q >= _MAX_MODULUS or _prime_power(q) is None):
+        raise ValueError(f"the constant generators give {q}, which is neither 1 "
+                         f"nor a prime power below 2^15")
+    return q
 
 
 def build_ideal_lattice(gens: list[TruncatedPoly], D: int, label: str = "Ideal",
                         times_sigma: bool = False,
                         regenerate: Callable[[int], list[TruncatedPoly]] | None = None,
                         ) -> IdealLattice:
-    """HNF of the span of {a^r b^s * g : g in gens, r+s < D} (ideal closure).
+    """Canonical HNF of the span of {a^r b^s * g : g in gens, r+s < D} (ideal closure).
 
-    times_sigma multiplies every generator by a and b first (the product ideal).
-    When a regenerate(grid) callback is supplied, the build is repeated with the
+    gens must lie in R/Sigma^D and include a nonzero constant (the u = 1 case of
+    the cyclotomic generators is the constant q); the gcd of the constants must
+    be 1 or a prime power, and ValueError is raised otherwise.  times_sigma
+    multiplies every generator by a and b first (the product ideal).  When a
+    regenerate(grid) callback is supplied, the build is repeated with the
     enlarged generator set and the two HNFs must agree (stabilization check).
     """
-    basis0 = _closure_hnf(gens, D, times_sigma)
+    basis0 = _closure_hnf(gens, D, times_sigma, _modulus(gens, D))
     if regenerate is not None:
-        basis1 = _closure_hnf(regenerate(D + 1), D, times_sigma)
-        if basis0 != basis1:
+        more = regenerate(D + 1)
+        if _closure_hnf(more, D, times_sigma, _modulus(more, D)) != basis0:
             raise StabilizationError(
                 f"{label}: generator grid did not stabilize at D={D}")
     return IdealLattice(D, label, basis0)
 
 
-def _closure_hnf(gens: list[TruncatedPoly], D: int,
-                 times_sigma: bool) -> tuple[tuple[int, ...], ...]:
+def _closure_hnf(gens: list[TruncatedPoly], D: int, times_sigma: bool,
+                 q: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical HNF of the ideal closure of gens, built in one pass modulo q.
+
+    q * e_m lies in the lattice for every coordinate m (for the product with
+    Sigma, every m >= 1; coordinate 0 is 0 there throughout), so the lattice is
+    the preimage of its image in (Z/q)^n, and one elimination over Z/q = Z/p^e
+    in Howell's form finds it.  Columns go in degree order (_index_table):
+      - the pivot of column c is the entry of least valuation, scaled by a unit
+        to p^v; it clears column c from the other rows, whose entries there
+        are multiples of p^v;
+      - p^(e-v) times the pivot row, which is 0 at column c, is queued, so the
+        pivot rows together with q * e_c on the columns without a pivot form a
+        Z-basis of the lattice;
+      - the a- and b-shifts of the pivot row are queued; they raise the degree,
+        so they lead at later columns and the one pass closes the ideal.
+    Reducing each column into [0, pivot) above its pivot, left to right, gives
+    the canonical HNF.  Every entry stays in [0, q) and every product or
+    difference below q^2 < 2^30 (q < 2^15, see _modulus), inside int32.
+    """
     n = tri_dim(D)
-    h = _HNFBuilder(n)
-    seeds: list[list[int]] = []
-    for g in gens:
-        v = list(g.coeffs)
-        if times_sigma:
-            seeds.append(mul_by_a(v, D))
-            seeds.append(mul_by_b(v, D))
-        else:
-            seeds.append(v)
-    # a constant generator c (the u=1 case gives the constant q) has closure
-    # {c * a^r b^s}; inserting those first reaches full rank on the relevant
-    # coordinates immediately, which keeps later reductions small
-    consts = [g.coeffs[0] for g in gens if g.coeffs[0] and not any(g.coeffs[1:])]
-    if consts:
-        c0 = consts[0]
-        start_deg = 1 if times_sigma else 0
-        for m, (r, s) in enumerate(monomial_list(D)):
-            if r + s >= start_deg:
-                v = [0] * n
-                v[m] = c0
-                h.insert(v)
-    queue = sorted(seeds, key=lambda v: max(abs(x) for x in v) if any(v) else 0)
-    for v in queue:
-        h.insert(v)
-    # saturate under multiplication by a and b (ideal closure)
-    changed = True
-    while changed:
-        changed = False
-        for row in [list(r) for r in h.basis()]:
-            for shifted in (mul_by_a(row, D), mul_by_b(row, D)):
-                if any(shifted) and h.insert(shifted):
-                    changed = True
-    return h.basis()
+    start = 1 if times_sigma else 0
+    (src_a, dst_a), (src_b, dst_b) = (
+        tuple(np.array(m, dtype=np.intp) for m in pair) for pair in _shift_maps(D))
+
+    def shifts(rows):
+        out = np.zeros((2 * len(rows), n), dtype=np.int32)
+        out[:len(rows), dst_a] = rows[:, src_a]
+        out[len(rows):, dst_b] = rows[:, src_b]
+        return out
+
+    work = np.array([[c % q for c in g.coeffs] for g in gens],
+                    dtype=np.int32).reshape(-1, n)
+    if times_sigma:
+        work = shifts(work)
+    gcds = np.gcd(np.arange(q), q)
+    basis = np.zeros((n, n), dtype=np.int32)
+    pivot = [0] * n
+    for c in range(start, n):
+        live = np.flatnonzero(work[:, c])
+        if not len(live):
+            continue
+        i = live[np.argmin(gcds[work[live, c]])]
+        x = int(work[i, c])
+        d = math.gcd(x, q)
+        row = work[i] * pow(x // d, -1, q) % q
+        work[i] = 0
+        rest = live[live != i]
+        # columns before c are 0 in every row
+        w = work[rest, c:]
+        work[rest, c:] = (w - (w[:, :1] // d) * row[c:]) % q
+        basis[c], pivot[c] = row, d
+        work = np.vstack([work, shifts(row[None]), (q // d) * row[None] % q])
+        work = work[work.any(axis=1)]
+    for c in range(start, n):
+        if pivot[c]:
+            basis[:c] = (basis[:c] - (basis[:c, c] // pivot[c])[:, None] * basis[c]) % q
+    for c in range(start, n):
+        if not pivot[c]:
+            basis[c, c] = q
+    return tuple(map(tuple, basis[start:].tolist()))
 
 
 def cyclotomic_lattice(params: BurnsideParams, D: int | None = None,

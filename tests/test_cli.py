@@ -225,6 +225,21 @@ def test_cache_options_are_gone(tmp_path):
     assert rc == EXIT_USAGE and "unknown key 'cache_dir'" in err
 
 
+def test_trunc_d_is_gone(tmp_path):
+    # a truncation below q's D gave wrong verdicts, and one above it changes none
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["--trunc-d", "1", "ideal", "--q", "3", "1-x"])
+    assert exc.value.code == EXIT_USAGE
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("trunc_d = 30\n")
+    rc, _, err = run(["--config", path, "verify", "square"])
+    assert rc == EXIT_USAGE and "unknown key 'trunc_d'" in err
+    # the hashes of the remaining settings are those from before the removal
+    assert Config().hash() == "7e7981f6912b"
+    assert Config(samples=3, qs=(2, 3)).hash() == "b48920c0babd"
+
+
 @pytest.mark.parametrize("q", ["6", "16"])
 @pytest.mark.parametrize("cmd", [["verify", "orders"], ["report"]])
 def test_unsupported_q_is_usage_error(cmd, q):

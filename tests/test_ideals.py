@@ -6,6 +6,7 @@ import pytest
 
 from burnmat import (
     BurnsideParams,
+    IdealLattice,
     LaurentPoly,
     TruncatedPoly,
     build_ideal_lattice,
@@ -15,6 +16,7 @@ from burnmat import (
     parse_poly,
     sigma_power_lattice,
 )
+from burnmat.ideals import StabilizationError, mul_by_a, mul_by_b
 
 PARAMS = {q: BurnsideParams.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
@@ -79,14 +81,142 @@ def test_q2_product_with_sigma_rows():
 
 
 def test_hnf_is_independent_of_generator_order():
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8, 9):
         gens = cyclotomic_generators(PARAMS[q])
         rng = random.Random(q)
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        a = build_ideal_lattice(gens, PARAMS[q].D)
-        b = build_ideal_lattice(shuffled, PARAMS[q].D)
-        assert a.rows == b.rows
+        for times_sigma in (False, True):
+            a = build_ideal_lattice(gens, PARAMS[q].D, times_sigma=times_sigma)
+            b = build_ideal_lattice(shuffled, PARAMS[q].D, times_sigma=times_sigma)
+            assert a.rows == b.rows
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for b != 0."""
+    s0, s1, r0, r1 = 1, 0, a, b
+    while r1:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    return r0, s0, (r0 - s0 * a) // b
+
+
+def _reference_hnf(gens, D, times_sigma, q):
+    """Exact HNF of the ideal closure by Euclid merges and a saturation loop.
+
+    The rows start as q * e_m (m >= 1 for the product with Sigma), so every
+    column keeps a pivot dividing q and vectors may be reduced modulo q.
+    """
+    n = D * (D + 1) // 2
+    start = 1 if times_sigma else 0
+    rows = {m: [q * (k == m) for k in range(n)] for m in range(start, n)}
+
+    def insert(v):
+        grew = False
+        v = [x % q for x in v]
+        for c in range(start, n):
+            r = rows[c]
+            if v[c] % r[c]:
+                g, s, t = _xgcd(r[c], v[c])
+                u, w = v[c] // g, r[c] // g
+                rows[c] = [0] * c + [g] + [(s * x + t * y) % q
+                                           for x, y in zip(r[c + 1:], v[c + 1:])]
+                v = [(u * x - w * y) % q for x, y in zip(r, v)]
+                grew = True
+            elif v[c]:
+                k = v[c] // r[c]
+                v = [(y - k * x) % q for x, y in zip(r, v)]
+        return grew
+
+    for g in gens:
+        v = list(g.coeffs)
+        for w in ((mul_by_a(v, D), mul_by_b(v, D)) if times_sigma else (v,)):
+            insert(w)
+    changed = True
+    while changed:
+        changed = False
+        for c in range(start, n):
+            for w in (mul_by_a(rows[c], D), mul_by_b(rows[c], D)):
+                changed |= insert(w)
+    for c in range(start, n):
+        for c0 in range(start, c):
+            k = rows[c0][c] // rows[c][c]
+            rows[c0] = [x - k * y for x, y in zip(rows[c0], rows[c])]
+    return tuple(tuple(rows[c]) for c in range(start, n))
+
+
+def _assert_canonical_hnf(lat: IdealLattice):
+    pivots = [next(c for c, v in enumerate(row) if v) for row in lat.rows]
+    assert pivots == sorted(set(pivots))
+    for i, (c, row) in enumerate(zip(pivots, lat.rows)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in lat.rows[:i])
+
+
+@pytest.mark.parametrize("q", sorted(PARAMS))
+@pytest.mark.parametrize("times_sigma", [False, True])
+def test_lattice_is_the_canonical_hnf_of_the_ideal(q, times_sigma):
+    pr = PARAMS[q]
+    for grid in (pr.D, pr.D + 1):
+        gens = cyclotomic_generators(pr, grid=grid)
+        lat = build_ideal_lattice(gens, pr.D, times_sigma=times_sigma)
+        _assert_canonical_hnf(lat)
+        assert lat.rows == _reference_hnf(gens, pr.D, times_sigma, q)
+        for g in gens:
+            seeds = ((mul_by_a(g.coeffs, pr.D), mul_by_b(g.coeffs, pr.D))
+                     if times_sigma else (g.coeffs,))
+            assert all(lat.member(v) for v in seeds)
+    assert lat == cyclotomic_lattice(pr, times_sigma=times_sigma)
+
+
+def test_pivot_multiple_is_requeued():
+    # basis order 1, b, a: 2 * (2b + a) = 4b + 2a leaves 2a in the lattice once
+    # 4b is subtracted, and neither shift of 2b + a reaches it at D = 2
+    lat = build_ideal_lattice([_unit(2, 0, 0, 4), _unit(2, 0, 1, 2) + _unit(2, 1, 0)], 2)
+    assert lat.rows == ((4, 0, 0), (0, 2, 1), (0, 0, 2))
+
+
+def test_random_generator_sets_match_the_reference():
+    rng = random.Random(5)
+    for _ in range(60):
+        q = rng.choice((2, 3, 4, 5, 8, 9, 25))
+        D = rng.randint(1, 5)
+        n = D * (D + 1) // 2
+        gens = [_unit(D, 0, 0, q)]
+        for _ in range(rng.randint(1, 4)):
+            gens.append(TruncatedPoly(D, [rng.choice((0, 0, rng.randint(-30, 30)))
+                                          for _ in range(n)]))
+        for times_sigma in (False, True):
+            lat = build_ideal_lattice(gens, D, times_sigma=times_sigma)
+            _assert_canonical_hnf(lat)
+            assert lat.rows == _reference_hnf(gens, D, times_sigma, q), (q, D, gens)
+
+
+def test_stabilization_error_fires_on_a_larger_span():
+    D = PARAMS[3].D
+    gens = cyclotomic_generators(PARAMS[3])
+
+    def regenerate(grid):
+        return cyclotomic_generators(PARAMS[3], grid=grid) + [_unit(D, 1, 0)]
+
+    with pytest.raises(StabilizationError, match="did not stabilize at D=3"):
+        build_ideal_lattice(gens, D, label="I3", regenerate=regenerate)
+
+
+def test_build_ideal_lattice_checks_its_generators():
+    pr = PARAMS[3]
+    with pytest.raises(ValueError, match="R/Sigma\\^3"):
+        build_ideal_lattice(cyclotomic_generators(pr, D=4), 3)
+    with pytest.raises(ValueError, match="R/Sigma\\^3"):
+        build_ideal_lattice(cyclotomic_generators(pr, D=2), 3)
+    with pytest.raises(ValueError, match="nonzero constant"):
+        build_ideal_lattice([_unit(3, 1, 0), TruncatedPoly.zero(3)], 3)
+    for c in (6, 12, -10, 1 << 15):
+        with pytest.raises(ValueError, match=f"give {abs(c)}, which is neither"):
+            build_ideal_lattice([_unit(3, 0, 0, c), _unit(3, 1, 0)], 3)
+    # the constants' gcd is what counts: 4 and 6 give 2
+    lat = build_ideal_lattice([_unit(3, 0, 0, 4), _unit(3, 0, 0, 6)], 3)
+    assert [r[i] for i, r in enumerate(lat.rows)] == [2] * 6
 
 
 def test_membership_examples():
