@@ -50,14 +50,19 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    s3_words = _batch(rng, args.batch, 40)
+    s9_words = _batch(rng, args.batch, 40)
+    s9 = SContext.for_q(9)
     workloads = [
-        ("S(3), len<=40", tables_for(SContext.for_q(3)), _batch(rng, args.batch, 40)),
-        ("S(9), len<=40", tables_for(SContext.for_q(9)), _batch(rng, args.batch, 40)),
+        ("S(3), len<=40", tables_for(SContext.for_q(3)), s3_words),
+        ("S(9), len<=40", tables_for(s9), s9_words),
         ("Sigma^8, len<=30", sigma_tables(8), _batch(rng, args.batch, 30)),
+        # the same words in S(9) itself: one t-slice per step
+        ("S(9) at t = 1, len<=40", tables_for(s9, at_t1=True), s9_words),
     ]
     lanes = ["python", "numpy"]
 
-    header = f"{'workload':<18}" + "".join(f"{lane:>12}" for lane in lanes)
+    header = f"{'workload':<24}" + "".join(f"{lane:>12}" for lane in lanes)
     print(header)
     print("-" * len(header))
     for label, tables, words in workloads:
@@ -73,7 +78,7 @@ def main():
             elif results != baseline:
                 raise SystemExit(f"{label}: {lane} lane disagrees with python lane")
             cells.append(f"{dt * 1000:>10.1f}ms")
-        print(f"{label:<18}" + "".join(cells))
+        print(f"{label:<24}" + "".join(cells))
     print(f"\nbatch={args.batch} words, best of {args.repeats} runs, "
           "identical results checked across lanes")
 

@@ -43,10 +43,14 @@ class Config:
 
     def check(self) -> None:
         """Raise ValueError on an empty q list, on the first unsupported q, on a
-        negative jobs count, or on the first override below its least value,
-        naming it."""
+        negative seed or jobs count, or on the first override below its least
+        value, naming it."""
         if not self.qs:
             raise ValueError("qs must list at least one q")
+        if self.seed < 0:
+            # random.Random seeds by absolute value, so a negative seed would
+            # silently replay the samples of a positive one
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs} (0 = all cores)")
         for q in self.qs:

@@ -15,6 +15,7 @@ the commutative-square check at the bottom of this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -208,6 +209,13 @@ class GroupContext:
         for ch in w:
             M = M.mul(self.gens[ch])
         return M
+
+
+@functools.cache
+def group_context(mode: str) -> GroupContext:
+    """This process's GroupContext for mode, built on first use and shared:
+    callers read its generators and never change them."""
+    return GroupContext(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +416,7 @@ def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) ->
     """
     from . import kernels
 
-    free = GroupContext("free")
-    M = free.eval_word(w)
+    M = group_context("free").eval_word(w)
     path1 = [sctx.reduce(e.specialize(t=1)) for e in M.entries()]
     tables = kernels.tables_for(sctx)
     res = kernels.eval_word_quotient(w, tables, lane=lane)
@@ -425,7 +432,7 @@ def group_closure(sctx: SContext, max_size: int = 100000) -> int:
     def key(M: Matrix2):
         return tuple(sctx.reduce(e) for e in M.entries())
 
-    ctx = GroupContext("metabelian")
+    ctx = group_context("metabelian")
     ident = ctx.identity()
     seen = {key(ident)}
     frontier = [ident]

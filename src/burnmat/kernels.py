@@ -15,14 +15,20 @@ linear map on the coefficients.  Two lanes compute the same thing:
 The numpy lane raises KernelOverflow before a value could leave int64 (see
 QuotientTables.trip_limit) and the caller falls back to the python lane, so
 results are exact regardless of lane.  Each fallback is counted in FALLBACKS
-under the table label (S9, Sigma12).  The numpy lane reduces by the lattice
-only when its guard trips; both lanes reduce canonically before they hand
-out a result.  eval_word_quotient takes one word's value;
+under the table label (S9, S9@t1, Sigma12).  The numpy lane reduces by the
+lattice only when its guard trips; both lanes reduce canonically before
+they hand out a result.  eval_word_quotient takes one word's value;
 least_identity_power runs a lane once over w, w, w, ... to find w's order.
+
+tables_for(sctx, at_t1=True) gives the t = 1 tables: the S(q) tables with
+every t-shift set to 0, on which both lanes evaluate in S(q) itself, one
+t-slice per step however long the word.  The exponent suite uses them;
+entries_at_t1 sums a full S(q)[t,t^-1] result over t instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
@@ -81,10 +87,14 @@ class QuotientTables:
     reduce_limit: int
     # the lattice rows as _np_reduce applies them, see _reduce_plan
     reduce_plan: tuple
+    # every generator term's t-shift collapsed to 0: S(q) itself, see _at_t1
+    at_t1: bool = False
 
     @property
     def label(self) -> str:
-        return f"S{self.q}" if self.q else f"Sigma{self.D}"
+        if not self.q:
+            return f"Sigma{self.D}"
+        return f"S{self.q}@t1" if self.at_t1 else f"S{self.q}"
 
     @property
     def guard_limit(self) -> int:
@@ -266,6 +276,29 @@ def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTab
     return t
 
 
+def _at_t1(tables: QuotientTables) -> QuotientTables:
+    """The same tables with every generator term's t-shift collapsed to 0.
+
+    Setting t = 1 is a ring map S(q)[t,t^-1] -> S(q) that commutes with
+    truncation and with lattice reduction, so a lane run on these tables
+    returns, at t = 0, exactly entries_at_t1 of the run on the full tables,
+    while its window stays one t-slice wide.  Terms of one entry that share
+    a shift map are merged into one, with the sum of their coefficients;
+    growth is kept from the unmerged terms, and |c1 + c2| <= |c1| + |c2|, so
+    it still bounds every column and the numpy lane's guard stays sound.
+    """
+    def collapse(per):
+        acc = Counter()
+        for _, mp, c in per:
+            acc[mp] += c
+        return tuple((0, mp, c) for mp, c in acc.items() if c)
+
+    gen_terms = {w: {e: collapse(per) for e, per in terms.items()}
+                 for w, terms in tables.gen_terms.items()}
+    steps = {w: _letter_step(terms, tables.maps, tables.N) for w, terms in gen_terms.items()}
+    return dataclasses.replace(tables, gen_terms=gen_terms, steps=steps, at_t1=True)
+
+
 _CACHE: dict = {}
 
 
@@ -277,15 +310,19 @@ def sigma_tables(D: int) -> QuotientTables:
     return _CACHE[key]
 
 
-def tables_for(sctx: SContext) -> QuotientTables:
-    """Tables for S(q)[t,t^-1] with canonical reduction by the I(q)Sigma lattice."""
+def tables_for(sctx: SContext, at_t1: bool = False) -> QuotientTables:
+    """Tables for S(q)[t,t^-1] with canonical reduction by the I(q)Sigma lattice.
+
+    at_t1 gives the t = 1 tables, which evaluate words in S(q) itself.
+    """
     q = sctx.params.q
-    key = ("s", q)
-    if key not in _CACHE:
+    if ("s", q) not in _CACHE:
         lat = sctx.lattice
         pivots = tuple(next(i for i, v in enumerate(row) if v) for row in lat.rows)
-        _CACHE[key] = _build_tables(sctx.params.D, q, lat.rows, pivots)
-    return _CACHE[key]
+        _CACHE["s", q] = _build_tables(sctx.params.D, q, lat.rows, pivots)
+    if at_t1 and ("t1", q) not in _CACHE:
+        _CACHE["t1", q] = _at_t1(_CACHE["s", q])
+    return _CACHE["t1" if at_t1 else "s", q]
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +481,8 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                 if top > limit:
                     # name the step's last letter, counted over all copies
                     letter = (copy - 1) * len(word) + min(2 * k + 2, len(word)) - 1
-                    raise KernelOverflow(
-                        f"coefficients exceeded int64 guard at letter {letter}")
+                    raise KernelOverflow(f"{tables.label}: coefficients exceeded "
+                                         f"int64 guard at letter {letter}")
             # trim t-slices that are zero in all four entries
             lo, hi = 0, nw - 1
             while lo < hi and not mags[lo]:

@@ -13,9 +13,9 @@ import traceback
 from dataclasses import dataclass, field
 
 from . import kernels
-from .groups import (GroupContext, ExponentLawViolation, basic_commutator,
+from .groups import (ExponentLawViolation, basic_commutator,
                      balanced_commutator_word, check_row_fixed, commutator, free_reduce,
-                     group_closure, normal_form, order_in_G,
+                     group_closure, group_context, normal_form, order_in_G,
                      power_from_normal_form, product_normal_form_rule,
                      random_reduced_word, random_zero_sum_word,
                      commutative_square_check, t_exponent_sum, tree_word,
@@ -110,9 +110,9 @@ def _sctx(q: int) -> SContext:
     return _memo(("s", q), lambda: SContext.for_q(q))
 
 
-def _tables(q: int) -> kernels.QuotientTables:
+def _tables(q: int, at_t1: bool = False) -> kernels.QuotientTables:
     # kernels.tables_for keeps the tables; groups reaches them the same way
-    return kernels.tables_for(_sctx(q))
+    return kernels.tables_for(_sctx(q), at_t1)
 
 
 def _sample_seeds(seed: int, n: int) -> list[int]:
@@ -190,7 +190,7 @@ def _pmap_child(worker, items, fd: int):
 
 def _job_power(args):
     idx, sseed, max_len, max_n = args
-    ctx = _memo("metabelian", lambda: GroupContext("metabelian"))
+    ctx = group_context("metabelian")
     rng = random.Random(sseed)
     w = random_reduced_word(rng, max_len)
     M = ctx.eval_word(w)
@@ -210,7 +210,7 @@ def _basic_commutator_matrices(r: int):
     w(a,b) = [w(a-1,b), a], one matrix commutator per step, so no word is
     evaluated letter by letter.
     """
-    ctx = _memo("metabelian", lambda: GroupContext("metabelian"))
+    ctx = group_context("metabelian")
     gen_a, gen_b = ctx.gens["a"], ctx.gens["b"]
     row = [commutator(gen_b, gen_a)]
     for _ in range(r):
@@ -313,17 +313,16 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
 # ---------------------------------------------------------------------------
 # Burnside exponent over S at t = 1
 
-def _t1_is_identity(word: str, tables: kernels.QuotientTables) -> bool:
-    res = kernels.eval_word_quotient(word, tables)
-    zero = (0,) * tables.N
-    return kernels.entries_at_t1(res, tables) == [tables.one, zero, zero, tables.one]
+def _t1_is_identity(word: str, q: int) -> bool:
+    # on the t = 1 tables: one t-slice per step, however long the word
+    return kernels.eval_is_identity(word, _tables(q, at_t1=True))
 
 
 def _job_exponent(args):
     idx, sseed, q, max_len = args
     rng = random.Random(sseed)
     w = random_reduced_word(rng, max_len)
-    if not _t1_is_identity(w * q, _tables(q)):
+    if not _t1_is_identity(w * q, q):
         return f"sample {idx}: w^{q} != I at t=1 for word {w!r}"
     return None
 
@@ -336,7 +335,7 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
     """w^q = I in the t=1 image over S(q); exact closure sizes where finite-small."""
     t0 = time.perf_counter()
     failures = []
-    _tables(q)
+    _tables(q, at_t1=True)
     args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
     for msg in _pmap(_job_exponent, args, jobs):
         if msg:
@@ -494,7 +493,10 @@ def verify_square(q: int, samples: int = 100, max_len: int = 8, seed: int = 0,
                   jobs: int = 1) -> VerificationReport:
     """Quotient-then-specialize equals specialize-then-quotient on sampled words."""
     t0 = time.perf_counter()
-    _tables(q)  # commutative_square_check evaluates on the kernel tables too
+    # commutative_square_check evaluates on the kernel tables and the free
+    # context; build both before _pmap forks
+    _tables(q)
+    group_context("free")
     args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
     failures = [m for m in _pmap(_job_square, args, jobs) if m]
     return VerificationReport(
@@ -545,7 +547,7 @@ def verify_derived_layers(ks=(2, 3, 4), samples: int = 100, seed: int = 0,
     failures = []
     rows = []
     checks = 0
-    free_ctx = _memo("free", lambda: GroupContext("free"))
+    free_ctx = group_context("free")
 
     for k in ks:
         # the exact-matrix path is cheap at k=2 and ~15 s per element at k=3
@@ -628,7 +630,7 @@ def verify_sanov(max_len: int = 10) -> VerificationReport:
 
 def _job_normal_form(args):
     idx, sseed, max_len = args
-    ctx = _memo("metabelian", lambda: GroupContext("metabelian"))
+    ctx = group_context("metabelian")
     rng = random.Random(sseed)
     w1 = random_reduced_word(rng, max_len)
     w2 = random_reduced_word(rng, max_len)

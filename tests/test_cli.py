@@ -192,6 +192,19 @@ def test_negative_jobs_is_usage_error(tmp_path):
     assert "jobs must be >= 0, got -3" in err
 
 
+def test_negative_seed_is_usage_error(tmp_path):
+    # random.Random(-n) seeds as random.Random(n): --seed -1 would replay --seed 1
+    rc, out, err = run(["--seed", "-1", "verify", "exponent", "--q", "2"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("qs = 2\nseed = -5\n")
+    rc, out, err = run(["--config", path, "verify", "exponent"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "seed must be >= 0, got -5" in err and "Traceback" not in err
+
+
 def test_zero_jobs_means_all_cores():
     assert Config(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
     rc, out, _ = run(["--jobs", "0", "verify", "sanov"])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from burnmat import (
+    GroupContext,
     LaurentPoly,
     NonConforming,
     SContext,
@@ -28,7 +29,7 @@ from burnmat import (
     tree_word,
     word_inverse,
 )
-from burnmat.groups import balanced_commutator_word
+from burnmat.groups import balanced_commutator_word, group_context
 
 ONE = LaurentPoly.const(1)
 X = LaurentPoly.var_x()
@@ -289,6 +290,24 @@ def test_commutative_square_basics(s2, s3):
 def test_group_closure_sizes(s2, s3):
     assert group_closure(s2) == 4
     assert group_closure(s3) == 27
+
+
+def test_square_and_closure_build_no_context_per_call(s2, monkeypatch):
+    # each mode's GroupContext is built once per process, not per sample
+    assert group_context("free") is group_context("free")
+    group_context("metabelian")
+    built = []
+    init = GroupContext.__init__
+
+    def counting_init(self, mode):
+        built.append(mode)
+        init(self, mode)
+
+    monkeypatch.setattr(GroupContext, "__init__", counting_init)
+    for w in ("ab", "aBBA", "bab"):
+        assert commutative_square_check(w, s2)
+    assert group_closure(s2) == 4
+    assert built == []
 
 
 def test_group_closure_respects_max_size():

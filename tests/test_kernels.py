@@ -108,7 +108,7 @@ def test_kernel_overflow_names_the_letter():
     tables = sigma_tables(12)
     with pytest.raises(KernelOverflow) as exc:
         next(kernels._eval_numpy("ab" * 120, tables))
-    letter = int(re.search(r"at letter (\d+)$", str(exc.value)).group(1))
+    letter = int(re.search(r"^Sigma12: .* at letter (\d+)$", str(exc.value)).group(1))
     assert letter % 2 == 1
     before, after = kernels._eval_python("ab", tables, stops=(letter // 2, letter // 2 + 1))
     top = [max(abs(c) for ent in state for vec in ent.values() for c in vec)
@@ -419,3 +419,65 @@ def test_canonical_vectors_stay_below_the_trip_limit(q):
     tables = _tables(f"S{q}")
     assert tables.pivot_cols == tuple(range(1, tables.N))
     assert max(row[c] for row, c in zip(tables.rows, tables.pivot_cols)) <= tables.trip_limit
+
+
+# ---------------------------------------------------------------------------
+# the t = 1 tables against entries_at_t1 of the full tables
+
+T1_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+def _at_t1_of(word, q):
+    """entries_at_t1 of the word on the full tables, as a t = 0 QuotientMatrix.
+
+    The full tables run on the numpy lane (the python lane where it
+    overflows), which the tests above check against the exact python lane;
+    the python lane itself is too slow here for q-th powers whose t-window
+    widens with every copy.
+    """
+    tables = tables_for(_sctx(q))
+    vecs = entries_at_t1(eval_word_quotient(word, tables), tables)
+    return QuotientMatrix(q=q, D=tables.D,
+                          entries=tuple({0: v} if any(v) else {} for v in vecs))
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_t1_tables_match_full_tables_at_t1(q, lane):
+    t1 = tables_for(_sctx(q), at_t1=True)
+    assert t1.label == f"S{q}@t1" and t1.q == q
+    p = _sctx(q).params.p
+
+    @T1_SETTINGS
+    @given(word=_letters(12), power=st.sampled_from([1, q // p, q]))
+    @example(word="", power=q)
+    @example(word="bb", power=q)  # nonzero t-sum: the full window widens per copy
+    def check(word, power):
+        word *= power
+        assert eval_word_quotient(word, t1, lane=lane) == _at_t1_of(word, q)
+
+    check()
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_t1_tables_see_a_commutator_below_the_exponent(q, lane):
+    # negative control: [a,b]^(q/p) != I in S(q) at t = 1, while [a,b]^q = I
+    t1 = tables_for(_sctx(q), at_t1=True)
+    word = "abAB" * (q // _sctx(q).params.p)
+    assert not eval_is_identity(word, t1, lane=lane)
+    assert _at_t1_of(word, q) == eval_word_quotient(word, t1, lane=lane)
+    assert eval_is_identity("abAB" * q, t1, lane=lane)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_t1_tables_fall_back_on_overflow(q, monkeypatch):
+    monkeypatch.setattr(kernels, "FALLBACKS", Counter())
+    t1 = tables_for(_sctx(q), at_t1=True)
+    tripping = dataclasses.replace(t1, reduce_limit=0)
+    word = "abaB" * q
+    with pytest.raises(KernelOverflow, match=f"^S{q}@t1: "):
+        next(kernels._eval_numpy(word, tripping))
+    assert eval_word_quotient(word, tripping) == _at_t1_of(word, q)
+    assert kernels.FALLBACKS == Counter({f"S{q}@t1": 1})
