@@ -6,19 +6,22 @@ monomial is an index shift on that basis, so right-multiplying the running
 product by one generator, or by the product xy of two, is a fixed integer
 linear map on the coefficients.  Two lanes compute the same thing:
 
-  python  exact big-integer dicts, one letter at a time, reduced every
-          REDUCE_EVERY letters: the correctness oracle and overflow fallback
+  python  exact integer dicts, one letter at a time: the correctness oracle
+          and the Sigma^D overflow fallback
   numpy   int64 [2 rows, T, 2N] window, one sparse gather and segment-sum
           per two letters (an odd last letter alone), with an overflow guard
           (the default)
 
-The numpy lane raises KernelOverflow before a value could leave int64 (see
-QuotientTables.trip_limit) and the caller falls back to the python lane, so
-results are exact regardless of lane.  Each fallback is counted in FALLBACKS
-under the table label (S9, S9@t1, Sigma12).  The numpy lane reduces by the
-lattice only when its guard trips; both lanes reduce canonically before
-they hand out a result.  eval_word_quotient takes one word's value;
-least_identity_power runs a lane once over w, w, w, ... to find w's order.
+On S(q) tables every coordinate but the constant term may be taken mod q
+(q kills Sigma/I(q)Sigma), and the constant term is -1, 0 or 1.  The python
+lane takes them mod q after every letter, the numpy lane when its guard
+trips, which leaves every value below q: no S(q) run can overflow.  On
+Sigma^D tables (q = 0, truncation only) the numpy lane raises
+KernelOverflow before a value could leave int64, eval_word_quotient falls
+back to the python lane, and FALLBACKS counts it under the table label
+(Sigma12).  Both lanes reduce canonically before they hand out a result.
+eval_word_quotient takes one word's value; least_identity_power runs a lane
+once over w, w, w, ... to find w's order.
 
 tables_for(sctx, at_t1=True) gives the t = 1 tables: the S(q) tables with
 every t-shift set to 0, on which both lanes evaluate in S(q) itself, one
@@ -42,15 +45,16 @@ HAS_NUMBA = False
 
 LANES = ("python", "numpy")
 INT64_MAX = 2 ** 63 - 1
-# letters between the python lane's lattice reductions of the running product
-REDUCE_EVERY = 16
 
 # overflow fallbacks to the python lane in this process, by table label
 FALLBACKS: Counter = Counter()
 
 
 class KernelOverflow(RuntimeError):
-    """An int64 lane exceeded its safe magnitude; retry on the python lane."""
+    """A Sigma^D run on the numpy lane would leave int64; retry on the python lane.
+
+    S(q) tables never raise it: their lanes keep every value below q.
+    """
 
 
 def get_lane(lane: str | None = None) -> str:
@@ -83,8 +87,6 @@ class QuotientTables:
     growth: int
     # steps[w]: the numpy lane's sparse form of right multiplication by w
     steps: dict
-    # largest max|v| that _np_reduce takes without leaving int64
-    reduce_limit: int
     # the lattice rows as _np_reduce applies them, see _reduce_plan
     reduce_plan: tuple
     # every generator term's t-shift collapsed to 0: S(q) itself, see _at_t1
@@ -99,11 +101,6 @@ class QuotientTables:
     @property
     def guard_limit(self) -> int:
         return INT64_MAX // (2 * self.growth)
-
-    @property
-    def trip_limit(self) -> int:
-        """Largest max|v| the numpy lane carries into the next step."""
-        return min(self.guard_limit, self.reduce_limit // self.growth)
 
     def reduce_vec(self, vec: list) -> tuple:
         v = list(vec)
@@ -191,51 +188,6 @@ def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
                       span=max(dts) - dt_min, blocks=tuple(blocks))
 
 
-def _reduce_limit(rows: tuple, pivot_cols: tuple, N: int) -> int:
-    """Largest X such that _np_reduce on entries |v| <= X stays inside int64.
-
-    Row r with pivot c and p = row[c] computes k = v[c] // p and subtracts
-    k * row from v.  If |v[c]| <= B[c] then |k| <= K = ceil(B[c] / |p|), the
-    pivot product is at most K*|p|, v[c] ends in [0, |p|), and column m > c
-    (product included) stays within B[m] + K*|row[m]|.  Propagating these
-    bounds row by row in Python ints gives the peak magnitude for inputs up
-    to X; it grows with X, so the largest X whose peak fits is a threshold.
-    Running the pure rows last (see _reduce_plan) changes no value the other
-    rows see, and a remainder is never larger than its input.
-    """
-    sparse = [(c, abs(row[c]), [(m, abs(row[m])) for m in range(c + 1, N) if row[m]])
-              for row, c in zip(rows, pivot_cols)]
-
-    def peak(x: int) -> int:
-        bound = [x] * N
-        top = x
-        for c, p, tail in sparse:
-            k = -(-bound[c] // p)
-            top = max(top, k * p)
-            bound[c] = p - 1
-            for m, a in tail:
-                bound[m] += k * a
-        return max(top, max(bound))
-
-    def fits(x: int) -> bool:
-        return x <= INT64_MAX and peak(x) <= INT64_MAX
-
-    # The ceilings add a bounded amount to slope * x, so the slope read off at
-    # a huge x lands within a few units of the answer: walk up until hi does
-    # not fit, down until lo fits, with doubling steps, then bisect.
-    huge = 1 << 256
-    lo = hi = min(INT64_MAX, INT64_MAX * huge // peak(huge))
-    step = 1
-    while fits(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo == hi or not fits(lo):
-        hi, lo, step = lo, max(0, lo - step), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
-
-
 def _matrix_terms(M, D: int, map_id: dict) -> dict:
     """{(l, j): ((dt, map_id, coeff), ...)} of an exact Laurent matrix truncated to R/Sigma^D."""
     basis = monomial_list(D)
@@ -270,8 +222,7 @@ def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTab
     one[0] = 1
     t = QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms,
                        rows=rows, pivot_cols=pivot_cols, one=(), growth=growth,
-                       steps=steps, reduce_limit=_reduce_limit(rows, pivot_cols, N),
-                       reduce_plan=_reduce_plan(rows, pivot_cols))
+                       steps=steps, reduce_plan=_reduce_plan(rows, pivot_cols))
     object.__setattr__(t, "one", t.reduce_vec(one))
     return t
 
@@ -361,26 +312,24 @@ def entries_at_t1(res: QuotientMatrix, tables: QuotientTables) -> list:
 
 
 # ---------------------------------------------------------------------------
-# python lane: dict t -> bigint list, exact
+# python lane: dict t -> int list, exact
 #
 # Both lanes are generators over word, word, word, ...: after the copies
 # listed in stops (increasing, 1 by default) they reduce the running product
-# canonically and yield its entries, then carry on from the reduced state,
-# which is what reduce_every (python) and the guard (numpy) already rely on.
+# canonically and yield its entries, then carry on from the reduced state.
+#
+# On S(q) tables q times every coordinate m >= 1 lies in the lattice (tested
+# per q), so taking those coordinates mod q keeps each vector's lattice coset.
+# Column 0 has no pivot and stays exact: it is the coefficient of the word's
+# image at x = y = 1, [[t^n, 0], [1 - t^n, 1]] for b-exponent sum n, so it is
+# -1, 0 or 1.  After the mod q step every S(q) value is below q in magnitude.
 
-def _eval_python(word: str, tables: QuotientTables, reduce_every: int = REDUCE_EVERY,
-                 stops=(1,)):
+def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
+    q = tables.q
     one = [0] * N
     one[0] = 1
     cur = [{0: one[:]}, {}, {}, {0: one[:]}]
-    do_reduce = bool(tables.rows)
-
-    def reduced(ent):
-        # zero vectors are dropped, so a long run does not carry dead t-slices
-        return {t: r for t, v in ent.items() if any(r := tables.reduce_vec(v))}
-
-    pos = 0
     for copy in range(1, stops[-1] + 1):
         for ch in word:
             terms = tables.gen_terms[ch]
@@ -403,13 +352,15 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int = REDUCE_E
                                     v = vec[s]
                                     if v:
                                         row[d] += c * v
+            if q:
+                # zero vectors are dropped, so a long run does not carry dead t-slices
+                new = [{t: r for t, v in ent.items() if any(r := v[:1] + [x % q for x in v[1:]])}
+                       for ent in new]
             cur = new
-            pos += 1
-            if do_reduce and reduce_every and pos % reduce_every == 0:
-                cur = [reduced(ent) for ent in cur]
         if copy in stops:
-            if do_reduce:
-                cur = [reduced(ent) for ent in cur]
+            if q:
+                cur = [{t: r for t, v in ent.items() if any(r := tables.reduce_vec(v))}
+                       for ent in cur]
             yield cur
 
 
@@ -421,15 +372,12 @@ def _eval_python(word: str, tables: QuotientTables, reduce_every: int = REDUCE_E
 # (dt, map, c) of the step's column, because each shift map is injective, so
 # every pair product and every partial sum (in reduceat or in the block adds)
 # is at most growth * max|v|, growth being the largest column L1 over all
-# steps.  A step starts from max|v| <= trip_limit <= guard_limit, so nothing
-# exceeds 2^62 before the guard looks, and the result is at most
-# growth * trip_limit <= reduce_limit, the largest input _reduce_limit proves
-# _np_reduce safe on.  The lane reduces only then, when the guard trips, and
-# at a stop.  The guard leaves max|v| <= trip_limit after every step, so one
-# _np_reduce of the window at a stop returns canonical vectors.  Those are no
-# larger: column 0 (the constant term) has no pivot and is left alone, and
-# every other column ends in [0, pivot), so a run may go on from them
-# (tested per q).
+# steps.  A step starts from max|v| <= guard_limit, so nothing exceeds 2^62
+# before the guard looks.  When the guard trips, Sigma^D tables raise
+# KernelOverflow; S(q) tables reduce the window, which takes every value
+# below q (see the python lane) and so far below the guard.  At a stop the
+# lane reduces the window the same way and hands out canonical vectors; a
+# run goes on from them.
 #
 # The window is re-based to row 0 on every step, so T only has to hold the
 # live window: it starts at one copy's 1 + sum of spans and doubles on demand.
@@ -451,8 +399,7 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     cur[0][1, 0, 1, 0] = 1
     lo = hi = 0  # live rows of cur
     t0 = 0       # t-exponent of row 0 of cur
-    limit = tables.trip_limit
-    plan = tables.reduce_plan if tables.rows else None
+    limit = tables.guard_limit
     for copy in range(1, stops[-1] + 1):
         for k, step in enumerate(chunks):
             w = hi - lo + 1
@@ -462,7 +409,6 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                 grown, nxt = _buffers(T, N)
                 grown[0][:, :w] = cur[0][:, lo:hi + 1]
                 cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
-            out4 = nxt[0][:, :nw]
             out = nxt[1][:, :nw]
             out.fill(0)
             g = np.take(cur[1][:, lo:hi + 1], step.src, axis=2)
@@ -472,17 +418,14 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                 out[:, off:off + w, cols] += seg[:, :, a:b]
             t0 += lo + step.dt_min
             mags = np.abs(out).max(axis=(0, 2)).tolist()
-            top = max(mags)
-            if top > limit:
-                if plan is not None and top <= tables.reduce_limit:
-                    _np_reduce(out4, plan)
-                    mags = np.abs(out).max(axis=(0, 2)).tolist()
-                    top = max(mags)
-                if top > limit:
+            if max(mags) > limit:
+                if not tables.q:
                     # name the step's last letter, counted over all copies
                     letter = (copy - 1) * len(word) + min(2 * k + 2, len(word)) - 1
                     raise KernelOverflow(f"{tables.label}: coefficients exceeded "
                                          f"int64 guard at letter {letter}")
+                _np_reduce(nxt[0][:, :nw], tables)
+                mags = np.abs(out).max(axis=(0, 2)).tolist()
             # trim t-slices that are zero in all four entries
             lo, hi = 0, nw - 1
             while lo < hi and not mags[lo]:
@@ -491,8 +434,8 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                 hi -= 1
             cur, nxt = nxt, cur
         if copy in stops:
-            if plan is not None:
-                _np_reduce(cur[0][:, lo:hi + 1], plan)
+            if tables.q:
+                _np_reduce(cur[0][:, lo:hi + 1], tables)
             out = [{}, {}, {}, {}]
             for i in range(2):
                 for r in range(lo, hi + 1):
@@ -521,9 +464,14 @@ def _reduce_plan(rows: tuple, pivot_cols: tuple) -> tuple:
     return tuple(mixed), np.array(cols, dtype=np.int64), np.array(mods, dtype=np.int64)
 
 
-def _np_reduce(arr: np.ndarray, plan: tuple):
-    """In-place canonical reduction of every coefficient vector (last axis)."""
-    mixed, cols, mods = plan
+def _np_reduce(arr: np.ndarray, tables: QuotientTables):
+    """In-place canonical reduction of every S(q) coefficient vector (last axis).
+
+    Coordinates >= 1 go mod q first, so the HNF pass starts below q and
+    stays far inside int64 (bounded per q in the tests).
+    """
+    arr[..., 1:] %= tables.q
+    mixed, cols, mods = tables.reduce_plan
     for c, p, tail in mixed:
         k = arr[..., c] // p
         if k.any():
@@ -537,7 +485,7 @@ def _np_reduce(arr: np.ndarray, plan: tuple):
 
 def eval_word_quotient(word: str, tables: QuotientTables,
                        lane: str | None = None) -> QuotientMatrix:
-    """Evaluate a word left to right; falls back to the python lane on overflow."""
+    """Evaluate a word left to right; Sigma^D tables fall back to the python lane on overflow."""
     if get_lane(lane) == "numpy":
         try:
             return _normalize(next(_eval_numpy(word, tables)), tables)
@@ -565,12 +513,8 @@ def least_identity_power(word: str, tables: QuotientTables, cap: int,
     stops = [p ** j for j in range(cap.bit_length()) if p ** j <= cap]
     if not stops:
         return None
-    if get_lane(lane) == "numpy":
-        try:
-            return _first_identity(_eval_numpy(word, tables, stops), stops, tables)
-        except KernelOverflow:
-            FALLBACKS[tables.label] += 1
-    return _first_identity(_eval_python(word, tables, stops=stops), stops, tables)
+    run = _eval_numpy if get_lane(lane) == "numpy" else _eval_python
+    return _first_identity(run(word, tables, stops), stops, tables)
 
 
 def _first_identity(states, stops, tables: QuotientTables) -> int | None:

@@ -123,10 +123,12 @@ def test_structured_reports_are_byte_identical():
 
 
 def test_structured_reports_ignore_worker_count():
-    base = ["--samples", "4", "--output", "structured"]
-    _, out1, _ = run(base + ["--jobs", "1", "verify", "square", "--q", "2"])
-    _, out2, _ = run(base + ["--jobs", "2", "verify", "square", "--q", "2"])
-    assert out1 == out2
+    # orders runs the order scan in forked workers at --jobs 2
+    base = ["--samples", "4", "--infinite-samples", "2", "--output", "structured"]
+    for suite, q in (("square", "2"), ("orders", "4")):
+        _, out1, _ = run(base + ["--jobs", "1", "verify", suite, "--q", q])
+        _, out2, _ = run(base + ["--jobs", "2", "verify", suite, "--q", q])
+        assert out1 == out2 and json.loads(out1)["suite"] == suite
 
 
 def test_report_solvability_table():

@@ -99,6 +99,11 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
     via_numpy = eval_word_quotient(word, tables, lane="numpy")
     via_python = eval_word_quotient(word, tables, lane="python")
     assert via_numpy == via_python
+    # S(q) values stay below q: the same word runs on the numpy lane
+    for q in SCAN_QS:
+        eval_word_quotient(word, tables_for(_sctx(q)))
+        t1 = tables_for(_sctx(q), at_t1=True)
+        assert eval_word_quotient(word, t1) == eval_word_quotient(word, t1, lane="python")
     assert kernels.FALLBACKS == Counter({"Sigma12": 1})
 
 
@@ -113,26 +118,13 @@ def test_kernel_overflow_names_the_letter():
     before, after = kernels._eval_python("ab", tables, stops=(letter // 2, letter // 2 + 1))
     top = [max(abs(c) for ent in state for vec in ent.values() for c in vec)
            for state in (before, after)]
-    assert top[0] <= tables.trip_limit < top[1]
-
-
-def test_reduce_interval_does_not_change_results(s2):
-    # only the python lane has a cadence; the numpy lane reduces when its guard trips
-    tables = tables_for(s2)
-    rng = random.Random(97)
-    for _ in range(6):
-        w = random_reduced_word(rng, 12)
-        baseline = eval_word_quotient(w, tables, lane="numpy")
-        for step in (0, 1, 3, 16, 64):
-            got = next(kernels._eval_python(w, tables, step))
-            assert kernels._normalize(got, tables) == baseline
+    assert top[0] <= tables.guard_limit < top[1]
 
 
 # ---------------------------------------------------------------------------
 # property-based differential tests: numpy lane against the exact python lane
 
 TABLE_LABELS = ["S2", "S3", "S4", "S5", "S7", "S8", "S9", "Sigma2", "Sigma4", "Sigma8"]
-REDUCE_EVERY = st.sampled_from([0, 1, 3, 16, 64])
 LANE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
@@ -157,7 +149,7 @@ def _zero_sum_words(draw):
 
 
 @st.composite
-def _powers(draw):
+def _repeated_words(draw):
     return draw(_letters(6)) * draw(st.integers(2, 10))
 
 
@@ -171,7 +163,7 @@ def _cancelling_words(draw):
 WORD_KINDS = {
     "random": _letters(32),
     "zero_sum": _zero_sum_words(),
-    "power": _powers(),
+    "power": _repeated_words(),
     "cancelling": _cancelling_words(),
 }
 
@@ -182,9 +174,9 @@ def test_numpy_lane_matches_python_lane(label, kind):
     tables = _tables(label)
 
     @LANE_SETTINGS
-    @given(word=WORD_KINDS[kind], reduce_every=REDUCE_EVERY)
-    def check(word, reduce_every):
-        exact = next(kernels._eval_python(word, tables, reduce_every))
+    @given(word=WORD_KINDS[kind])
+    def check(word):
+        exact = next(kernels._eval_python(word, tables))
         try:
             got = next(kernels._eval_numpy(word, tables))
         except KernelOverflow:
@@ -207,72 +199,6 @@ def test_every_step_matches_python_lane(label):
             exact = next(kernels._eval_python(word, tables))
             got = next(kernels._eval_numpy(word, tables))
             assert kernels._normalize(got, tables) == kernels._normalize(exact, tables), word
-
-
-@pytest.mark.parametrize("label", ["S4", "S8", "S9"])
-def test_guard_reduction_matches_python_lane(label, monkeypatch):
-    # A trip limit of 64 (above every pivot) makes the guard reduce whenever
-    # a coefficient passes 64 instead of only past 2^47..2^59, exercising
-    # that path on short words.
-    tables = _tables(label)
-    tight = dataclasses.replace(tables, reduce_limit=tables.growth * 64)
-    calls = Counter()
-    real_reduce = kernels._np_reduce
-
-    def counting_reduce(arr, plan):
-        calls["reduce"] += 1
-        real_reduce(arr, plan)
-
-    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
-
-    @LANE_SETTINGS
-    @given(word=_letters(48, min_size=24))
-    def check(word):
-        calls["words"] += 1
-        expected = kernels._normalize(next(kernels._eval_python(word, tables, 0)), tables)
-        assert kernels._normalize(next(kernels._eval_numpy(word, tight)), tables) == expected
-
-    check()
-    # one reduction per word is the lane's final one; the rest are the guard's
-    assert calls["reduce"] > calls["words"]
-
-
-def _replay_reduction(vec, tables):
-    """reduce_vec in Python ints, also returning the largest magnitude it met."""
-    v = list(vec)
-    peak = max(map(abs, v))
-    for row, c in zip(tables.rows, tables.pivot_cols):
-        k = v[c] // row[c]
-        for m in range(c, tables.N):
-            peak = max(peak, abs(k * row[m]))
-            v[m] -= k * row[m]
-            peak = max(peak, abs(v[m]))
-    return tuple(v), peak
-
-
-@pytest.mark.parametrize("q", [4, 8, 9])
-def test_np_reduce_stays_in_int64_up_to_reduce_limit(q):
-    tables = _tables(f"S{q}")
-    limit = tables.reduce_limit
-    assert limit < kernels.INT64_MAX
-    rng = random.Random(q)
-    vecs = [[rng.choice((-limit, limit)) for _ in range(tables.N)] for _ in range(40)]
-    vecs += [[rng.randint(-limit, limit) for _ in range(tables.N)] for _ in range(40)]
-    arr = np.array(vecs, dtype=np.int64)
-    kernels._np_reduce(arr, tables.reduce_plan)
-    for vec, got in zip(vecs, arr.tolist()):
-        expected, peak = _replay_reduction(vec, tables)
-        assert peak <= kernels.INT64_MAX
-        assert tuple(got) == expected == tables.reduce_vec(vec)
-
-
-def test_trip_limit_is_below_guard_where_reduction_grows_values():
-    for label in ("S8", "S9"):
-        tables = _tables(label)
-        assert tables.trip_limit == tables.reduce_limit // tables.growth < tables.guard_limit
-    for label in ("S2", "Sigma8"):
-        tables = _tables(label)
-        assert tables.trip_limit == tables.guard_limit
 
 
 # ---------------------------------------------------------------------------
@@ -331,47 +257,6 @@ def test_least_identity_power_matches_flat_powers(q, lane):
     check()
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
-def test_least_identity_power_through_guard_reductions(q, monkeypatch):
-    # Trip limit 64 as in test_guard_reduction_matches_python_lane: every
-    # reduction is a tested copy's or the guard's.
-    tables = _tables(f"S{q}")
-    tight = dataclasses.replace(tables, reduce_limit=tables.growth * 64)
-    p, cap = _scan_cap(q)
-    calls = Counter()
-    real_reduce = kernels._np_reduce
-
-    def counting_reduce(arr, plan):
-        calls["reduce"] += 1
-        real_reduce(arr, plan)
-
-    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
-
-    @SCAN_SETTINGS
-    @given(word=_zero_sum_words())
-    def check(word):
-        expected = _least_power_by_flat_words(word, tables, p, cap)
-        before = calls["reduce"]
-        assert kernels.least_identity_power(word, tight, cap, lane="numpy") == expected
-        calls["guard"] += calls["reduce"] - before - len(_powers(p, expected or cap))
-
-    check()
-    assert calls["guard"] > 0
-
-
-@pytest.mark.parametrize("q", [4, 9])
-def test_least_identity_power_falls_back_on_overflow(q, monkeypatch):
-    monkeypatch.setattr(kernels, "FALLBACKS", Counter())
-    tables = _tables(f"S{q}")
-    tripping = dataclasses.replace(tables, reduce_limit=0)
-    p, cap = _scan_cap(q)
-    word = "abaB"
-    expected = _least_power_by_flat_words(word, tables, p, cap)
-    assert expected is not None
-    assert kernels.least_identity_power(word, tripping, cap) == expected
-    assert kernels.FALLBACKS == Counter({f"S{q}": 1})
-
-
 def test_least_identity_power_needs_a_lattice():
     with pytest.raises(ValueError):
         kernels.least_identity_power("ab", sigma_tables(4), 8)
@@ -406,19 +291,11 @@ def test_lanes_match_exact_laurent_path(q, lane):
 
     @SCAN_SETTINGS
     @given(word=_letters(10))
+    @example(word="b")  # -1 in column 0, which mod 2 would turn into 1
     def check(word):
         assert eval_word_quotient(word, tables, lane=lane) == _exact_quotient(word, q)
 
     check()
-
-
-@pytest.mark.parametrize("q", SCAN_QS)
-def test_canonical_vectors_stay_below_the_trip_limit(q):
-    # the numpy lane goes on from a canonically reduced window; that needs
-    # every column but the constant term reduced below its pivot
-    tables = _tables(f"S{q}")
-    assert tables.pivot_cols == tuple(range(1, tables.N))
-    assert max(row[c] for row, c in zip(tables.rows, tables.pivot_cols)) <= tables.trip_limit
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +308,8 @@ T1_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, databas
 def _at_t1_of(word, q):
     """entries_at_t1 of the word on the full tables, as a t = 0 QuotientMatrix.
 
-    The full tables run on the numpy lane (the python lane where it
-    overflows), which the tests above check against the exact python lane;
+    The full tables run on the numpy lane, which the tests above check
+    against the exact python lane;
     the python lane itself is too slow here for q-th powers whose t-window
     widens with every copy.
     """
@@ -471,13 +348,121 @@ def test_t1_tables_see_a_commutator_below_the_exponent(q, lane):
     assert eval_is_identity("abAB" * q, t1, lane=lane)
 
 
-@pytest.mark.parametrize("q", [4, 9])
-def test_t1_tables_fall_back_on_overflow(q, monkeypatch):
+# ---------------------------------------------------------------------------
+# S(q) lanes take every coordinate but the constant term mod q
+
+MOD_Q_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+
+@pytest.mark.parametrize("q", MOD_Q_QS)
+def test_q_kills_every_coordinate_but_the_constant(q):
+    # what the mod q step rests on: column 0 has no pivot, every other column
+    # has one, and q times each unit vector but the first lies in the lattice,
+    # so taking coordinates >= 1 mod q keeps a vector's lattice coset
+    tables = _tables(f"S{q}")
+    assert tables.pivot_cols == tuple(range(1, tables.N))
+    for m in range(1, tables.N):
+        vec = [0] * tables.N
+        vec[m] = q
+        assert tables.reduce_vec(vec) == (0,) * tables.N
+
+
+def _reduction_peak(tables, x):
+    """Largest magnitude the HNF pass of _np_reduce can meet on vectors whose
+    column 0 is -1, 0 or 1 and whose other columns lie in [-x, x].
+
+    Row r with pivot c and p = row[c] computes k = v[c] // p and subtracts
+    k * row from v.  If |v[c]| <= B[c] then |k| <= K = ceil(B[c] / |p|), the
+    pivot product is at most K*|p|, v[c] ends in [0, |p|), and column m > c
+    (product included) stays within B[m] + K*|row[m]|.  Propagating these
+    bounds row by row gives the peak.  Running the pure rows last (see
+    _reduce_plan) changes no value the other rows see, and a remainder is
+    never larger than its input.
+    """
+    bound = [1] + [x] * (tables.N - 1)
+    top = x
+    for row, c in zip(tables.rows, tables.pivot_cols):
+        p = abs(row[c])
+        k = -(-bound[c] // p)
+        top = max(top, k * p)
+        bound[c] = p - 1
+        for m in range(c + 1, tables.N):
+            bound[m] += k * abs(row[m])
+    return max(top, max(bound))
+
+
+@pytest.mark.parametrize("q", MOD_Q_QS)
+def test_np_reduce_below_q_stays_inside_int64(q):
+    tables = _tables(f"S{q}")
+    # 216 at q = 9, the largest of these
+    assert _reduction_peak(tables, q - 1) <= 216 < 2 ** 62
+    rng = random.Random(q)
+    big = kernels.INT64_MAX
+    vecs = [[rng.choice((-1, 0, 1))] + [rng.randrange(q) for _ in range(tables.N - 1)]
+            for _ in range(40)]
+    # the mod q step takes any int64, so values up to the guard reduce too
+    vecs += [[rng.choice((-1, 0, 1))] + [rng.randint(-big, big) for _ in range(tables.N - 1)]
+             for _ in range(40)]
+    arr = np.array(vecs, dtype=np.int64)
+    kernels._np_reduce(arr, tables)
+    assert [tuple(v) for v in arr.tolist()] == [tables.reduce_vec(v) for v in vecs]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(word=_letters(24))
+def test_constant_terms_are_the_word_at_x_y_1(word):
+    # column 0 has no pivot, so the lanes keep it exact: the word at x = y = 1
+    # is [[t^n, 0], [1 - t^n, 1]], n its b-exponent sum, so it is -1, 0 or 1
+    n = word.count("b") - word.count("B")
+    expected = [{n: 1}, {}, {0: 1, n: -1} if n else {}, {0: 1}]
+    for lane in LANES:
+        res = eval_word_quotient(word, _tables("S9"), lane=lane)
+        assert [{t: v[0] for t, v in ent.items() if v[0]} for ent in res.entries] == expected
+
+
+TRIP_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+# the shortest power of a whose exact coefficients pass 128 at q = 4, 8, 9;
+# even, so it ends on a step of the numpy lane
+TRIP_PREFIX = "a" * 10
+
+
+@pytest.mark.parametrize("at_t1", [False, True])
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_forced_guard_trips_match_python_lane(q, at_t1, monkeypatch):
+    tables = tables_for(_sctx(q), at_t1=at_t1)
+    # growth read as INT64_MAX // 256 puts the guard at 128, above every value
+    # a reduced window holds, so the guard trips on short words
+    forced = dataclasses.replace(tables, growth=kernels.INT64_MAX // 256)
+    assert forced.guard_limit == 128
+    # the prefix has no t: its unreduced value is the same in both tables
+    exact = next(kernels._eval_python(TRIP_PREFIX, sigma_tables(tables.D)))
+    assert max(abs(c) for ent in exact for vec in ent.values() for c in vec) > 128
+    p, cap = _scan_cap(q)
     monkeypatch.setattr(kernels, "FALLBACKS", Counter())
-    t1 = tables_for(_sctx(q), at_t1=True)
-    tripping = dataclasses.replace(t1, reduce_limit=0)
-    word = "abaB" * q
-    with pytest.raises(KernelOverflow, match=f"^S{q}@t1: "):
-        next(kernels._eval_numpy(word, tripping))
-    assert eval_word_quotient(word, tripping) == _at_t1_of(word, q)
-    assert kernels.FALLBACKS == Counter({f"S{q}@t1": 1})
+    calls = Counter()
+    real_reduce = kernels._np_reduce
+
+    def counting_reduce(arr, tabs):
+        calls["reduce"] += 1
+        real_reduce(arr, tabs)
+
+    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+
+    @TRIP_SETTINGS
+    @given(tail=_scan_words())
+    @example(tail="")
+    @example(tail="abaB")
+    def check(tail):
+        word = TRIP_PREFIX + tail
+        before = calls["reduce"]
+        got = eval_word_quotient(word, forced, lane="numpy")
+        # the guard's reductions, then the result's
+        assert calls["reduce"] - before >= 2
+        assert got == eval_word_quotient(word, tables, lane="python")
+        top = cap if tail.count("b") == tail.count("B") else q
+        assert (kernels.least_identity_power(word, forced, top, lane="numpy")
+                == kernels.least_identity_power(word, tables, top, lane="python"))
+
+    check()
+    assert not kernels.FALLBACKS
