@@ -201,6 +201,40 @@ def test_every_step_matches_python_lane(label):
             assert kernels._normalize(got, tables) == kernels._normalize(exact, tables), word
 
 
+def _forced_guard(tables):
+    """The tables with growth read as INT64_MAX // 256, which puts the guard
+    at 128: above every value a reduced window holds (all below q), so the
+    guard trips and reduces on short words instead of only past 2^47..2^59."""
+    forced = dataclasses.replace(tables, growth=kernels.INT64_MAX // 256)
+    assert forced.guard_limit == 128
+    return forced
+
+
+@pytest.mark.parametrize("label", ["S4", "S8", "S9"])
+def test_guard_reduction_matches_python_lane(label, monkeypatch):
+    tables = _tables(label)
+    forced = _forced_guard(tables)
+    calls = Counter()
+    real_reduce = kernels._np_reduce
+
+    def counting_reduce(arr, tabs):
+        calls["reduce"] += 1
+        real_reduce(arr, tabs)
+
+    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+
+    @LANE_SETTINGS
+    @given(word=_letters(48, min_size=24))
+    def check(word):
+        calls["words"] += 1
+        expected = kernels._normalize(next(kernels._eval_python(word, tables)), tables)
+        assert kernels._normalize(next(kernels._eval_numpy(word, forced)), tables) == expected
+
+    check()
+    # one reduction per word is the lane's final one; the rest are the guard's
+    assert calls["reduce"] > calls["words"]
+
+
 # ---------------------------------------------------------------------------
 # the order scan against flat evaluation of word * p^j
 
@@ -255,6 +289,34 @@ def test_least_identity_power_matches_flat_powers(q, lane):
         assert kernels.least_identity_power(word, tables, top, lane=lane) == expected
 
     check()
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_least_identity_power_through_guard_reductions(q, monkeypatch):
+    # the guard at 128 as in test_guard_reduction_matches_python_lane: every
+    # reduction is a tested copy's or the guard's
+    tables = _tables(f"S{q}")
+    forced = _forced_guard(tables)
+    p, cap = _scan_cap(q)
+    calls = Counter()
+    real_reduce = kernels._np_reduce
+
+    def counting_reduce(arr, tabs):
+        calls["reduce"] += 1
+        real_reduce(arr, tabs)
+
+    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+
+    @SCAN_SETTINGS
+    @given(word=_zero_sum_words())
+    def check(word):
+        expected = _least_power_by_flat_words(word, tables, p, cap)
+        before = calls["reduce"]
+        assert kernels.least_identity_power(word, forced, cap, lane="numpy") == expected
+        calls["guard"] += calls["reduce"] - before - len(_powers(p, expected or cap))
+
+    check()
+    assert calls["guard"] > 0
 
 
 def test_least_identity_power_needs_a_lattice():
@@ -431,10 +493,7 @@ TRIP_PREFIX = "a" * 10
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_forced_guard_trips_match_python_lane(q, at_t1, monkeypatch):
     tables = tables_for(_sctx(q), at_t1=at_t1)
-    # growth read as INT64_MAX // 256 puts the guard at 128, above every value
-    # a reduced window holds, so the guard trips on short words
-    forced = dataclasses.replace(tables, growth=kernels.INT64_MAX // 256)
-    assert forced.guard_limit == 128
+    forced = _forced_guard(tables)
     # the prefix has no t: its unreduced value is the same in both tables
     exact = next(kernels._eval_python(TRIP_PREFIX, sigma_tables(tables.D)))
     assert max(abs(c) for ent in exact for vec in ent.values() for c in vec) > 128
