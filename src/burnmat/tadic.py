@@ -95,7 +95,7 @@ def vanishes_mod_sigma(g: Matrix2, d: int) -> bool:
 def check_derived_layer(g: Matrix2, k: int) -> bool:
     """Layer-k bound, d = 2^(k-2): valuation >= d and coefficients in Sigma^(2d)."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ValueError(f"k must be >= 2, got {k}")
     d = 2 ** (k - 2)
     return t1_valuation(g) >= d and vanishes_mod_sigma(g, 2 * d)
 
@@ -179,11 +179,6 @@ def _sums(left: list, right: list, sums, m: int) -> list:
                             _p2mul_into(acc[i + j], ai, b[j])
         out.append(acc)
     return out
-
-
-def _series_mul(a: list, b: list, m: int) -> list:
-    """a * b in R[s]/(s^m)."""
-    return _sums([a], [b], (((0, 0),),), m)[0]
 
 
 # Kronecker substitution.  A slot polynomial becomes one integer, its value
@@ -279,8 +274,12 @@ class SeriesMatrix:
         self.m = m
         self.e = e
 
-    def mul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(self.m, _sums(self.e, other.e, _MATRIX_SUMS, self.m))
+    def mul(self, other: "SeriesMatrix", live: int | None = None) -> "SeriesMatrix":
+        """self * other; with live, only the slots below live are computed."""
+        m = self.m
+        live = m if live is None else live
+        return SeriesMatrix(m, [ent + [dict() for _ in range(m - live)]
+                                for ent in _sums(self.e, other.e, _MATRIX_SUMS, live)])
 
     def sub_identity_valuation(self) -> int:
         """First s-slot where self differs from I, or m if none (image is I)."""
@@ -362,26 +361,37 @@ def _word_det(w: str) -> tuple[int, int]:
     return w.count("a") - w.count("A"), w.count("b") - w.count("B")
 
 
-def _combine(m: int, terms, ident: int = 0) -> SeriesMatrix:
-    """ident * I + sum of sign * X over (sign, X) in terms, in new dicts."""
-    e = []
-    for idx in range(4):
-        slots = []
-        for sl in range(m):
-            acc = {}
-            for sign, X in terms:
-                src = X.e[idx][sl]
-                if sign < 0:
-                    src = {k: -c for k, c in src.items()}
-                if acc:
-                    _p2addto(acc, src)
-                else:
-                    acc = dict(src) if sign > 0 else src
-            if ident and sl == 0 and idx in (0, 3):
-                _p2addto(acc, {_KONE: ident})
-            slots.append(acc)
-        e.append(slots)
-    return SeriesMatrix(m, e)
+def _slot_sum(terms, m: int, live: int | None = None) -> list:
+    """Sum of sign * X over (sign, X) in terms, X slot lists, in new dicts;
+    with live, the slots from live on are left empty."""
+    out = [dict() for _ in range(m)]
+    for sl in range(m if live is None else live):
+        acc = {}
+        for sign, X in terms:
+            src = X[sl]
+            if sign < 0:
+                src = {k: -c for k, c in src.items()}
+            if acc:
+                _p2addto(acc, src)
+            else:
+                acc = dict(src) if sign > 0 else src
+        out[sl] = acc
+    return out
+
+
+def _matrix_sum(terms, m: int, live: int | None = None) -> SeriesMatrix:
+    """Sum of sign * X over (sign, X) in terms, X series matrices."""
+    return SeriesMatrix(m, [_slot_sum([(sign, X.e[idx]) for sign, X in terms], m, live)
+                            for idx in range(4)])
+
+
+def _plus_identity(X: SeriesMatrix, c: int) -> SeriesMatrix:
+    """X + c * I; the slots it does not change are shared with X."""
+    e = [list(ent) for ent in X.e]
+    for idx in (0, 3):
+        e[idx][0] = dict(X.e[idx][0])
+        _p2addto(e[idx][0], {_KONE: c})
+    return SeriesMatrix(X.m, e)
 
 
 def _valuation(delta: SeriesMatrix) -> int:
@@ -392,82 +402,101 @@ def _valuation(delta: SeriesMatrix) -> int:
     return delta.m
 
 
-def _inverse(V: SeriesMatrix, det: tuple[int, int]) -> SeriesMatrix:
-    """V^-1 = adj(V) / det V, where det V = x^e1 (yt)^e2 and t^-e2 = (1+s)^-e2."""
-    m = V.m
-    p, q, r, u = V.e
-    adj = [u, [{k: -c for k, c in sl.items()} for sl in q],
-           [{k: -c for k, c in sl.items()} for sl in r], p]
+# AB - BA from entries, for 2x2 A and B over a commutative ring:
+#   D11 = a12 b21 - b12 a21,  D22 = -D11,
+#   D12 = a12 (b22 - b11) - b12 (a22 - a11),
+#   D21 = b21 (a22 - a11) - a21 (b22 - b11).
+# The operands are [a12, -b12, b21, -a21] and [b21, a21, b22 - b11, a22 - a11].
+_BRACKET_SUMS = (((0, 0), (1, 1)), ((0, 2), (1, 3)), ((2, 3), (3, 2)))
+
+
+def _bracket(A: SeriesMatrix, B: SeriesMatrix) -> SeriesMatrix:
+    """AB - BA in six entry products instead of the sixteen of AB and BA."""
+    m = A.m
+    a11, a12, a21, a22 = A.e
+    b11, b12, b21, b22 = B.e
+    left = [a12, _slot_sum(((-1, b12),), m), b21, _slot_sum(((-1, a21),), m)]
+    right = [b21, a21, _slot_sum(((1, b22), (-1, b11)), m),
+             _slot_sum(((1, a22), (-1, a11)), m)]
+    d11, d12, d21 = _sums(left, right, _BRACKET_SUMS, m)
+    return SeriesMatrix(m, [d11, d12, d21, _slot_sum(((-1, d11),), m)])
+
+
+_ENTRY_TIMES_SCALAR = tuple(((idx, 0),) for idx in range(4))
+
+
+def _over_det(X: SeriesMatrix, det: tuple[int, int]) -> SeriesMatrix:
+    """X / det for det = x^e1 (yt)^e2: times x^-e1 y^-e2 and t^-e2 = (1+s)^-e2."""
     if det == (0, 0):
-        return SeriesMatrix(m, adj)
-    e1, e2 = det
-    key = _pack(-e1, -e2)
-    scalar = [{key: w} if w else {} for w in _t_power(-e2, m)]
-    return SeriesMatrix(m, [_series_mul(ent, scalar, m) for ent in adj])
+        return X
+    key = _pack(-det[0], -det[1])
+    scalar = [{key: w} if w else {} for w in _t_power(-det[1], X.m)]
+    return SeriesMatrix(X.m, _sums(X.e, [scalar], _ENTRY_TIMES_SCALAR, X.m))
 
 
 class _Node:
-    """Tree node: the valuation of value - I and det up front, the value on demand.
+    """Tree node g: the valuation of g - I and det g up front, the delta g - I
+    on demand.
 
-    det is (e1, e2) with det value = x^e1 (yt)^e2.  A commutator keeps what
-    its value needs in _parts until a parent asks; a sample's root never does.
+    det is (e1, e2) with det g = x^e1 (yt)^e2, and (0, 0) for a commutator.
+    A commutator keeps its children's deltas and its bracket in _parts until
+    a parent asks for its delta; a sample's root never does.
     """
 
-    __slots__ = ("valuation", "det", "_value", "_parts")
+    __slots__ = ("valuation", "det", "_delta", "_parts")
 
-    def __init__(self, valuation: int, det: tuple[int, int], value=None, parts=None):
+    def __init__(self, valuation: int, det: tuple[int, int], delta=None, parts=None):
         self.valuation = valuation
         self.det = det
-        self._value = value
+        self._delta = delta
         self._parts = parts
 
     @property
-    def value(self) -> SeriesMatrix:
-        if self._value is None:
-            self._value = _commutator_value(*self._parts)
+    def delta(self) -> SeriesMatrix:
+        if self._delta is None:
+            self._delta = _commutator_delta(*self._parts)
             self._parts = None
-        return self._value
+        return self._delta
 
 
 def _leaf(w: str, ctx: SeriesContext) -> _Node:
-    V = ctx.eval_word(w)
-    return _Node(V.sub_identity_valuation(), _word_det(w), value=V)
+    delta = _plus_identity(ctx.eval_word(w), -1)
+    return _Node(_valuation(delta), _word_det(w), delta=delta)
 
 
-def _commutator(L: _Node, R: _Node, m: int) -> _Node:
+def _commutator(L: _Node, R: _Node) -> _Node:
     """[L, R] - I = (LR - RL)(RL)^-1 and RL is a unit, so [L, R] has the
-    valuation of LR - RL = AB - BA, for the deltas A = L - I and B = R - I."""
-    A = _combine(m, ((1, L.value),), ident=-1)
-    B = _combine(m, ((1, R.value),), ident=-1)
-    AB = A.mul(B)
-    D = _combine(m, ((1, AB), (-1, B.mul(A))))
-    collapses = 3 * min(L.valuation, R.valuation) >= m
+    valuation of D = LR - RL = AB - BA, for the deltas A = L - I and B = R - I.
+    The node computes D by _bracket; its delta waits for a parent."""
+    A, B = L.delta, R.delta
+    D = _bracket(A, B)
     det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
-    return _Node(_valuation(D), (0, 0), parts=(A, B, AB, D, det, collapses))
+    return _Node(_valuation(D), (0, 0), parts=(A, B, D, det))
 
 
-def _commutator_value(A, B, AB, D, det, collapses: bool) -> SeriesMatrix:
-    """[L, R] = LR (RL)^-1 with LR = I + A + B + AB and RL = LR - (AB - BA).
+def _commutator_delta(A, B, D, det) -> SeriesMatrix:
+    """[L, R] - I = LR D / det(LR), with LR D = D + (A + B + AB) D.
 
-    When 3 * min(val A, val B) >= m, every term with three or more delta
-    factors dies mod s^m and [L, R] collapses to I + (AB - BA).
+    [L, R] = LR (RL)^-1 and RL = LR - D.  The adjugate is linear and D is
+    traceless, so adj D = -D and LR adj(RL) = det(LR) I + LR D.  det(LR) is
+    1 unless a child is a leaf.  (A + B + AB) D starts at slot
+    min(val A, val B) + val D, so deep nodes skip most slot products.
     """
     m = D.m
-    if collapses:
-        return _combine(m, ((1, D),), ident=1)
-    LR = _combine(m, ((1, A), (1, B), (1, AB)), ident=1)
-    RL = _combine(m, ((1, LR), (-1, D)))
-    return LR.mul(_inverse(RL, det))
+    # slot i of AB and of A + B + AB meets D only if i + val D < m
+    live = m - _valuation(D)
+    S = _matrix_sum(((1, A), (1, B), (1, A.mul(B, live))), m, live)
+    return _over_det(_matrix_sum(((1, D), (1, S.mul(D))), m), det)
 
 
 def _eval_tree(tree, ctx: SeriesContext) -> _Node:
     if tree[0] == "w":
         return _leaf(tree[1], ctx)
-    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx), ctx.m)
+    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx))
 
 
 def eval_tree_series(tree, ctx: SeriesContext) -> SeriesMatrix:
-    return _eval_tree(tree, ctx).value
+    return _plus_identity(_eval_tree(tree, ctx).delta, 1)
 
 
 @dataclass(frozen=True)
@@ -495,12 +524,12 @@ def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3,
             return ("w", w), node
         lt, ln = build(depth - 1)
         rt, rn = build(depth - 1)
-        nd = _commutator(ln, rn, m)
+        nd = _commutator(ln, rn)
         for _ in range(retries - 1):
             if nd.valuation < m:
                 break
             rt, rn = build(depth - 1)
-            nd = _commutator(ln, rn, m)
+            nd = _commutator(ln, rn)
         return ("c", lt, rt), nd
 
     tree, node = build(k)

@@ -287,8 +287,6 @@ def test_packed_products_match_dict_loop(kind, monkeypatch):
         packed = tadic._packed_sums(left, right, sums, m, terms=float("inf"))
         assert packed == expected
         assert _dict_sums(left, right, sums, m, monkeypatch) == expected
-        if kind == "product":
-            assert tadic._series_mul(left[0], right[0], m) == expected[0]
 
     check()
 
@@ -328,12 +326,20 @@ def _identity(m):
     return SeriesContext(m).identity().e
 
 
+def _adjugate(V):
+    p, q, r, u = V.e
+    return tadic.SeriesMatrix(V.m, [u, tadic._slot_sum(((-1, q),), V.m),
+                                    tadic._slot_sum(((-1, r),), V.m), p])
+
+
 @DIFF_SETTINGS
 @given(w=st.text(alphabet="aAbB", min_size=1, max_size=8), m=st.integers(1, 5))
 def test_leaf_inverse_is_adjugate_over_det(w, m):
+    # V^-1 = adj(V) times the det^-1 scalar that commutator nodes with leaf
+    # children divide by
     ctx = SeriesContext(m)
     V = ctx.eval_word(w)
-    inv = tadic._inverse(V, tadic._word_det(w))
+    inv = tadic._over_det(_adjugate(V), tadic._word_det(w))
     assert V.mul(inv).e == _identity(m)
     assert inv.mul(V).e == _identity(m)
     assert inv.e == ctx.eval_word(word_inverse(w)).e
@@ -349,11 +355,84 @@ def _subtrees(tree):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 4))
 def test_commutator_inverse_is_adjugate(seed, m):
+    # [L, R] = LR (RL)^-1 = I + LR D / det(LR), D = LR - RL, since adj is
+    # linear and adj D = -D; LR is formed here as a product of values
     ctx = SeriesContext(m)
     for sub in _subtrees(sample_layer_element(random.Random(seed), 2, ctx).tree):
         if sub[0] == "c":
-            V = tadic._eval_tree(sub, ctx).value
-            assert V.mul(tadic._inverse(V, (0, 0))).e == _identity(m)
+            L, R = tadic._eval_tree(sub[1], ctx), tadic._eval_tree(sub[2], ctx)
+            LR = tadic._plus_identity(L.delta, 1).mul(tadic._plus_identity(R.delta, 1))
+            D = tadic._bracket(L.delta, R.delta)
+            det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
+            value = tadic._plus_identity(tadic._over_det(LR.mul(D), det), 1)
+            assert value.e == ctx.eval_word(flatten_tree(sub)).e
+
+
+@pytest.mark.parametrize("pack", ["dict", "packed"])
+def test_bracket_matches_ab_minus_ba(pack, monkeypatch):
+    # six entry products against the sixteen of AB and BA, on both product paths
+    packed = []
+    real = tadic._packed_sums
+
+    def counting(*args):
+        out = real(*args)
+        packed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(tadic, "_packed_sums", counting)
+    monkeypatch.setattr(tadic, "_PACK_MIN_PAIRS", float("inf") if pack == "dict" else 0)
+
+    @DIFF_SETTINGS
+    @given(data=st.data(), m=st.integers(1, 6))
+    def check(data, m):
+        A = tadic.SeriesMatrix(m, data.draw(_slot_lists(m, entries=4)))
+        B = tadic.SeriesMatrix(m, data.draw(_slot_lists(m, entries=4)))
+        expected = tadic._matrix_sum(((1, A.mul(B)), (-1, B.mul(A))), m)
+        assert tadic._bracket(A, B).e == expected.e
+
+    check()
+    assert any(packed) == (pack == "packed")
+
+
+def _delta_of_word(tree, ctx):
+    return tadic._plus_identity(ctx.eval_word(flatten_tree(tree)), -1).e
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_node_delta_with_leaf_children(m):
+    # det ab = x yt and det bA = x^-1 yt, so the delta divides by y^2 t^2
+    tree = ("c", ("w", "ab"), ("w", "bA"))
+    ctx = SeriesContext(m)
+    assert tadic._eval_tree(tree, ctx).det == (0, 0)
+    assert (tadic._word_det("ab"), tadic._word_det("bA")) == ((1, 1), (-1, 1))
+    assert tadic._eval_tree(tree, ctx).delta.e == _delta_of_word(tree, ctx)
+    nested = ("c", tree, ("w", "Ba"))
+    assert tadic._eval_tree(nested, ctx).delta.e == _delta_of_word(nested, ctx)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 3))
+def test_node_deltas_with_one_slot(seed, k):
+    ctx = SeriesContext(1)
+    tree = sample_layer_element(random.Random(seed), k, ctx, maxlen=2).tree
+    for sub in _subtrees(tree):
+        assert tadic._eval_tree(sub, ctx).delta.e == _delta_of_word(sub, ctx)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(2, 3))
+def test_node_deltas_where_three_deltas_vanish(seed, m):
+    # children of valuation >= 1 with 3 * min(val) >= m: every term of three
+    # or more delta factors dies mod s^m, and the delta is D alone
+    ctx = SeriesContext(m)
+    rng = random.Random(seed)
+    left, right = (sample_layer_element(rng, 2, ctx).tree for _ in range(2))
+    tree = ("c", left, right)
+    L, R = tadic._eval_tree(left, ctx), tadic._eval_tree(right, ctx)
+    assert 3 * min(L.valuation, R.valuation) >= m
+    delta = tadic._eval_tree(tree, ctx).delta.e
+    assert delta == tadic._bracket(L.delta, R.delta).e
+    assert delta == _delta_of_word(tree, ctx)
 
 
 @pytest.mark.parametrize("k, maxlen, examples", [(2, 3, 12), (3, 1, 4)])
@@ -380,13 +459,14 @@ def test_node_values_match_exact_words(k, maxlen, examples, free_ctx):
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 32), m=st.integers(2, 6))
 def test_commutator_value_matches_letter_by_letter_product(seed, m):
-    # children are depth-2 trees (valuation >= 1), so the collapse short-cut
-    # applies for m <= 3 and the full LR (RL)^-1 for larger m
+    # children are depth-2 trees (valuation >= 1), so for m <= 3 the
+    # (A + B + AB) D part of the delta vanishes mod s^m, and for larger m it
+    # does not
     ctx = SeriesContext(m)
     rng = random.Random(seed)
     left, right = (sample_layer_element(rng, 2, ctx).tree for _ in range(2))
     node = tadic._eval_tree(("c", left, right), ctx)
     lw, rw = flatten_tree(left), flatten_tree(right)
     expected = ctx.eval_word(lw + rw + word_inverse(lw) + word_inverse(rw))
-    assert node.value.e == expected.e
+    assert eval_tree_series(("c", left, right), ctx).e == expected.e
     assert node.valuation == expected.sub_identity_valuation()

@@ -8,6 +8,7 @@ import pytest
 
 from burnmat import (
     SUITES,
+    check_derived_layer,
     free_reduce,
     solvability_bound,
     verify_burnside_exponent,
@@ -20,7 +21,7 @@ from burnmat import (
     verify_solvability,
     verify_square,
 )
-from burnmat.groups import balanced_commutator_word
+from burnmat.groups import balanced_commutator_word, group_context
 
 
 def test_suite_registry():
@@ -139,6 +140,15 @@ def test_layers_suite_small():
     assert len(r.rows) == 4
     for row in r.rows:
         assert row["k"] == 2 and row["valuation"] >= 1 and row["sigma_ok"]
+
+
+@pytest.mark.parametrize("ks", [(1,), (0,), (2, -1)])
+def test_layers_suite_rejects_k_below_two(ks):
+    # depth 1 has no layer bound (d = 2^(k-2)); rejected before any sample
+    with pytest.raises(ValueError, match=f"k must be >= 2, got {min(ks)}"):
+        verify_derived_layers(ks=ks, samples=1)
+    with pytest.raises(ValueError, match=f"k must be >= 2, got {min(ks)}"):
+        check_derived_layer(group_context("free").identity(), min(ks))
 
 
 def test_sanov_suite_counts():
