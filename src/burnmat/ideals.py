@@ -5,10 +5,13 @@ Its image in R/Sigma^D is spanned by the generators for u on the finite grid
 0 <= i,j < D together with their a,b-multiples: the truncated coordinates of the
 u-generator are integer-valued polynomials in (i,j) of degree < D per variable,
 so the D x D grid already spans everything (finite-difference argument).  A
-stabilization check on the (D+1) x (D+1) grid guards that argument at runtime.
+stabilization check guards that argument at runtime: the 2D + 1 generators that
+the (D+1) x (D+1) grid adds must be members of the D x D lattice (_lattice says
+why membership is the same as building the larger lattice and comparing).
 
 The u = 1 generator is the constant q, so each lattice contains q times every
-coordinate it can reach; it is built in one elimination pass modulo q = p^e
+coordinate it can reach; its generator rows are computed modulo q
+(_cyclotomic_rows), it is built in one elimination pass modulo q = p^e
 (Howell form over Z/p^e, see _closure_hnf) and kept as its canonical Hermite
 normal form, which depends only on the ideal, not on the generators.
 """
@@ -160,21 +163,24 @@ class IdealLattice:
 
 
 @lru_cache(maxsize=None)
-def _shift_maps(D: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _shift_maps(D: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(source, target) coordinate maps of multiplication by a and by b in R/Sigma^D."""
     idx = _index_table(D)
     monos = monomial_list(D)
-    src = tuple(m for m, (r, s) in enumerate(monos) if r + s + 1 < D)
+    src = [m for m, (r, s) in enumerate(monos) if r + s + 1 < D]
 
-    def target(dr: int, ds: int) -> tuple[int, ...]:
-        return tuple(idx[(monos[m][0] + dr, monos[m][1] + ds)] for m in src)
+    def target(dr: int, ds: int) -> np.ndarray:
+        return np.array([idx[(monos[m][0] + dr, monos[m][1] + ds)] for m in src],
+                        dtype=np.intp)
 
-    return (src, target(1, 0)), (src, target(0, 1))
+    src_arr = np.array(src, dtype=np.intp)
+    return (src_arr, target(1, 0)), (src_arr, target(0, 1))
 
 
 def _mul_by(vec: Sequence[int], D: int, which: int) -> list[int]:
     out = [0] * tri_dim(D)
-    for m, t in zip(*_shift_maps(D)[which]):
+    src, dst = _shift_maps(D)[which]
+    for m, t in zip(src.tolist(), dst.tolist()):
         out[t] = vec[m]
     return out
 
@@ -194,7 +200,8 @@ def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
     0 <= i,j < grid (default D x D), i-major.
 
     u^m = x^(im) y^(jm) has coefficient X[im][r] * X[jm][s] at a^r b^s, where
-    X[n] = xpow_coeffs(n, D) is the image of x^n (and of y^n in b).
+    X[n] = xpow_coeffs(n, D) is the image of x^n (and of y^n in b).  Exact:
+    cyclotomic_lattice uses the same rows modulo q (_cyclotomic_rows).
     """
     D = D or params.D
     grid = grid or D
@@ -204,6 +211,27 @@ def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
     monos = monomial_list(D)
     return [TruncatedPoly(D, [sum(map(operator.mul, xc[r], yc[s])) for r, s in monos])
             for xc in cols for yc in cols]
+
+
+def _cyclotomic_rows(q: int, D: int, grid: int) -> np.ndarray:
+    """cyclotomic_generators(params, D, grid) modulo q, as a (grid^2, tri_dim(D))
+    int64 array in the same order.
+
+    X[n][r] = (-1)^r C(n, r) mod q is built one n at a time from
+    (1-a)^n = (1-a)^(n-1) (1-a), for n <= (grid-1)(q-1); the u = x^i y^j row has
+    the sum over m < q of X[im][r] * X[jm][s] at a^r b^s.  Every term is below
+    q^2, so every sum is below q^3 <= 2197 (q <= MAX_Q), far inside int64.
+    """
+    X = np.zeros(((grid - 1) * (q - 1) + 1, D), dtype=np.int64)
+    X[0, 0] = 1
+    for n in range(1, len(X)):
+        X[n] = X[n - 1]
+        X[n, 1:] -= X[n - 1, :-1]
+        X[n] %= q
+    powers = X[np.outer(np.arange(grid), np.arange(q))]  # [i, m] -> X[im]
+    r, s = np.array(monomial_list(D)).T
+    full = np.einsum("imr,jms->ijrs", powers, powers)
+    return full[:, :, r, s].reshape(grid * grid, -1) % q
 
 
 # Moduli below 2^15 keep _closure_hnf inside int32: see its docstring.
@@ -226,6 +254,10 @@ def _modulus(gens: list[TruncatedPoly], D: int) -> int:
     return q
 
 
+def _rows_mod(gens: list[TruncatedPoly], q: int) -> np.ndarray:
+    return np.array([[c % q for c in g.coeffs] for g in gens], dtype=np.int64)
+
+
 def build_ideal_lattice(gens: list[TruncatedPoly], D: int, label: str = "Ideal",
                         times_sigma: bool = False,
                         regenerate: Callable[[int], list[TruncatedPoly]] | None = None,
@@ -236,21 +268,74 @@ def build_ideal_lattice(gens: list[TruncatedPoly], D: int, label: str = "Ideal",
     the cyclotomic generators is the constant q); the gcd of the constants must
     be 1 or a prime power, and ValueError is raised otherwise.  times_sigma
     multiplies every generator by a and b first (the product ideal).  When a
-    regenerate(grid) callback is supplied, the build is repeated with the
-    enlarged generator set and the two HNFs must agree (stabilization check).
+    regenerate(grid) callback is supplied, regenerate(D + 1) must return a
+    superset of gens (ValueError otherwise), and every generator in it (times a
+    and b, with times_sigma) must be a member of the lattice of gens; since the
+    lattice is an ideal containing q * e_m, that holds exactly when the larger
+    set spans the same lattice (stabilization check, see _lattice).
     """
-    basis0 = _closure_hnf(gens, D, times_sigma, _modulus(gens, D))
+    q = _modulus(gens, D)
+    extra = None
     if regenerate is not None:
         more = regenerate(D + 1)
-        if _closure_hnf(more, D, times_sigma, _modulus(more, D)) != basis0:
+        _modulus(more, D)  # each lies in R/Sigma^D
+        if not {g.coeffs for g in gens} <= {g.coeffs for g in more}:
+            raise ValueError(f"{label}: regenerate(D + 1) must return a superset "
+                             f"of the generators")
+        extra = _rows_mod(more, q)
+    return _lattice(_rows_mod(gens, q), D, label, times_sigma, q, extra)
+
+
+def _lattice(rows: np.ndarray, D: int, label: str, times_sigma: bool, q: int,
+             extra: np.ndarray | None) -> IdealLattice:
+    """The lattice L of the generator rows, stabilization-checked against extra.
+
+    extra holds the rows that a larger generator set adds to rows (or all of
+    that set: the rows it shares with rows lie in L anyway); all entries are in
+    [0, q).  The check asks that every row of extra, times a and b with
+    times_sigma, lie in L.  That is the same as building the lattice of the
+    larger set and comparing HNFs: the larger set contains rows, so its lattice
+    contains L; and L is closed under a and b and contains q * e_m on every
+    coordinate it reaches, so L is the lattice of the larger set exactly when
+    the added seeds lie in L.
+    """
+    basis = _closure_hnf(rows, D, times_sigma, q)
+    if extra is not None:
+        seeds = _times_sigma(extra, D) if times_sigma else extra
+        if not _spans(basis, seeds, q):
             raise StabilizationError(
                 f"{label}: generator grid did not stabilize at D={D}")
-    return IdealLattice(D, label, basis0)
+    return IdealLattice(D, label, basis.tolist())
 
 
-def _closure_hnf(gens: list[TruncatedPoly], D: int, times_sigma: bool,
-                 q: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical HNF of the ideal closure of gens, built in one pass modulo q.
+def _times_sigma(rows: np.ndarray, D: int) -> np.ndarray:
+    """a * rows stacked over b * rows, in R/Sigma^D."""
+    (src_a, dst_a), (src_b, dst_b) = _shift_maps(D)
+    out = np.zeros((2 * len(rows), rows.shape[1]), dtype=rows.dtype)
+    out[:len(rows), dst_a] = rows[:, src_a]
+    out[len(rows):, dst_b] = rows[:, src_b]
+    return out
+
+
+def _spans(basis: np.ndarray, rows: np.ndarray, q: int) -> bool:
+    """Whether every row (entries in [0, q)) lies in the lattice whose canonical
+    HNF basis _closure_hnf returned.
+
+    The lattice holds q * e_m on every coordinate it reaches (for the product
+    with Sigma, every coordinate but 0, which is 0 in every a- or b-multiple),
+    so all rows are reduced at once modulo q: each pivot row, in column order,
+    takes its column into [0, pivot), as IdealLattice.reduce does.  Products
+    stay below q^2.
+    """
+    v = rows.astype(np.int64)
+    for c, row in zip((basis != 0).argmax(axis=1).tolist(), basis.astype(np.int64)):
+        v = (v - (v[:, c] // row[c])[:, None] * row) % q
+    return not v.any()
+
+
+def _closure_hnf(rows: np.ndarray, D: int, times_sigma: bool, q: int) -> np.ndarray:
+    """Canonical HNF of the ideal closure of the generator rows, built in one
+    pass modulo q; rows hold the generator coordinates reduced into [0, q).
 
     q * e_m lies in the lattice for every coordinate m (for the product with
     Sigma, every m >= 1; coordinate 0 is 0 there throughout), so the lattice is
@@ -265,24 +350,15 @@ def _closure_hnf(gens: list[TruncatedPoly], D: int, times_sigma: bool,
       - the a- and b-shifts of the pivot row are queued; they raise the degree,
         so they lead at later columns and the one pass closes the ideal.
     Reducing each column into [0, pivot) above its pivot, left to right, gives
-    the canonical HNF.  Every entry stays in [0, q) and every product or
-    difference below q^2 < 2^30 (q < 2^15, see _modulus), inside int32.
+    the canonical HNF, returned as its rank x n int32 array.  Every entry stays
+    in [0, q) and every product or difference below q^2 < 2^30 (q < 2^15, see
+    _modulus), inside int32.
     """
     n = tri_dim(D)
     start = 1 if times_sigma else 0
-    (src_a, dst_a), (src_b, dst_b) = (
-        tuple(np.array(m, dtype=np.intp) for m in pair) for pair in _shift_maps(D))
-
-    def shifts(rows):
-        out = np.zeros((2 * len(rows), n), dtype=np.int32)
-        out[:len(rows), dst_a] = rows[:, src_a]
-        out[len(rows):, dst_b] = rows[:, src_b]
-        return out
-
-    work = np.array([[c % q for c in g.coeffs] for g in gens],
-                    dtype=np.int32).reshape(-1, n)
+    work = rows.astype(np.int32).reshape(-1, n)
     if times_sigma:
-        work = shifts(work)
+        work = _times_sigma(work, D)
     gcds = np.gcd(np.arange(q), q)
     basis = np.zeros((n, n), dtype=np.int32)
     pivot = [0] * n
@@ -300,7 +376,7 @@ def _closure_hnf(gens: list[TruncatedPoly], D: int, times_sigma: bool,
         w = work[rest, c:]
         work[rest, c:] = (w - (w[:, :1] // d) * row[c:]) % q
         basis[c], pivot[c] = row, d
-        work = np.vstack([work, shifts(row[None]), (q // d) * row[None] % q])
+        work = np.vstack([work, _times_sigma(row[None], D), (q // d) * row[None] % q])
         work = work[work.any(axis=1)]
     for c in range(start, n):
         if pivot[c]:
@@ -308,21 +384,20 @@ def _closure_hnf(gens: list[TruncatedPoly], D: int, times_sigma: bool,
     for c in range(start, n):
         if not pivot[c]:
             basis[c, c] = q
-    return tuple(map(tuple, basis[start:].tolist()))
+    return basis[start:]
 
 
 def cyclotomic_lattice(params: BurnsideParams, D: int | None = None,
-                       times_sigma: bool = False,
-                       check_stabilization: bool = True) -> IdealLattice:
-    """I(q) or I(q)Sigma as a lattice in R/Sigma^D, stabilization-checked."""
+                       times_sigma: bool = False) -> IdealLattice:
+    """I(q) or I(q)Sigma as a lattice in R/Sigma^D, from the generator rows of
+    the D x D grid, stabilization-checked against the 2D + 1 rows that the
+    (D+1) x (D+1) grid adds (see _lattice)."""
     D = D or params.D
     label = f"CyclotomicTimesSigma({params.q})" if times_sigma else f"Cyclotomic({params.q})"
-
-    def regen(grid: int) -> list[TruncatedPoly]:
-        return cyclotomic_generators(params, D=D, grid=grid)
-
-    return build_ideal_lattice(regen(D), D, label=label, times_sigma=times_sigma,
-                               regenerate=regen if check_stabilization else None)
+    grid = _cyclotomic_rows(params.q, D, D + 1).reshape(D + 1, D + 1, -1)
+    added = np.concatenate([grid[:D, D], grid[D]])
+    return _lattice(grid[:D, :D].reshape(D * D, -1), D, label, times_sigma, params.q,
+                    added)
 
 
 def sigma_power_lattice(k: int, D: int) -> IdealLattice:
@@ -353,7 +428,7 @@ def p_power_sigma_check(params: BurnsideParams, j: int, k: int,
         raise ParamError(f"k must be >= {k_min} for q={params.q}, j={j}, got k={k}")
     D = max(params.D, k + 1)
     if lattice is None or lattice.D < D:
-        lattice = cyclotomic_lattice(params, D=D, check_stabilization=False)
+        lattice = cyclotomic_lattice(params, D=D)
     scale = params.p ** j
     monos = monomial_list(lattice.D)
     idx = _index_table(lattice.D)

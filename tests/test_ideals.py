@@ -16,9 +16,11 @@ from burnmat import (
     parse_poly,
     sigma_power_lattice,
 )
-from burnmat.ideals import StabilizationError, mul_by_a, mul_by_b
+from burnmat import ideals
+from burnmat.ideals import (StabilizationError, _closure_hnf, _cyclotomic_rows, _spans,
+                            _times_sigma, mul_by_a, mul_by_b)
 
-PARAMS = {q: BurnsideParams.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+PARAMS = {q: BurnsideParams.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)}
 
 
 def _unit(D, r, s, c=1):
@@ -201,6 +203,50 @@ def test_stabilization_error_fires_on_a_larger_span():
 
     with pytest.raises(StabilizationError, match="did not stabilize at D=3"):
         build_ideal_lattice(gens, D, label="I3", regenerate=regenerate)
+
+
+@pytest.mark.parametrize("q", sorted(PARAMS))
+def test_mod_q_rows_match_exact_generators(q):
+    pr = PARAMS[q]
+    for D in (pr.D, pr.D + 2):
+        for grid in (D, D + 1):
+            exact = cyclotomic_generators(pr, D=D, grid=grid)
+            assert _cyclotomic_rows(q, D, grid).tolist() == \
+                [[c % q for c in g.coeffs] for g in exact], (D, grid)
+
+
+# for prime q, I(q)Sigma is q * Sigma at D = q, so the u = 1 row alone spans it
+@pytest.mark.parametrize("q, times_sigma", [(q, False) for q in sorted(PARAMS)]
+                         + [(q, True) for q in sorted(PARAMS) if PARAMS[q].e > 1])
+def test_membership_check_rejects_a_smaller_span(q, times_sigma):
+    D = PARAMS[q].D
+    rows = _cyclotomic_rows(q, D, D)
+    seeds = _times_sigma(rows, D) if times_sigma else rows
+    assert _spans(_closure_hnf(rows, D, times_sigma, q), seeds, q)
+    # u = 1 and u = y only
+    assert not _spans(_closure_hnf(rows[:2], D, times_sigma, q), seeds, q)
+
+
+# rows i-major on the 6 x 6 grid at q = 4: u = y^5 and u = x^5 y^5
+@pytest.mark.parametrize("row", [5, 35])
+@pytest.mark.parametrize("times_sigma", [False, True])
+def test_cyclotomic_lattice_raises_when_the_larger_grid_adds_a_non_member(
+        monkeypatch, times_sigma, row):
+    def rows_with_one(q, D, grid):
+        rows = _cyclotomic_rows(q, D, grid)
+        rows[row] = 0
+        rows[row, 0] = 1  # the generator replaced by the unit
+        return rows
+
+    monkeypatch.setattr(ideals, "_cyclotomic_rows", rows_with_one)
+    with pytest.raises(StabilizationError, match="did not stabilize at D=5"):
+        cyclotomic_lattice(PARAMS[4], times_sigma=times_sigma)
+
+
+def test_regenerate_must_return_a_superset():
+    gens = cyclotomic_generators(PARAMS[3])
+    with pytest.raises(ValueError, match="superset"):
+        build_ideal_lattice(gens, 3, regenerate=lambda grid: gens[:-1])
 
 
 def test_build_ideal_lattice_checks_its_generators():
