@@ -378,7 +378,7 @@ def specialize_xy1(w: str) -> Matrix2:
     return M
 
 
-def order_in_G(w: str, sctx: SContext, lane: str | None = None) -> OrderResult:
+def order_in_G(w: str, sctx: SContext) -> OrderResult:
     """Infinite for nonzero t-exponent sum, else the least divisor d of q with w^d = I.
 
     The q-th power identity is always asserted in the zero-sum case; a failure
@@ -401,14 +401,14 @@ def order_in_G(w: str, sctx: SContext, lane: str | None = None) -> OrderResult:
     if not word:
         return OrderResult(word, q, 1, "empty word")
     p = sctx.params.p
-    d = kernels.least_identity_power(word, kernels.tables_for(sctx), p * p * q, lane=lane)
+    d = kernels.least_identity_power(word, kernels.tables_for(sctx), p * p * q)
     if d is None or q % d:
         raise ExponentLawViolation(
             f"word {word!r} has zero t-exponent sum but w^{q} != I over S({q})[t,t^-1]", d)
     return OrderResult(word, q, d, f"w^{d} = I over S({q})[t,t^-1]")
 
 
-def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) -> bool:
+def commutative_square_check(w: str, sctx: SContext) -> bool:
     """Two paths agree: (R[t,t^-1] -> t=1 -> S) vs (S[t,t^-1] -> t=1), entrywise.
 
     The first path is symbolic evaluation then reduction; the second is the
@@ -419,7 +419,7 @@ def commutative_square_check(w: str, sctx: SContext, lane: str | None = None) ->
     M = group_context("free").eval_word(w)
     path1 = [sctx.reduce(e.specialize(t=1)) for e in M.entries()]
     tables = kernels.tables_for(sctx)
-    res = kernels.eval_word_quotient(w, tables, lane=lane)
+    res = kernels.eval_word_quotient(w, tables)
     return path1 == kernels.entries_at_t1(res, tables)
 
 

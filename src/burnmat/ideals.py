@@ -6,14 +6,19 @@ Its image in R/Sigma^D is spanned by the generators for u on the finite grid
 u-generator are integer-valued polynomials in (i,j) of degree < D per variable,
 so the D x D grid already spans everything (finite-difference argument).  A
 stabilization check guards that argument at runtime: the 2D + 1 generators that
-the (D+1) x (D+1) grid adds must be members of the D x D lattice (_lattice says
-why membership is the same as building the larger lattice and comparing).
+the (D+1) x (D+1) grid adds must be members of the D x D lattice
+(cyclotomic_lattice says why membership is the same as building the larger
+lattice and comparing).
 
 The u = 1 generator is the constant q, so each lattice contains q times every
 coordinate it can reach; its generator rows are computed modulo q
 (_cyclotomic_rows), it is built in one elimination pass modulo q = p^e
 (Howell form over Z/p^e, see _closure_hnf) and kept as its canonical Hermite
 normal form, which depends only on the ideal, not on the generators.
+
+IdealLattice is the only code that reduces by a lattice: reduce for one vector
+of Python ints, reduce_rows for an int64 array in place (the numpy kernel lane
+and the stabilization check).  Both take the pivot columns mod q first.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,31 +82,44 @@ class StabilizationError(RuntimeError):
 
 
 class IdealLattice:
-    """Immutable HNF lattice in the R/Sigma^D coordinate system."""
+    """Immutable HNF lattice in the R/Sigma^D coordinate system, and the only
+    code that reduces by one.
 
-    __slots__ = ("D", "label", "rows", "_pivots", "_M")
+    modulus is a q such that q * e_c lies in the lattice for every pivot column
+    c: the q of _closure_hnf's lattices, 1 for sigma_power_lattice.  The pivot
+    columns are the last rank coordinates, so reduction takes them mod q
+    through one slice, then goes pivot by pivot.
+    """
 
-    def __init__(self, D: int, label: str, rows: Iterable[Sequence[int]]):
+    __slots__ = ("D", "label", "rows", "modulus", "_first", "_plan")
+
+    def __init__(self, D: int, label: str, rows: Iterable[Sequence[int]], modulus: int):
         self.D = D
         self.label = label
         self.rows = tuple(tuple(r) for r in rows)
+        self.modulus = modulus
         n = tri_dim(D)
-        piv: dict[int, int] = {}
-        for ri, row in enumerate(self.rows):
+        self._first = n - len(self.rows)
+        # reduce_rows' plan.  A pure row has no entry besides its pivot: it
+        # changes only its own column, which no later row reads, so all pure
+        # rows run after the mixed ones as one remainder.
+        mixed, cols, mods = [], [], []
+        for c, row in enumerate(self.rows, self._first):
             if len(row) != n:
                 raise ValueError(f"row length {len(row)} != dimension {n}")
-            c = next((k for k, v in enumerate(row) if v), None)
-            if c is None or c in piv:
-                raise ValueError("rows are not in echelon form")
-            piv[c] = ri
-        # (pivot column, row) in column order, the order reduce applies them
-        self._pivots = tuple((c, self.rows[piv[c]]) for c in sorted(piv))
-        self._M = None
-        if len(piv) == n:
-            M = 1
-            for c, row in self._pivots:
-                M *= row[c]
-            self._M = M
+            if c < 0 or any(row[:c]) or row[c] <= 0:
+                raise ValueError(f"rows are not in echelon form with pivots on the "
+                                 f"last {len(self.rows)} columns")
+            if modulus % row[c]:
+                raise ValueError(f"pivot {row[c]} at column {c} does not divide "
+                                 f"modulus {modulus}")
+            if any(row[c + 1:]):
+                mixed.append((c, row[c], np.array(row[c:], dtype=np.int64)))
+            else:
+                cols.append(c)
+                mods.append(row[c])
+        self._plan = (tuple(mixed), np.array(cols, dtype=np.int64),
+                      np.array(mods, dtype=np.int64))
 
     @property
     def dim(self) -> int:
@@ -126,17 +144,33 @@ class IdealLattice:
         return v
 
     def reduce(self, f) -> tuple[int, ...]:
-        """Canonical residue modulo the lattice, pivot by pivot."""
+        """Canonical residue modulo the lattice: pivot columns mod modulus, then
+        pivot by pivot, each pivot column into [0, pivot)."""
         v = self._vec(f)
-        if self._M is not None:
-            v = [x % self._M for x in v]
-        for c, row in self._pivots:
-            if v[c]:
-                q = v[c] // row[c]
-                if q:
-                    for k in range(c, len(v)):
-                        v[k] -= q * row[k]
+        first = self._first
+        v[first:] = [x % self.modulus for x in v[first:]]
+        for c, row in enumerate(self.rows, first):
+            k = v[c] // row[c]
+            if k:
+                for m in range(c, len(v)):
+                    v[m] -= k * row[m]
         return tuple(v)
+
+    def reduce_rows(self, arr: np.ndarray) -> None:
+        """reduce, in place, on every vector along the last axis of an int64 array.
+
+        After the mod step every pivot column lies in [0, modulus); the caller
+        keeps the pass inside int64.  For I(q) and I(q)Sigma, q <= MAX_Q, it
+        meets no value above 216 (bounded per q in the tests, at D and D + 2).
+        """
+        arr[..., self._first:] %= self.modulus
+        mixed, cols, mods = self._plan
+        for c, p, tail in mixed:
+            k = arr[..., c] // p
+            if k.any():
+                arr[..., c:] -= k[..., None] * tail
+        if len(cols):
+            arr[..., cols] %= mods
 
     def member(self, f) -> bool:
         return not any(self.reduce(f))
@@ -164,17 +198,22 @@ class IdealLattice:
 
 @lru_cache(maxsize=None)
 def _shift_maps(D: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(source, target) coordinate maps of multiplication by a and by b in R/Sigma^D."""
-    idx = _index_table(D)
-    monos = monomial_list(D)
-    src = [m for m, (r, s) in enumerate(monos) if r + s + 1 < D]
+    """maps[i] = (src, dst): multiplication by the i-th monomial of the graded
+    basis (_index_table) sends coordinate src of R/Sigma^D to coordinate dst,
+    as int64 index arrays.  The maps run through degree D, where they are
+    empty, so the maps of a and b (maps[_A] and maps[_B]) exist at D = 1 too.
+    """
+    index = _index_table(D)
+    maps = []
+    for r, s in monomial_list(D + 1):
+        src = [m for (u, v), m in index.items() if u + r + v + s < D]
+        dst = [index[(u + r, v + s)] for u, v in index if u + r + v + s < D]
+        maps.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)))
+    return tuple(maps)
 
-    def target(dr: int, ds: int) -> np.ndarray:
-        return np.array([idx[(monos[m][0] + dr, monos[m][1] + ds)] for m in src],
-                        dtype=np.intp)
 
-    src_arr = np.array(src, dtype=np.intp)
-    return (src_arr, target(1, 0)), (src_arr, target(0, 1))
+# positions of a and b in the graded basis 1, b, a, b^2, ...
+_B, _A = 1, 2
 
 
 def _mul_by(vec: Sequence[int], D: int, which: int) -> list[int]:
@@ -187,11 +226,11 @@ def _mul_by(vec: Sequence[int], D: int, which: int) -> list[int]:
 
 def mul_by_a(vec: Sequence[int], D: int) -> list[int]:
     """Coordinates of a * f truncated at degree D."""
-    return _mul_by(vec, D, 0)
+    return _mul_by(vec, D, _A)
 
 
 def mul_by_b(vec: Sequence[int], D: int) -> list[int]:
-    return _mul_by(vec, D, 1)
+    return _mul_by(vec, D, _B)
 
 
 def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
@@ -254,83 +293,28 @@ def _modulus(gens: list[TruncatedPoly], D: int) -> int:
     return q
 
 
-def _rows_mod(gens: list[TruncatedPoly], q: int) -> np.ndarray:
-    return np.array([[c % q for c in g.coeffs] for g in gens], dtype=np.int64)
-
-
 def build_ideal_lattice(gens: list[TruncatedPoly], D: int, label: str = "Ideal",
-                        times_sigma: bool = False,
-                        regenerate: Callable[[int], list[TruncatedPoly]] | None = None,
-                        ) -> IdealLattice:
+                        times_sigma: bool = False) -> IdealLattice:
     """Canonical HNF of the span of {a^r b^s * g : g in gens, r+s < D} (ideal closure).
 
     gens must lie in R/Sigma^D and include a nonzero constant (the u = 1 case of
     the cyclotomic generators is the constant q); the gcd of the constants must
     be 1 or a prime power, and ValueError is raised otherwise.  times_sigma
-    multiplies every generator by a and b first (the product ideal).  When a
-    regenerate(grid) callback is supplied, regenerate(D + 1) must return a
-    superset of gens (ValueError otherwise), and every generator in it (times a
-    and b, with times_sigma) must be a member of the lattice of gens; since the
-    lattice is an ideal containing q * e_m, that holds exactly when the larger
-    set spans the same lattice (stabilization check, see _lattice).
+    multiplies every generator by a and b first (the product ideal).
     """
     q = _modulus(gens, D)
-    extra = None
-    if regenerate is not None:
-        more = regenerate(D + 1)
-        _modulus(more, D)  # each lies in R/Sigma^D
-        if not {g.coeffs for g in gens} <= {g.coeffs for g in more}:
-            raise ValueError(f"{label}: regenerate(D + 1) must return a superset "
-                             f"of the generators")
-        extra = _rows_mod(more, q)
-    return _lattice(_rows_mod(gens, q), D, label, times_sigma, q, extra)
-
-
-def _lattice(rows: np.ndarray, D: int, label: str, times_sigma: bool, q: int,
-             extra: np.ndarray | None) -> IdealLattice:
-    """The lattice L of the generator rows, stabilization-checked against extra.
-
-    extra holds the rows that a larger generator set adds to rows (or all of
-    that set: the rows it shares with rows lie in L anyway); all entries are in
-    [0, q).  The check asks that every row of extra, times a and b with
-    times_sigma, lie in L.  That is the same as building the lattice of the
-    larger set and comparing HNFs: the larger set contains rows, so its lattice
-    contains L; and L is closed under a and b and contains q * e_m on every
-    coordinate it reaches, so L is the lattice of the larger set exactly when
-    the added seeds lie in L.
-    """
-    basis = _closure_hnf(rows, D, times_sigma, q)
-    if extra is not None:
-        seeds = _times_sigma(extra, D) if times_sigma else extra
-        if not _spans(basis, seeds, q):
-            raise StabilizationError(
-                f"{label}: generator grid did not stabilize at D={D}")
-    return IdealLattice(D, label, basis.tolist())
+    rows = np.array([[c % q for c in g.coeffs] for g in gens], dtype=np.int64)
+    return IdealLattice(D, label, _closure_hnf(rows, D, times_sigma, q).tolist(), q)
 
 
 def _times_sigma(rows: np.ndarray, D: int) -> np.ndarray:
     """a * rows stacked over b * rows, in R/Sigma^D."""
-    (src_a, dst_a), (src_b, dst_b) = _shift_maps(D)
+    maps = _shift_maps(D)
+    (src_a, dst_a), (src_b, dst_b) = maps[_A], maps[_B]
     out = np.zeros((2 * len(rows), rows.shape[1]), dtype=rows.dtype)
     out[:len(rows), dst_a] = rows[:, src_a]
     out[len(rows):, dst_b] = rows[:, src_b]
     return out
-
-
-def _spans(basis: np.ndarray, rows: np.ndarray, q: int) -> bool:
-    """Whether every row (entries in [0, q)) lies in the lattice whose canonical
-    HNF basis _closure_hnf returned.
-
-    The lattice holds q * e_m on every coordinate it reaches (for the product
-    with Sigma, every coordinate but 0, which is 0 in every a- or b-multiple),
-    so all rows are reduced at once modulo q: each pivot row, in column order,
-    takes its column into [0, pivot), as IdealLattice.reduce does.  Products
-    stay below q^2.
-    """
-    v = rows.astype(np.int64)
-    for c, row in zip((basis != 0).argmax(axis=1).tolist(), basis.astype(np.int64)):
-        v = (v - (v[:, c] // row[c])[:, None] * row) % q
-    return not v.any()
 
 
 def _closure_hnf(rows: np.ndarray, D: int, times_sigma: bool, q: int) -> np.ndarray:
@@ -389,15 +373,28 @@ def _closure_hnf(rows: np.ndarray, D: int, times_sigma: bool, q: int) -> np.ndar
 
 def cyclotomic_lattice(params: BurnsideParams, D: int | None = None,
                        times_sigma: bool = False) -> IdealLattice:
-    """I(q) or I(q)Sigma as a lattice in R/Sigma^D, from the generator rows of
-    the D x D grid, stabilization-checked against the 2D + 1 rows that the
-    (D+1) x (D+1) grid adds (see _lattice)."""
+    """I(q) or I(q)Sigma as a lattice L in R/Sigma^D, from the generator rows of
+    the D x D grid.
+
+    Stabilization check: the 2D + 1 rows that the (D+1) x (D+1) grid adds,
+    times a and b for I(q)Sigma, must lie in L.  That is the same as building
+    the lattice of the larger grid and comparing HNFs: the larger grid
+    contains the smaller, so its lattice contains L; and L is closed under a
+    and b and contains q * e_m on every coordinate it reaches, so L is the
+    lattice of the larger grid exactly when the added seeds lie in L.
+    """
     D = D or params.D
-    label = f"CyclotomicTimesSigma({params.q})" if times_sigma else f"Cyclotomic({params.q})"
-    grid = _cyclotomic_rows(params.q, D, D + 1).reshape(D + 1, D + 1, -1)
+    q = params.q
+    label = f"CyclotomicTimesSigma({q})" if times_sigma else f"Cyclotomic({q})"
+    grid = _cyclotomic_rows(q, D, D + 1).reshape(D + 1, D + 1, -1)
+    basis = _closure_hnf(grid[:D, :D].reshape(D * D, -1), D, times_sigma, q)
+    lattice = IdealLattice(D, label, basis.tolist(), q)
     added = np.concatenate([grid[:D, D], grid[D]])
-    return _lattice(grid[:D, :D].reshape(D * D, -1), D, label, times_sigma, params.q,
-                    added)
+    seeds = _times_sigma(added, D) if times_sigma else added
+    lattice.reduce_rows(seeds)
+    if seeds.any():
+        raise StabilizationError(f"{label}: generator grid did not stabilize at D={D}")
+    return lattice
 
 
 def sigma_power_lattice(k: int, D: int) -> IdealLattice:
@@ -409,7 +406,7 @@ def sigma_power_lattice(k: int, D: int) -> IdealLattice:
             v = [0] * n
             v[m] = 1
             rows.append(v)
-    return IdealLattice(D, f"Sigma^{k}", rows)
+    return IdealLattice(D, f"Sigma^{k}", rows, 1)
 
 
 class ParamError(ValueError):
@@ -452,13 +449,9 @@ class SContext:
 
     __slots__ = ("params", "lattice")
 
-    def __init__(self, params: BurnsideParams, lattice: IdealLattice | None = None):
+    def __init__(self, params: BurnsideParams):
         self.params = params
-        if lattice is None:
-            lattice = cyclotomic_lattice(params, times_sigma=True)
-        if lattice.D != params.D:
-            raise ValueError(f"lattice D={lattice.D} != params D={params.D}")
-        self.lattice = lattice
+        self.lattice = cyclotomic_lattice(params, times_sigma=True)
 
     @staticmethod
     def for_q(q: int) -> "SContext":

@@ -19,7 +19,10 @@ trips, which leaves every value below q: no S(q) run can overflow.  On
 Sigma^D tables (q = 0, truncation only) the numpy lane raises
 KernelOverflow before a value could leave int64, eval_word_quotient falls
 back to the python lane, and FALLBACKS counts it under the table label
-(Sigma12).  Both lanes reduce canonically before they hand out a result.
+(Sigma12).  Both lanes reduce canonically before they hand out a result,
+through the tables' I(q)Sigma lattice (IdealLattice.reduce on the python
+lane, IdealLattice.reduce_rows on the numpy lane's window): this module
+holds no reduction of its own.
 eval_word_quotient takes one word's value; least_identity_power runs a lane
 once over w, w, w, ... to find w's order.
 
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import SContext
-from .rings import monomial_list, tri_dim
+from .ideals import IdealLattice, SContext, _shift_maps
+from .rings import tri_dim
 
 # no numba lane exists; perfbench reads this name
 HAS_NUMBA = False
@@ -80,15 +83,12 @@ class QuotientTables:
     # gen_terms[w][(l, j)] = ((dt, map_id, coeff), ...) for the matrix of w, a
     # generator letter or a product of two
     gen_terms: dict
-    # lattice rows sorted by pivot column, empty for plain truncation
-    rows: tuple
-    pivot_cols: tuple
+    # the I(q)Sigma lattice that reduces S(q) values, None for plain truncation
+    lattice: IdealLattice | None
     one: tuple
     growth: int
     # steps[w]: the numpy lane's sparse form of right multiplication by w
     steps: dict
-    # the lattice rows as _np_reduce applies them, see _reduce_plan
-    reduce_plan: tuple
     # every generator term's t-shift collapsed to 0: S(q) itself, see _at_t1
     at_t1: bool = False
 
@@ -103,31 +103,7 @@ class QuotientTables:
         return INT64_MAX // (2 * self.growth)
 
     def reduce_vec(self, vec: list) -> tuple:
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivot_cols):
-            p = row[c]
-            k = v[c] // p
-            if k:
-                for m in range(c, self.N):
-                    v[m] -= k * row[m]
-        return tuple(v)
-
-
-def _shift_maps(D: int):
-    basis = monomial_list(D)
-    index = {m: i for i, m in enumerate(basis)}
-    maps = []
-    map_id = {}
-    for (r, s) in basis:
-        src, dst = [], []
-        for i, (p, u) in enumerate(basis):
-            tgt = (p + r, u + s)
-            if p + r + u + s < D:
-                src.append(i)
-                dst.append(index[tgt])
-        map_id[(r, s)] = len(maps)
-        maps.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)))
-    return tuple(maps), map_id, index
+        return self.lattice.reduce(vec)
 
 
 @dataclass(frozen=True)
@@ -188,43 +164,40 @@ def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
                       span=max(dts) - dt_min, blocks=tuple(blocks))
 
 
-def _matrix_terms(M, D: int, map_id: dict) -> dict:
-    """{(l, j): ((dt, map_id, coeff), ...)} of an exact Laurent matrix truncated to R/Sigma^D."""
-    basis = monomial_list(D)
+def _matrix_terms(M, D: int) -> dict:
+    """{(l, j): ((dt, map_id, coeff), ...)} of an exact Laurent matrix truncated to
+    R/Sigma^D; map_id is the basis monomial's position, which indexes _shift_maps."""
     per_entry = {}
     for e, f in enumerate(M.entries()):
         terms = []
         for dt, g in f.t_coefficients().items():
             for idx, c in enumerate(g.to_truncated(D).coeffs):
                 if c:
-                    terms.append((dt, map_id[basis[idx]], c))
+                    terms.append((dt, idx, c))
         per_entry[divmod(e, 2)] = tuple(terms)
     return per_entry
 
 
-def _build_tables(D: int, q: int, rows: tuple, pivot_cols: tuple) -> QuotientTables:
+def _build_tables(D: int, q: int, lattice: IdealLattice | None) -> QuotientTables:
     from .groups import _free_generators
 
     N = tri_dim(D)
-    maps, map_id, _ = _shift_maps(D)
+    maps = _shift_maps(D)
     gens = _free_generators()
     # truncation R -> R/Sigma^D is a ring map, so the step of a pair xy is
     # the step of x followed by the step of y
     mats = dict(gens, **{x + y: gens[x].mul(gens[y]) for x in gens for y in gens})
-    gen_terms = {w: _matrix_terms(M, D, map_id) for w, M in mats.items()}
+    gen_terms = {w: _matrix_terms(M, D) for w, M in mats.items()}
     growth = 1
     for per_entry in gen_terms.values():
         for j in range(2):
             tot = sum(abs(c) for l in range(2) for (_, _, c) in per_entry[(l, j)])
             growth = max(growth, tot)
     steps = {w: _letter_step(terms, maps, N) for w, terms in gen_terms.items()}
-    one = [0] * N
-    one[0] = 1
-    t = QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms,
-                       rows=rows, pivot_cols=pivot_cols, one=(), growth=growth,
-                       steps=steps, reduce_plan=_reduce_plan(rows, pivot_cols))
-    object.__setattr__(t, "one", t.reduce_vec(one))
-    return t
+    one = (1,) + (0,) * (N - 1)
+    return QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms, lattice=lattice,
+                          one=one if lattice is None else lattice.reduce(one), growth=growth,
+                          steps=steps)
 
 
 def _at_t1(tables: QuotientTables) -> QuotientTables:
@@ -257,7 +230,7 @@ def sigma_tables(D: int) -> QuotientTables:
     """Tables for (R/Sigma^D)[t,t^-1]; no lattice reduction, truncation only."""
     key = ("sigma", D)
     if key not in _CACHE:
-        _CACHE[key] = _build_tables(D, 0, (), ())
+        _CACHE[key] = _build_tables(D, 0, None)
     return _CACHE[key]
 
 
@@ -268,9 +241,7 @@ def tables_for(sctx: SContext, at_t1: bool = False) -> QuotientTables:
     """
     q = sctx.params.q
     if ("s", q) not in _CACHE:
-        lat = sctx.lattice
-        pivots = tuple(next(i for i, v in enumerate(row) if v) for row in lat.rows)
-        _CACHE["s", q] = _build_tables(sctx.params.D, q, lat.rows, pivots)
+        _CACHE["s", q] = _build_tables(sctx.params.D, q, sctx.lattice)
     if at_t1 and ("t1", q) not in _CACHE:
         _CACHE["t1", q] = _at_t1(_CACHE["s", q])
     return _CACHE["t1" if at_t1 else "s", q]
@@ -424,7 +395,7 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                     letter = (copy - 1) * len(word) + min(2 * k + 2, len(word)) - 1
                     raise KernelOverflow(f"{tables.label}: coefficients exceeded "
                                          f"int64 guard at letter {letter}")
-                _np_reduce(nxt[0][:, :nw], tables)
+                tables.lattice.reduce_rows(nxt[0][:, :nw])
                 mags = np.abs(out).max(axis=(0, 2)).tolist()
             # trim t-slices that are zero in all four entries
             lo, hi = 0, nw - 1
@@ -435,7 +406,7 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
             cur, nxt = nxt, cur
         if copy in stops:
             if tables.q:
-                _np_reduce(cur[0][:, lo:hi + 1], tables)
+                tables.lattice.reduce_rows(cur[0][:, lo:hi + 1])
             out = [{}, {}, {}, {}]
             for i in range(2):
                 for r in range(lo, hi + 1):
@@ -445,39 +416,6 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                         if any(vec):
                             out[2 * i + l][t0 + r] = vec
             yield out
-
-
-def _reduce_plan(rows: tuple, pivot_cols: tuple) -> tuple:
-    """Split the HNF rows for _np_reduce: (mixed rows, pure columns, pure pivots).
-
-    A pure row has no entry besides its pivot: it changes only its own column,
-    and later rows (larger pivots) never read that column, so all pure rows
-    can run after the mixed ones as one remainder.  Mixed rows keep pivot order.
-    """
-    mixed, cols, mods = [], [], []
-    for row, c in zip(rows, pivot_cols):
-        if any(row[c + 1:]):
-            mixed.append((c, row[c], np.array(row[c:], dtype=np.int64)))
-        else:
-            cols.append(c)
-            mods.append(row[c])
-    return tuple(mixed), np.array(cols, dtype=np.int64), np.array(mods, dtype=np.int64)
-
-
-def _np_reduce(arr: np.ndarray, tables: QuotientTables):
-    """In-place canonical reduction of every S(q) coefficient vector (last axis).
-
-    Coordinates >= 1 go mod q first, so the HNF pass starts below q and
-    stays far inside int64 (bounded per q in the tests).
-    """
-    arr[..., 1:] %= tables.q
-    mixed, cols, mods = tables.reduce_plan
-    for c, p, tail in mixed:
-        k = arr[..., c] // p
-        if k.any():
-            arr[..., c:] -= k[..., None] * tail
-    if len(cols):
-        arr[..., cols] %= mods
 
 
 # ---------------------------------------------------------------------------

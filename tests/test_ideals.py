@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from burnmat import (
@@ -17,8 +18,8 @@ from burnmat import (
     sigma_power_lattice,
 )
 from burnmat import ideals
-from burnmat.ideals import (StabilizationError, _closure_hnf, _cyclotomic_rows, _spans,
-                            _times_sigma, mul_by_a, mul_by_b)
+from burnmat.ideals import (StabilizationError, _closure_hnf, _cyclotomic_rows, _times_sigma,
+                            mul_by_a, mul_by_b)
 
 PARAMS = {q: BurnsideParams.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)}
 
@@ -194,17 +195,6 @@ def test_random_generator_sets_match_the_reference():
             assert lat.rows == _reference_hnf(gens, D, times_sigma, q), (q, D, gens)
 
 
-def test_stabilization_error_fires_on_a_larger_span():
-    D = PARAMS[3].D
-    gens = cyclotomic_generators(PARAMS[3])
-
-    def regenerate(grid):
-        return cyclotomic_generators(PARAMS[3], grid=grid) + [_unit(D, 1, 0)]
-
-    with pytest.raises(StabilizationError, match="did not stabilize at D=3"):
-        build_ideal_lattice(gens, D, label="I3", regenerate=regenerate)
-
-
 @pytest.mark.parametrize("q", sorted(PARAMS))
 def test_mod_q_rows_match_exact_generators(q):
     pr = PARAMS[q]
@@ -222,9 +212,17 @@ def test_membership_check_rejects_a_smaller_span(q, times_sigma):
     D = PARAMS[q].D
     rows = _cyclotomic_rows(q, D, D)
     seeds = _times_sigma(rows, D) if times_sigma else rows
-    assert _spans(_closure_hnf(rows, D, times_sigma, q), seeds, q)
+
+    def spans(gen_rows):
+        # the stabilization check of cyclotomic_lattice, on these generators
+        lat = IdealLattice(D, "test", _closure_hnf(gen_rows, D, times_sigma, q).tolist(), q)
+        left = seeds.copy()
+        lat.reduce_rows(left)
+        return not left.any()
+
+    assert spans(rows)
     # u = 1 and u = y only
-    assert not _spans(_closure_hnf(rows[:2], D, times_sigma, q), seeds, q)
+    assert not spans(rows[:2])
 
 
 # rows i-major on the 6 x 6 grid at q = 4: u = y^5 and u = x^5 y^5
@@ -243,10 +241,73 @@ def test_cyclotomic_lattice_raises_when_the_larger_grid_adds_a_non_member(
         cyclotomic_lattice(PARAMS[4], times_sigma=times_sigma)
 
 
-def test_regenerate_must_return_a_superset():
-    gens = cyclotomic_generators(PARAMS[3])
-    with pytest.raises(ValueError, match="superset"):
-        build_ideal_lattice(gens, 3, regenerate=lambda grid: gens[:-1])
+def _exact_reduce(lat, vec):
+    """The lattice's canonical residue, pivot by pivot in exact integers, with
+    no mod step (the reference for reduce)."""
+    v = list(vec)
+    for row in lat.rows:
+        c = next(i for i, x in enumerate(row) if x)
+        k = v[c] // row[c]
+        v = [x - k * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _reduction_peak(lat, x):
+    """Largest magnitude the HNF pass of reduce_rows can meet on vectors whose
+    pivot columns lie in [0, x] after the mod step.
+
+    Row r with pivot c and p = row[c] computes k = v[c] // p and subtracts
+    k * row from v.  If |v[c]| <= B[c] then |k| <= K = ceil(B[c] / p), the
+    pivot product is at most K*p, v[c] ends in [0, p), and column m > c
+    (product included) stays within B[m] + K*|row[m]|.  Propagating these
+    bounds row by row gives the peak.  Running the pure rows last changes no
+    value the other rows see, a remainder is never larger than its input, and
+    the columns before the first pivot are never touched.
+    """
+    first = lat.dim - lat.rank
+    bound = [0] * first + [x] * lat.rank
+    top = x
+    for c, row in enumerate(lat.rows, first):
+        p = row[c]
+        k = -(-bound[c] // p)
+        top = max(top, k * p)
+        bound[c] = p - 1
+        for m in range(c + 1, lat.dim):
+            bound[m] += k * abs(row[m])
+    return max(top, max(bound))
+
+
+@pytest.mark.parametrize("q", sorted(PARAMS))
+@pytest.mark.parametrize("times_sigma", [False, True])
+def test_reduce_rows_matches_reduce(q, times_sigma):
+    # at q = 9, the largest of these, the peaks are 177 and 216 at D and D + 2
+    for D in (PARAMS[q].D + 2, PARAMS[q].D):
+        lat = cyclotomic_lattice(PARAMS[q], D=D, times_sigma=times_sigma)
+        assert _reduction_peak(lat, q - 1) <= (216 if times_sigma else 177), D
+    rng = random.Random(q)
+    n, first = lat.dim, lat.dim - lat.rank
+    big = 2 ** 63 - 1
+    vecs = [[rng.choice((-1, 0, 1)) for _ in range(first)]
+            + [rng.randrange(q) for _ in range(lat.rank)] for _ in range(40)]
+    # the mod step takes any int64
+    vecs += [[rng.randint(-big, big) for _ in range(n)] for _ in range(40)]
+    arr = np.array(vecs, dtype=np.int64)
+    lat.reduce_rows(arr)
+    assert [tuple(v) for v in arr.tolist()] == [lat.reduce(v) for v in vecs]
+    # the mod step keeps the coset: q * e_c lies in the lattice for every pivot column
+    for v in vecs[::10] + [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(n)]]:
+        assert lat.reduce(v) == _exact_reduce(lat, v)
+
+
+def test_lattice_constructor_checks_its_rows():
+    assert IdealLattice(2, "ok", [[0, 2, 1], [0, 0, 2]], 4).modulus == 4
+    with pytest.raises(ValueError, match="pivot 3 at column 1 does not divide modulus 4"):
+        IdealLattice(2, "bad", [[0, 3, 0], [0, 0, 2]], 4)
+    # pivots must be the last rank columns, in order and positive
+    for rows in ([[0, 2, 0]], [[0, 0, 2], [0, 2, 0]], [[0, -2, 0], [0, 0, 2]],
+                 [[1, 0, 0]] * 4):
+        with pytest.raises(ValueError, match="echelon"):
+            IdealLattice(2, "bad", rows, 2)
 
 
 def test_build_ideal_lattice_checks_its_generators():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import burnmat.kernels as kernels
 from burnmat import (
     GroupContext,
+    IdealLattice,
     KernelOverflow,
     QuotientMatrix,
     SContext,
@@ -181,7 +182,7 @@ def test_numpy_lane_matches_python_lane(label, kind):
             got = next(kernels._eval_numpy(word, tables))
         except KernelOverflow:
             # only plain truncation has no lattice to bring the coefficients down
-            assert not tables.rows
+            assert tables.lattice is None
             return
         assert kernels._normalize(got, tables) == kernels._normalize(exact, tables)
 
@@ -215,13 +216,13 @@ def test_guard_reduction_matches_python_lane(label, monkeypatch):
     tables = _tables(label)
     forced = _forced_guard(tables)
     calls = Counter()
-    real_reduce = kernels._np_reduce
+    real_reduce = IdealLattice.reduce_rows
 
-    def counting_reduce(arr, tabs):
+    def counting_reduce(lattice, arr):
         calls["reduce"] += 1
-        real_reduce(arr, tabs)
+        real_reduce(lattice, arr)
 
-    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+    monkeypatch.setattr(IdealLattice, "reduce_rows", counting_reduce)
 
     @LANE_SETTINGS
     @given(word=_letters(48, min_size=24))
@@ -299,13 +300,13 @@ def test_least_identity_power_through_guard_reductions(q, monkeypatch):
     forced = _forced_guard(tables)
     p, cap = _scan_cap(q)
     calls = Counter()
-    real_reduce = kernels._np_reduce
+    real_reduce = IdealLattice.reduce_rows
 
-    def counting_reduce(arr, tabs):
+    def counting_reduce(lattice, arr):
         calls["reduce"] += 1
-        real_reduce(arr, tabs)
+        real_reduce(lattice, arr)
 
-    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+    monkeypatch.setattr(IdealLattice, "reduce_rows", counting_reduce)
 
     @SCAN_SETTINGS
     @given(word=_zero_sum_words())
@@ -422,52 +423,37 @@ def test_q_kills_every_coordinate_but_the_constant(q):
     # has one, and q times each unit vector but the first lies in the lattice,
     # so taking coordinates >= 1 mod q keeps a vector's lattice coset
     tables = _tables(f"S{q}")
-    assert tables.pivot_cols == tuple(range(1, tables.N))
+    lattice = tables.lattice
+    assert lattice.modulus == q
+    pivots = [next(c for c, v in enumerate(row) if v) for row in lattice.rows]
+    assert pivots == list(range(1, tables.N))
     for m in range(1, tables.N):
-        vec = [0] * tables.N
-        vec[m] = q
-        assert tables.reduce_vec(vec) == (0,) * tables.N
-
-
-def _reduction_peak(tables, x):
-    """Largest magnitude the HNF pass of _np_reduce can meet on vectors whose
-    column 0 is -1, 0 or 1 and whose other columns lie in [-x, x].
-
-    Row r with pivot c and p = row[c] computes k = v[c] // p and subtracts
-    k * row from v.  If |v[c]| <= B[c] then |k| <= K = ceil(B[c] / |p|), the
-    pivot product is at most K*|p|, v[c] ends in [0, |p|), and column m > c
-    (product included) stays within B[m] + K*|row[m]|.  Propagating these
-    bounds row by row gives the peak.  Running the pure rows last (see
-    _reduce_plan) changes no value the other rows see, and a remainder is
-    never larger than its input.
-    """
-    bound = [1] + [x] * (tables.N - 1)
-    top = x
-    for row, c in zip(tables.rows, tables.pivot_cols):
-        p = abs(row[c])
-        k = -(-bound[c] // p)
-        top = max(top, k * p)
-        bound[c] = p - 1
-        for m in range(c + 1, tables.N):
-            bound[m] += k * abs(row[m])
-    return max(top, max(bound))
+        # exact, pivot by pivot, without the mod q step that rests on this
+        vec = [q * (k == m) for k in range(tables.N)]
+        for c, row in zip(pivots, lattice.rows):
+            k = vec[c] // row[c]
+            vec = [x - k * y for x, y in zip(vec, row)]
+        assert vec == [0] * tables.N
 
 
 @pytest.mark.parametrize("q", MOD_Q_QS)
 def test_np_reduce_below_q_stays_inside_int64(q):
+    # the numpy lane reduces a t-range of its [2 rows, T, 2, N] window through
+    # the lattice: each vector in the range must come out as reduce_vec's, the
+    # rest untouched (tests/test_ideals.py bounds the pass inside int64)
     tables = _tables(f"S{q}")
-    # 216 at q = 9, the largest of these
-    assert _reduction_peak(tables, q - 1) <= 216 < 2 ** 62
     rng = random.Random(q)
     big = kernels.INT64_MAX
+    # row 0 holds values below q; row 1 any int64, as the mod q step takes them
     vecs = [[rng.choice((-1, 0, 1))] + [rng.randrange(q) for _ in range(tables.N - 1)]
-            for _ in range(40)]
-    # the mod q step takes any int64, so values up to the guard reduce too
+            for _ in range(20)]
     vecs += [[rng.choice((-1, 0, 1))] + [rng.randint(-big, big) for _ in range(tables.N - 1)]
-             for _ in range(40)]
-    arr = np.array(vecs, dtype=np.int64)
-    kernels._np_reduce(arr, tables)
-    assert [tuple(v) for v in arr.tolist()] == [tables.reduce_vec(v) for v in vecs]
+             for _ in range(20)]
+    window = np.array(vecs, dtype=np.int64).reshape(2, 10, 2, tables.N)
+    tables.lattice.reduce_rows(window[:, 2:7])
+    for k, (got, vec) in enumerate(zip(window.reshape(40, -1).tolist(), vecs)):
+        t = k // 2 % 10
+        assert tuple(got) == (tables.reduce_vec(vec) if 2 <= t < 7 else tuple(vec))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -500,13 +486,13 @@ def test_forced_guard_trips_match_python_lane(q, at_t1, monkeypatch):
     p, cap = _scan_cap(q)
     monkeypatch.setattr(kernels, "FALLBACKS", Counter())
     calls = Counter()
-    real_reduce = kernels._np_reduce
+    real_reduce = IdealLattice.reduce_rows
 
-    def counting_reduce(arr, tabs):
+    def counting_reduce(lattice, arr):
         calls["reduce"] += 1
-        real_reduce(arr, tabs)
+        real_reduce(lattice, arr)
 
-    monkeypatch.setattr(kernels, "_np_reduce", counting_reduce)
+    monkeypatch.setattr(IdealLattice, "reduce_rows", counting_reduce)
 
     @TRIP_SETTINGS
     @given(tail=_scan_words())
