@@ -242,9 +242,8 @@ def cmd_order(args) -> int:
     try:
         r = order_in_G(word, sctx)
     except ExponentLawViolation as exc:
-        cap = params.p * params.p * params.q
         print(f"exponent law violated: {exc}")
-        print(f"probed order: {exc.order if exc.order else f'> {cap}'}")
+        print(f"probed order: {exc.order if exc.order else f'> {exc.cap}'}")
         # broken law is a verification failure for primes, a reported outcome
         # for the experimental prime-power classes
         return EXIT_FAIL if params.e == 1 else EXIT_OK

@@ -346,13 +346,14 @@ def product_normal_form_rule(W1: NormalForm, W2: NormalForm) -> NormalForm:
 class ExponentLawViolation(RuntimeError):
     """An order bound that the library treats as law failed on a concrete word.
 
-    order is the probed order: the least p^j <= p^2 q with w^(p^j) = I, or
-    None when there is none.
+    order is the probed order: the least p^j <= cap with w^(p^j) = I, or None
+    when there is none; cap is the scan's bound, p^2 q.
     """
 
-    def __init__(self, message: str, order: int | None = None):
+    def __init__(self, message: str, order: int | None = None, cap: int | None = None):
         super().__init__(message)
         self.order = order
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -401,10 +402,12 @@ def order_in_G(w: str, sctx: SContext) -> OrderResult:
     if not word:
         return OrderResult(word, q, 1, "empty word")
     p = sctx.params.p
-    d = kernels.least_identity_power(word, kernels.tables_for(sctx), p * p * q)
+    cap = p * p * q
+    d = kernels.least_identity_power(word, kernels.tables_for(sctx), cap)
     if d is None or q % d:
         raise ExponentLawViolation(
-            f"word {word!r} has zero t-exponent sum but w^{q} != I over S({q})[t,t^-1]", d)
+            f"word {word!r} has zero t-exponent sum but w^{q} != I over S({q})[t,t^-1]",
+            d, cap)
     return OrderResult(word, q, d, f"w^{d} = I over S({q})[t,t^-1]")
 
 

@@ -1,24 +1,29 @@
 """Cyclotomic ideals as integer lattices in R/Sigma^D, and the quotient ring S(q).
 
 I(q) is generated by 1 + u + ... + u^(q-1) over all positive units u = x^i y^j.
-Its image in R/Sigma^D is spanned by the generators for u on the finite grid
-0 <= i,j < D together with their a,b-multiples: the truncated coordinates of the
-u-generator are integer-valued polynomials in (i,j) of degree < D per variable,
-so the D x D grid already spans everything (finite-difference argument).  A
-stabilization check guards that argument at runtime: the 2D + 1 generators that
-the (D+1) x (D+1) grid adds must be members of the D x D lattice
-(cyclotomic_lattice says why membership is the same as building the larger
-lattice and comparing).
+Its image in R/Sigma^D is spanned by the generators for u on the grid
+0 <= i,j < D and their a,b-multiples (their coordinates are integer-valued
+polynomials in (i,j) of degree < D per variable), which cyclotomic_lattice
+checks at runtime.  The u = 1 generator is the constant q, so the rows are
+computed mod q (_cyclotomic_rows) and the lattice is built in one pass mod
+q = p^e (_closure_hnf) as its canonical Hermite normal form.
 
-The u = 1 generator is the constant q, so each lattice contains q times every
-coordinate it can reach; its generator rows are computed modulo q
-(_cyclotomic_rows), it is built in one elimination pass modulo q = p^e
-(Howell form over Z/p^e, see _closure_hnf) and kept as its canonical Hermite
-normal form, which depends only on the ideal, not on the generators.
-
-IdealLattice is the only code that reduces by a lattice: reduce for one vector
-of Python ints, reduce_rows for an int64 array in place (the numpy kernel lane
-and the stabilization check).  Both take the pivot columns mod q first.
+The lattice contract, which IdealLattice(D, label, rows, q) proves when it is
+built (ValueError otherwise):
+  - echelon form, pivots on the last rank coordinates, in order, each
+    positive and dividing the modulus q;
+  - canonical: every entry after a pivot lies in [0, the pivot of its
+    column), so equal lattices have equal rows and reduce_rows stays in int64;
+  - q * e_c lies in the lattice L for every pivot column c.  The row with
+    pivot p_c at c is p_c e_c + tail_c, so this says (q/p_c) tail_c lies in L.
+    The tail lives on later columns; once q * e_m lies in L for each of them,
+    the tail mod q has the same coset, and reducing it pivot by pivot decides
+    membership exactly.  So, from the last pivot up, one reduce_rows pass over
+    every scaled tail mod q proves the contract exactly when all come out 0.
+Given it, mod_step (the pivot columns mod q) keeps a vector's coset, and
+reduce, or reduce_rows on an int64 array in place, then goes pivot by pivot
+to the canonical residue.  I(q) has a pivot on every coordinate, I(q)Sigma
+on every one but the constant term, Sigma^k (modulus 1) on degrees >= k.
 """
 
 from __future__ import annotations
@@ -82,14 +87,8 @@ class StabilizationError(RuntimeError):
 
 
 class IdealLattice:
-    """Immutable HNF lattice in the R/Sigma^D coordinate system, and the only
-    code that reduces by one.
-
-    modulus is a q such that q * e_c lies in the lattice for every pivot column
-    c: the q of _closure_hnf's lattices, 1 for sigma_power_lattice.  The pivot
-    columns are the last rank coordinates, so reduction takes them mod q
-    through one slice, then goes pivot by pivot.
-    """
+    """Immutable HNF lattice in R/Sigma^D, the only code that reduces by one;
+    its constructor proves the lattice contract (module docstring)."""
 
     __slots__ = ("D", "label", "rows", "modulus", "_first", "_plan")
 
@@ -99,12 +98,11 @@ class IdealLattice:
         self.rows = tuple(tuple(r) for r in rows)
         self.modulus = modulus
         n = tri_dim(D)
-        self._first = n - len(self.rows)
-        # reduce_rows' plan.  A pure row has no entry besides its pivot: it
-        # changes only its own column, which no later row reads, so all pure
-        # rows run after the mixed ones as one remainder.
-        mixed, cols, mods = [], [], []
-        for c, row in enumerate(self.rows, self._first):
+        first = self._first = n - len(self.rows)
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        mixed, cols, mods = [], [], []  # reduce_rows' plan: see there
+        for c, row in enumerate(self.rows, first):
             if len(row) != n:
                 raise ValueError(f"row length {len(row)} != dimension {n}")
             if c < 0 or any(row[:c]) or row[c] <= 0:
@@ -120,6 +118,23 @@ class IdealLattice:
                 mods.append(row[c])
         self._plan = (tuple(mixed), np.array(cols, dtype=np.int64),
                       np.array(mods, dtype=np.int64))
+        # a pure row passes both checks below; the mixed rows' tails, pivots zeroed
+        pivots = np.array([row[c] for c, row in enumerate(self.rows, first)], dtype=np.int64)
+        tails = np.zeros((len(mixed), n), dtype=np.int64)
+        for t, (c, _, row) in zip(tails, mixed):
+            t[c + 1:] = row[1:]
+        bad = np.argwhere((tails[:, first:] < 0) | (tails[:, first:] >= pivots))
+        if len(bad):
+            r, m = bad[0].tolist()
+            raise ValueError(f"entry {tails[r, first + m]} of row {mixed[r][0] - first} "
+                             f"at column {first + m} is outside [0, {pivots[m]})")
+        tails *= np.array([modulus // p for _, p, _ in mixed], dtype=np.int64)[:, None]
+        tails %= modulus
+        self.reduce_rows(tails)
+        left = np.flatnonzero(tails.any(axis=1))
+        if len(left):
+            raise ValueError(f"modulus {modulus} is wrong for these rows: {modulus} * "
+                             f"e_{mixed[left[-1]][0]} does not lie in the lattice")
 
     @property
     def dim(self) -> int:
@@ -143,13 +158,17 @@ class IdealLattice:
             raise ValueError(f"vector length {len(v)} != dimension {self.dim}")
         return v
 
+    def mod_step(self, v: list[int]) -> list[int]:
+        """v with every pivot column taken mod modulus: the same coset of the
+        lattice, every pivot column in [0, modulus)."""
+        first, q = self._first, self.modulus
+        return v[:first] + [x % q for x in v[first:]]
+
     def reduce(self, f) -> tuple[int, ...]:
-        """Canonical residue modulo the lattice: pivot columns mod modulus, then
-        pivot by pivot, each pivot column into [0, pivot)."""
-        v = self._vec(f)
-        first = self._first
-        v[first:] = [x % self.modulus for x in v[first:]]
-        for c, row in enumerate(self.rows, first):
+        """Canonical residue modulo the lattice: mod_step, then pivot by pivot,
+        each pivot column into [0, pivot)."""
+        v = self.mod_step(self._vec(f))
+        for c, row in enumerate(self.rows, self._first):
             k = v[c] // row[c]
             if k:
                 for m in range(c, len(v)):
@@ -162,6 +181,8 @@ class IdealLattice:
         After the mod step every pivot column lies in [0, modulus); the caller
         keeps the pass inside int64.  For I(q) and I(q)Sigma, q <= MAX_Q, it
         meets no value above 216 (bounded per q in the tests, at D and D + 2).
+        A pure row has no entry besides its pivot: it changes only its own
+        column, which no later row reads, so the pure rows run last, at once.
         """
         arr[..., self._first:] %= self.modulus
         mixed, cols, mods = self._plan
@@ -377,11 +398,10 @@ def cyclotomic_lattice(params: BurnsideParams, D: int | None = None,
     the D x D grid.
 
     Stabilization check: the 2D + 1 rows that the (D+1) x (D+1) grid adds,
-    times a and b for I(q)Sigma, must lie in L.  That is the same as building
-    the lattice of the larger grid and comparing HNFs: the larger grid
-    contains the smaller, so its lattice contains L; and L is closed under a
-    and b and contains q * e_m on every coordinate it reaches, so L is the
-    lattice of the larger grid exactly when the added seeds lie in L.
+    times a and b for I(q)Sigma, must lie in L.  The larger grid's lattice
+    contains L, and L is closed under a and b and holds q * e_m on every
+    coordinate it reaches (the lattice contract), so the two are equal
+    exactly when the added seeds lie in L.
     """
     D = D or params.D
     q = params.q
@@ -400,12 +420,8 @@ def cyclotomic_lattice(params: BurnsideParams, D: int | None = None,
 def sigma_power_lattice(k: int, D: int) -> IdealLattice:
     """Image of Sigma^k in R/Sigma^D: span of the basis monomials of degree >= k."""
     n = tri_dim(D)
-    rows = []
-    for m, (r, s) in enumerate(monomial_list(D)):
-        if r + s >= k:
-            v = [0] * n
-            v[m] = 1
-            rows.append(v)
+    rows = [[int(i == m) for i in range(n)]
+            for m, (r, s) in enumerate(monomial_list(D)) if r + s >= k]
     return IdealLattice(D, f"Sigma^{k}", rows, 1)
 
 
@@ -427,15 +443,8 @@ def p_power_sigma_check(params: BurnsideParams, j: int, k: int,
     if lattice is None or lattice.D < D:
         lattice = cyclotomic_lattice(params, D=D)
     scale = params.p ** j
-    monos = monomial_list(lattice.D)
-    idx = _index_table(lattice.D)
-    for r, s in monos:
-        if r + s == k:
-            v = [0] * lattice.dim
-            v[idx[(r, s)]] = scale
-            if not lattice.member(v):
-                return False
-    return True
+    return all(lattice.member([scale * (i == m) for i in range(lattice.dim)])
+               for m, (r, s) in enumerate(monomial_list(lattice.D)) if r + s == k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,16 @@ linear map on the coefficients.  Two lanes compute the same thing:
           per two letters (an odd last letter alone), with an overflow guard
           (the default)
 
-On S(q) tables every coordinate but the constant term may be taken mod q
-(q kills Sigma/I(q)Sigma), and the constant term is -1, 0 or 1.  The python
-lane takes them mod q after every letter, the numpy lane when its guard
-trips, which leaves every value below q: no S(q) run can overflow.  On
-Sigma^D tables (q = 0, truncation only) the numpy lane raises
-KernelOverflow before a value could leave int64, eval_word_quotient falls
-back to the python lane, and FALLBACKS counts it under the table label
-(Sigma12).  Both lanes reduce canonically before they hand out a result,
-through the tables' I(q)Sigma lattice (IdealLattice.reduce on the python
-lane, IdealLattice.reduce_rows on the numpy lane's window): this module
-holds no reduction of its own.
+On S(q) tables both lanes take the I(q)Sigma lattice's mod_step (the
+lattice contract is in the ideals module docstring): the python lane after
+every letter, the numpy lane when its guard trips.  It keeps each vector's
+coset and every value below q (see the python lane), so no S(q) run can
+overflow.  On Sigma^D tables (q = 0, truncation only) the numpy lane raises
+KernelOverflow before a value could leave int64; eval_word_quotient falls
+back to the python lane and counts it in FALLBACKS under the table label
+(Sigma12).  Both lanes reduce canonically through the tables' lattice
+(reduce, reduce_rows) before they hand out a result: this module holds no
+reduction of its own.
 eval_word_quotient takes one word's value; least_identity_power runs a lane
 once over w, w, w, ... to find w's order.
 
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import IdealLattice, SContext, _shift_maps
+from .ideals import IdealLattice, SContext, _prime_power, _shift_maps
 from .rings import tri_dim
 
 # no numba lane exists; perfbench reads this name
@@ -289,15 +288,15 @@ def entries_at_t1(res: QuotientMatrix, tables: QuotientTables) -> list:
 # listed in stops (increasing, 1 by default) they reduce the running product
 # canonically and yield its entries, then carry on from the reduced state.
 #
-# On S(q) tables q times every coordinate m >= 1 lies in the lattice (tested
-# per q), so taking those coordinates mod q keeps each vector's lattice coset.
-# Column 0 has no pivot and stays exact: it is the coefficient of the word's
-# image at x = y = 1, [[t^n, 0], [1 - t^n, 1]] for b-exponent sum n, so it is
-# -1, 0 or 1.  After the mod q step every S(q) value is below q in magnitude.
+# On S(q) tables the lattice's mod step keeps each vector's coset, takes the
+# pivot columns below q and leaves the rest exact: the constant term alone
+# (ideals module docstring).  That is the coefficient of the word's image at
+# x = y = 1, [[t^n, 0], [1 - t^n, 1]] for b-exponent sum n, so it is -1, 0
+# or 1, and every S(q) value is below q.
 
 def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
-    q = tables.q
+    lattice = tables.lattice
     one = [0] * N
     one[0] = 1
     cur = [{0: one[:]}, {}, {}, {0: one[:]}]
@@ -323,13 +322,13 @@ def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
                                     v = vec[s]
                                     if v:
                                         row[d] += c * v
-            if q:
+            if lattice is not None:
                 # zero vectors are dropped, so a long run does not carry dead t-slices
-                new = [{t: r for t, v in ent.items() if any(r := v[:1] + [x % q for x in v[1:]])}
+                new = [{t: r for t, v in ent.items() if any(r := lattice.mod_step(v))}
                        for ent in new]
             cur = new
         if copy in stops:
-            if q:
+            if lattice is not None:
                 cur = [{t: r for t, v in ent.items() if any(r := tables.reduce_vec(v))}
                        for ent in cur]
             yield cur
@@ -345,10 +344,10 @@ def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
 # is at most growth * max|v|, growth being the largest column L1 over all
 # steps.  A step starts from max|v| <= guard_limit, so nothing exceeds 2^62
 # before the guard looks.  When the guard trips, Sigma^D tables raise
-# KernelOverflow; S(q) tables reduce the window, which takes every value
-# below q (see the python lane) and so far below the guard.  At a stop the
-# lane reduces the window the same way and hands out canonical vectors; a
-# run goes on from them.
+# KernelOverflow; S(q) tables reduce the window through the lattice, whose
+# mod step takes every value below q (see the python lane), far below the
+# guard.  At a stop the lane reduces the window the same way and hands out
+# canonical vectors; a run goes on from them.
 #
 # The window is re-based to row 0 on every step, so T only has to hold the
 # live window: it starts at one copy's 1 + sum of spans and doubles on demand.
@@ -447,16 +446,10 @@ def least_identity_power(word: str, tables: QuotientTables, cap: int,
     """
     if not tables.q:
         raise ValueError("least_identity_power needs S(q) tables, not plain truncation")
-    p = next(d for d in range(2, tables.q + 1) if tables.q % d == 0)
+    p = _prime_power(tables.q)[0]
     stops = [p ** j for j in range(cap.bit_length()) if p ** j <= cap]
     if not stops:
         return None
     run = _eval_numpy if get_lane(lane) == "numpy" else _eval_python
-    return _first_identity(run(word, tables, stops), stops, tables)
-
-
-def _first_identity(states, stops, tables: QuotientTables) -> int | None:
-    for d, raw in zip(stops, states):
-        if _normalize(raw, tables).is_identity(tables):
-            return d
-    return None
+    return next((d for d, raw in zip(stops, run(word, tables, stops))
+                 if _normalize(raw, tables).is_identity(tables)), None)

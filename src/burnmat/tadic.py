@@ -31,9 +31,6 @@ from .rings import LaurentPoly, divide_by_t_minus_one
 from .groups import (Matrix2, _free_generators, commutator_word, free_reduce,
                      random_reduced_word)
 
-SHIFT = Matrix2(LaurentPoly.const(1), LaurentPoly.zero(),
-                LaurentPoly.const(-1), LaurentPoly.zero())
-
 
 @dataclass(frozen=True)
 class TAdicCoefficient:

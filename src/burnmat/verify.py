@@ -296,7 +296,7 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
     if params.e >= 2:
         j = 1
         k = params.bound - j * (params.p ** (params.e - 1) - params.p ** (params.e - 2))
-        ok = p_power_sigma_check(params, j, k, lat if lat.D >= k + 1 else None)
+        ok = p_power_sigma_check(params, j, k, lat)
         checks += 1
         refinement = {"j": j, "k": k, "ok": ok}
         if not ok:
@@ -368,9 +368,8 @@ def _job_order_zero(args):
         r = order_in_G(w, _sctx(q))
     except ExponentLawViolation as exc:
         # order exceeds q; the report shows the probed order
-        p = BurnsideParams.from_q(q).p
         return exc.order, (f"sample {idx}: zero-sum word {w!r} has order "
-                           f"{exc.order or f'> {p * p * q}'}, not a divisor of {q}")
+                           f"{exc.order or f'> {exc.cap}'}, not a divisor of {q}")
     if r.is_infinite:
         return None, f"sample {idx}: zero-sum word {w!r} classified infinite"
     return r.order, None

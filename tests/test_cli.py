@@ -89,13 +89,26 @@ def test_pinned_order_violations(q, word, message, order):
         order_in_G(word, sctx)
     assert str(info.value) == message
     assert info.value.order == order
+    assert info.value.cap == sctx.params.p ** 2 * q
     # order_in_G runs the numpy lane; the python lane probes the same order
-    cap = sctx.params.p ** 2 * q
-    assert kernels.least_identity_power(word, kernels.tables_for(sctx), cap,
+    assert kernels.least_identity_power(word, kernels.tables_for(sctx), info.value.cap,
                                         lane="python") == order
     rc, out, _ = run(["order", "--q", str(q), word])
     assert rc == EXIT_OK
     assert out == f"exponent law violated: {message}\nprobed order: {order}\n"
+
+
+def test_order_beyond_the_scan_reports_its_cap(monkeypatch):
+    # no identity up to p^2 q: both reports name the cap order_in_G carries
+    from burnmat import verify
+    monkeypatch.setattr(kernels, "least_identity_power", lambda *args: None)
+    with pytest.raises(ExponentLawViolation) as info:
+        order_in_G("abaB", SContext.for_q(4))
+    assert (info.value.order, info.value.cap) == (None, 16)
+    rc, out, _ = run(["order", "--q", "8", "abaB"])
+    assert rc == EXIT_OK and out.endswith("\nprobed order: > 32\n")
+    order, message = verify._job_order_zero((3, 0, 9, 6))
+    assert order is None and message.endswith("has order > 81, not a divisor of 9")
 
 
 def test_verify_unknown_suite():

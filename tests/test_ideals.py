@@ -1,6 +1,8 @@
 """Cyclotomic ideal lattices, membership queries, and quotient arithmetic."""
 
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +303,21 @@ def test_reduce_rows_matches_reduce(q, times_sigma):
 
 def test_lattice_constructor_checks_its_rows():
     assert IdealLattice(2, "ok", [[0, 2, 1], [0, 0, 2]], 4).modulus == 4
+    # the same rows with modulus 2: 2 * e_1 = row 0 - e_2 is not in the lattice,
+    # and a mod 2 step would make (0, 2, 0) a member
+    with pytest.raises(ValueError, match=r"modulus 2 is wrong .* 2 \* e_1 does not lie"):
+        IdealLattice(2, "bad", [[0, 2, 1], [0, 0, 2]], 2)
+    # two tails fail; the message names the last, where the pass is exact
+    with pytest.raises(ValueError, match=r"2 \* e_1 does not lie"):
+        IdealLattice(2, "bad", [[2, 1, 1], [0, 2, 1], [0, 0, 2]], 2)
+    for modulus in (0, -4):
+        with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
+            IdealLattice(2, "bad", [[0, 2, 1], [0, 0, 2]], modulus)
+    # entries after a pivot must lie in [0, the pivot of their column)
+    for entry in (2, -1):
+        with pytest.raises(ValueError, match=f"entry {entry} of row 0 at column 2 is "
+                                             r"outside \[0, 2\)"):
+            IdealLattice(2, "bad", [[0, 2, entry], [0, 0, 2]], 4)
     with pytest.raises(ValueError, match="pivot 3 at column 1 does not divide modulus 4"):
         IdealLattice(2, "bad", [[0, 3, 0], [0, 0, 2]], 4)
     # pivots must be the last rank columns, in order and positive
@@ -308,6 +325,38 @@ def test_lattice_constructor_checks_its_rows():
                  [[1, 0, 0]] * 4):
         with pytest.raises(ValueError, match="echelon"):
             IdealLattice(2, "bad", rows, 2)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8, 9, 12])
+def test_lattice_constructor_proves_its_modulus(modulus):
+    # the one tails pass accepts exactly the canonical rows for which
+    # modulus * e_c reduces to 0 for every pivot column c, in exact integers,
+    # and the mod step is then sound
+    rng = random.Random(modulus)
+    divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
+    n = 6  # R/Sigma^3
+    verdicts = Counter()
+    for _ in range(300):
+        rank = rng.randint(1, n)
+        first = n - rank
+        pivots = [rng.choice(divisors) for _ in range(rank)]
+        rows = [[0] * first + [0] * r + [pivots[r]]
+                + [rng.randrange(pivots[m]) for m in range(r + 1, rank)]
+                for r in range(rank)]
+        exact = all(not any(_exact_reduce(SimpleNamespace(rows=rows),
+                                          [modulus * (k == c) for k in range(n)]))
+                    for c in range(first, n))
+        try:
+            lat = IdealLattice(3, "hand", rows, modulus)
+        except ValueError as exc:
+            assert f"modulus {modulus} is wrong" in str(exc)
+            lat = None
+        assert (lat is not None) == exact, rows
+        if lat is not None:
+            v = [rng.randint(-99, 99) for _ in range(n)]
+            assert lat.reduce(v) == _exact_reduce(lat, v)
+        verdicts[exact] += 1
+    assert min(verdicts[True], verdicts[False]) >= 30, verdicts
 
 
 def test_build_ideal_lattice_checks_its_generators():

@@ -29,6 +29,7 @@ from burnmat import (
     tables_for,
     word_inverse,
 )
+from test_ideals import _exact_reduce
 
 LANES = ["python", "numpy"]
 
@@ -419,21 +420,21 @@ MOD_Q_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 @pytest.mark.parametrize("q", MOD_Q_QS)
 def test_q_kills_every_coordinate_but_the_constant(q):
-    # what the mod q step rests on: column 0 has no pivot, every other column
-    # has one, and q times each unit vector but the first lies in the lattice,
-    # so taking coordinates >= 1 mod q keeps a vector's lattice coset
-    tables = _tables(f"S{q}")
-    lattice = tables.lattice
+    # what the lanes' bound rests on: the lattice's mod step keeps a vector's
+    # coset, kills q times every unit vector but the constant term's, and
+    # leaves every value below q when the constant term is -1, 0 or 1
+    lattice = _tables(f"S{q}").lattice
+    N = lattice.dim
     assert lattice.modulus == q
-    pivots = [next(c for c, v in enumerate(row) if v) for row in lattice.rows]
-    assert pivots == list(range(1, tables.N))
-    for m in range(1, tables.N):
-        # exact, pivot by pivot, without the mod q step that rests on this
-        vec = [q * (k == m) for k in range(tables.N)]
-        for c, row in zip(pivots, lattice.rows):
-            k = vec[c] // row[c]
-            vec = [x - k * y for x, y in zip(vec, row)]
-        assert vec == [0] * tables.N
+    for m in range(N):
+        assert any(lattice.mod_step([q * (k == m) for k in range(N)])) == (m == 0)
+    rng = random.Random(q)
+    big = kernels.INT64_MAX
+    for _ in range(20):
+        vec = [rng.choice((-1, 0, 1))] + [rng.randint(-big, big) for _ in range(N - 1)]
+        step = lattice.mod_step(vec)
+        assert max(map(abs, step)) < q
+        assert _exact_reduce(lattice, step) == _exact_reduce(lattice, vec)
 
 
 @pytest.mark.parametrize("q", MOD_Q_QS)
