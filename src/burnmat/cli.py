@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import verify as V
 from .groups import ExponentLawViolation, order_in_G, parse_word
-from .ideals import BurnsideParams, cyclotomic_lattice
+from .ideals import BurnsideParams, SContext, cyclotomic_lattice
 from .rings import PolyParseError, parse_poly
 
 EXIT_OK = 0
@@ -238,7 +238,7 @@ def cmd_order(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    sctx = V._sctx(args.q)
+    sctx = SContext.for_q(args.q)
     try:
         r = order_in_G(word, sctx)
     except ExponentLawViolation as exc:

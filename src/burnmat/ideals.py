@@ -11,7 +11,7 @@ q = p^e (_closure_hnf) as its canonical Hermite normal form.
 The lattice contract, which IdealLattice(D, label, rows, q) proves when it is
 built (ValueError otherwise):
   - echelon form, pivots on the last rank coordinates, in order, each
-    positive and dividing the modulus q;
+    positive and dividing the modulus q, and 1 <= q < 2^15;
   - canonical: every entry after a pivot lies in [0, the pivot of its
     column), so equal lattices have equal rows and reduce_rows stays in int64;
   - q * e_c lies in the lattice L for every pivot column c.  The row with
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +40,10 @@ from .rings import (LaurentPoly, TruncatedPoly, monomial_list, tri_dim,
                     xpow_coeffs, _index_table)
 
 MAX_Q = 13
+
+# Moduli below 2^15 keep _closure_hnf inside int32 (see its docstring), and
+# the constructor's tails pass and reduce_rows below 2^30.
+_MAX_MODULUS = 1 << 15
 
 
 def _prime_power(n: int) -> tuple[int, int] | None:
@@ -101,7 +105,10 @@ class IdealLattice:
         first = self._first = n - len(self.rows)
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        mixed, cols, mods = [], [], []  # reduce_rows' plan: see there
+        if modulus >= _MAX_MODULUS:
+            raise ValueError(f"modulus {modulus} is not below 2^15")
+        # the contract on the python ints first, so no int64 array sees a bad entry
+        pivots = []
         for c, row in enumerate(self.rows, first):
             if len(row) != n:
                 raise ValueError(f"row length {len(row)} != dimension {n}")
@@ -111,6 +118,13 @@ class IdealLattice:
             if modulus % row[c]:
                 raise ValueError(f"pivot {row[c]} at column {c} does not divide "
                                  f"modulus {modulus}")
+            pivots.append(row[c])
+        mixed, cols, mods = [], [], []  # reduce_rows' plan: see there
+        for c, row in enumerate(self.rows, first):
+            for m in range(c + 1, n):
+                if not 0 <= row[m] < pivots[m - first]:
+                    raise ValueError(f"entry {row[m]} of row {c - first} at column {m} "
+                                     f"is outside [0, {pivots[m - first]})")
             if any(row[c + 1:]):
                 mixed.append((c, row[c], np.array(row[c:], dtype=np.int64)))
             else:
@@ -118,16 +132,10 @@ class IdealLattice:
                 mods.append(row[c])
         self._plan = (tuple(mixed), np.array(cols, dtype=np.int64),
                       np.array(mods, dtype=np.int64))
-        # a pure row passes both checks below; the mixed rows' tails, pivots zeroed
-        pivots = np.array([row[c] for c, row in enumerate(self.rows, first)], dtype=np.int64)
+        # a pure row passes the check below; the mixed rows' tails, pivots zeroed
         tails = np.zeros((len(mixed), n), dtype=np.int64)
         for t, (c, _, row) in zip(tails, mixed):
             t[c + 1:] = row[1:]
-        bad = np.argwhere((tails[:, first:] < 0) | (tails[:, first:] >= pivots))
-        if len(bad):
-            r, m = bad[0].tolist()
-            raise ValueError(f"entry {tails[r, first + m]} of row {mixed[r][0] - first} "
-                             f"at column {first + m} is outside [0, {pivots[m]})")
         tails *= np.array([modulus // p for _, p, _ in mixed], dtype=np.int64)[:, None]
         tails %= modulus
         self.reduce_rows(tails)
@@ -217,7 +225,7 @@ class IdealLattice:
         return f"IdealLattice({self.label}, D={self.D}, rank={self.rank})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _shift_maps(D: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """maps[i] = (src, dst): multiplication by the i-th monomial of the graded
     basis (_index_table) sends coordinate src of R/Sigma^D to coordinate dst,
@@ -292,10 +300,6 @@ def _cyclotomic_rows(q: int, D: int, grid: int) -> np.ndarray:
     r, s = np.array(monomial_list(D)).T
     full = np.einsum("imr,jms->ijrs", powers, powers)
     return full[:, :, r, s].reshape(grid * grid, -1) % q
-
-
-# Moduli below 2^15 keep _closure_hnf inside int32: see its docstring.
-_MAX_MODULUS = 1 << 15
 
 
 def _modulus(gens: list[TruncatedPoly], D: int) -> int:
@@ -463,7 +467,9 @@ class SContext:
         self.lattice = cyclotomic_lattice(params, times_sigma=True)
 
     @staticmethod
+    @cache
     def for_q(q: int) -> "SContext":
+        """This process's context for q, built on first use and shared."""
         return SContext(BurnsideParams.from_q(q))
 
     def reduce(self, f) -> tuple[int, ...]:

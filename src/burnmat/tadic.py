@@ -504,16 +504,16 @@ class LayerSample:
     valuation: int   # first nonzero s-slot of g - I; m when not certified
 
 
-def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3,
-                         retries: int = 8) -> LayerSample:
+_RETRIES = 8  # draws per node before a collapsed one is kept
+
+
+def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3) -> LayerSample:
     """Balanced depth-k commutator tree, resampled per node to dodge collapses."""
-    if retries < 1:
-        raise ValueError("retries must be >= 1")
     m = ctx.m
 
     def build(depth: int):
         if depth == 0:
-            for _ in range(retries):
+            for _ in range(_RETRIES):
                 w = random_reduced_word(rng, maxlen)
                 node = _leaf(w, ctx)
                 if node.valuation < m:
@@ -522,7 +522,7 @@ def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3,
         lt, ln = build(depth - 1)
         rt, rn = build(depth - 1)
         nd = _commutator(ln, rn)
-        for _ in range(retries - 1):
+        for _ in range(_RETRIES - 1):
             if nd.valuation < m:
                 break
             rt, rn = build(depth - 1)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import os
 import pickle
 import random
 import signal
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -94,29 +95,15 @@ class SolvabilityReport:
 # ---------------------------------------------------------------------------
 # shared plumbing: per-sample seeds and the optional process pool
 
-# built once per process; suites build what their workers need before
-# _pmap forks, so pool workers inherit it instead of rebuilding it
-_CTX_MEMO: dict = {}
+def _per_sample(check, seed: int, samples: int, jobs: int) -> list:
+    """[check(i, rng_i) for i < samples], rng_i seeded seed * SAMPLE_SEED_STRIDE + i.
 
-
-def _memo(key, builder):
-    v = _CTX_MEMO.get(key)
-    if v is None:
-        v = _CTX_MEMO[key] = builder()
-    return v
-
-
-def _sctx(q: int) -> SContext:
-    return _memo(("s", q), lambda: SContext.for_q(q))
-
-
-def _tables(q: int, at_t1: bool = False) -> kernels.QuotientTables:
-    # kernels.tables_for keeps the tables; groups reaches them the same way
-    return kernels.tables_for(_sctx(q), at_t1)
-
-
-def _sample_seeds(seed: int, n: int) -> list[int]:
-    return [seed * SAMPLE_SEED_STRIDE + i for i in range(n)]
+    A suite binds what its samples read (contexts, tables) in this process
+    and passes a closure over them; _pmap's children fork from here, so they
+    inherit both, and only the results travel back.
+    """
+    return _pmap(lambda i: check(i, random.Random(seed * SAMPLE_SEED_STRIDE + i)),
+                 range(samples), jobs)
 
 
 def _pmap(worker, items, jobs: int):
@@ -188,21 +175,6 @@ def _pmap_child(worker, items, fd: int):
 # ---------------------------------------------------------------------------
 # power formula and basic commutators
 
-def _job_power(args):
-    idx, sseed, max_len, max_n = args
-    ctx = group_context("metabelian")
-    rng = random.Random(sseed)
-    w = random_reduced_word(rng, max_len)
-    M = ctx.eval_word(w)
-    nf = normal_form(M)
-    acc = ctx.identity()
-    for n in range(1, max_n + 1):
-        acc = acc.mul(M)
-        if power_from_normal_form(nf, n) != acc:
-            return f"sample {idx}: closed form != product for word {w!r} at n={n}"
-    return None
-
-
 def _basic_commutator_matrices(r: int):
     """(a, b, matrix of basic_commutator(a, b)) for a, b <= r, a outer, b inner.
 
@@ -227,12 +199,20 @@ def verify_power_formula(samples: int = 200, max_n: int = 8, max_len: int = 12,
                          commutator_range: int = 4) -> VerificationReport:
     """Closed-form powers against iterated products, plus predicted basic commutators."""
     t0 = time.perf_counter()
-    failures = []
-    args = [(i, s, max_len, max_n)
-            for i, s in enumerate(_sample_seeds(seed, samples))]
-    for msg in _pmap(_job_power, args, jobs):
-        if msg:
-            failures.append(msg)
+    ctx = group_context("metabelian")
+
+    def check(i, rng):
+        w = random_reduced_word(rng, max_len)
+        M = ctx.eval_word(w)
+        nf = normal_form(M)
+        acc = ctx.identity()
+        for n in range(1, max_n + 1):
+            acc = acc.mul(M)
+            if power_from_normal_form(nf, n) != acc:
+                return f"sample {i}: closed form != product for word {w!r} at n={n}"
+        return None
+
+    failures = [m for m in _per_sample(check, seed, samples, jobs) if m]
     checks = samples * max_n
 
     for a, b, M in _basic_commutator_matrices(commutator_range):
@@ -252,6 +232,12 @@ def verify_power_formula(samples: int = 200, max_n: int = 8, max_len: int = 12,
 # ---------------------------------------------------------------------------
 # cyclotomic ideal inclusions
 
+@functools.cache
+def _inclusion_lattice(q: int):
+    # I(q), once per process: 11-19 ms a build at q = 8, 9 on a 2-core x86 VM
+    return cyclotomic_lattice(BurnsideParams.from_q(q))
+
+
 def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> VerificationReport:
     """Sigma^(e*phi) inside I(q), a non-member one degree below, p^j refinements.
 
@@ -260,7 +246,7 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
     """
     t0 = time.perf_counter()
     params = BurnsideParams.from_q(q)
-    lat = _memo(("cyc", q), lambda: cyclotomic_lattice(params))
+    lat = _inclusion_lattice(q)
     idx = _index_table(lat.D)
     failures = []
     checks = 0
@@ -313,20 +299,6 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
 # ---------------------------------------------------------------------------
 # Burnside exponent over S at t = 1
 
-def _t1_is_identity(word: str, q: int) -> bool:
-    # on the t = 1 tables: one t-slice per step, however long the word
-    return kernels.eval_is_identity(word, _tables(q, at_t1=True))
-
-
-def _job_exponent(args):
-    idx, sseed, q, max_len = args
-    rng = random.Random(sseed)
-    w = random_reduced_word(rng, max_len)
-    if not _t1_is_identity(w * q, q):
-        return f"sample {idx}: w^{q} != I at t=1 for word {w!r}"
-    return None
-
-
 _CLOSURE_SIZES = {2: 4, 3: 27}
 
 
@@ -334,17 +306,22 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
                              seed: int = 0, jobs: int = 1) -> VerificationReport:
     """w^q = I in the t=1 image over S(q); exact closure sizes where finite-small."""
     t0 = time.perf_counter()
-    failures = []
-    _tables(q, at_t1=True)
-    args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
-    for msg in _pmap(_job_exponent, args, jobs):
-        if msg:
-            failures.append(msg)
+    sctx = SContext.for_q(q)
+    # the t = 1 tables: one t-slice per step, however long the word
+    t1 = kernels.tables_for(sctx, at_t1=True)
+
+    def check(i, rng):
+        w = random_reduced_word(rng, max_len)
+        if not kernels.eval_is_identity(w * q, t1):
+            return f"sample {i}: w^{q} != I at t=1 for word {w!r}"
+        return None
+
+    failures = [m for m in _per_sample(check, seed, samples, jobs) if m]
     checks = samples
 
     closure = None
     if q in _CLOSURE_SIZES:
-        closure = group_closure(_sctx(q))
+        closure = group_closure(sctx)
         checks += 1
         if closure != _CLOSURE_SIZES[q]:
             failures.append(f"q={q}: closure size {closure}, "
@@ -360,59 +337,43 @@ def verify_burnside_exponent(q: int, samples: int = 200, max_len: int = 12,
 # ---------------------------------------------------------------------------
 # order dichotomy over S[t,t^-1]
 
-def _job_order_zero(args):
-    idx, sseed, q, max_len = args
-    rng = random.Random(sseed)
-    w = random_zero_sum_word(rng, max_len)
-    try:
-        r = order_in_G(w, _sctx(q))
-    except ExponentLawViolation as exc:
-        # order exceeds q; the report shows the probed order
-        return exc.order, (f"sample {idx}: zero-sum word {w!r} has order "
-                           f"{exc.order or f'> {exc.cap}'}, not a divisor of {q}")
-    if r.is_infinite:
-        return None, f"sample {idx}: zero-sum word {w!r} classified infinite"
-    return r.order, None
-
-
-def _job_order_infinite(args):
-    idx, sseed, q, max_len = args
-    rng = random.Random(sseed)
-    w = random_reduced_word(rng, max_len)
-    if t_exponent_sum(w) == 0:
-        w += "b"
-    r = order_in_G(w, _sctx(q))
-    if not r.is_infinite:
-        return f"sample {idx}: nonzero-sum word {w!r} got finite order {r.order}"
-    if "determinant t^" not in r.certificate:
-        return f"sample {idx}: missing infinite-order certificate for {w!r}"
-    return None
-
-
 def verify_order_dichotomy(q: int, samples: int = 200, infinite_samples: int = 50,
                            max_len: int = 12, seed: int = 0,
                            jobs: int = 1) -> VerificationReport:
     """Zero t-sum words have order dividing q; nonzero t-sum words are infinite."""
     t0 = time.perf_counter()
-    params = BurnsideParams.from_q(q)
-    status = "proved" if params.e == 1 else "experimental"
-    failures = []
-    hist: dict[int, int] = {}
-    _tables(q)
+    sctx = SContext.for_q(q)
+    status = "proved" if sctx.params.e == 1 else "experimental"
+    # order_in_G reaches the kernel tables itself: build them before _pmap forks
+    kernels.tables_for(sctx)
 
-    args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
-    for order, msg in _pmap(_job_order_zero, args, jobs):
-        if msg:
-            failures.append(msg)
-        if order is not None:
-            hist[order] = hist.get(order, 0) + 1
+    def zero_sum(i, rng):
+        w = random_zero_sum_word(rng, max_len)
+        try:
+            r = order_in_G(w, sctx)
+        except ExponentLawViolation as exc:
+            # order exceeds q; the report shows the probed order
+            return exc.order, (f"sample {i}: zero-sum word {w!r} has order "
+                               f"{exc.order or f'> {exc.cap}'}, not a divisor of {q}")
+        if r.is_infinite:
+            return None, f"sample {i}: zero-sum word {w!r} classified infinite"
+        return r.order, None
 
-    args = [(i, s, q, max_len) for i, s in
-            enumerate(_sample_seeds(seed + 1, infinite_samples))]
-    for msg in _pmap(_job_order_infinite, args, jobs):
-        if msg:
-            failures.append(msg)
+    def nonzero_sum(i, rng):
+        w = random_reduced_word(rng, max_len)
+        if t_exponent_sum(w) == 0:
+            w += "b"
+        r = order_in_G(w, sctx)
+        if not r.is_infinite:
+            return f"sample {i}: nonzero-sum word {w!r} got finite order {r.order}"
+        if "determinant t^" not in r.certificate:
+            return f"sample {i}: missing infinite-order certificate for {w!r}"
+        return None
 
+    zero = _per_sample(zero_sum, seed, samples, jobs)
+    failures = [m for _, m in zero if m]
+    failures += [m for m in _per_sample(nonzero_sum, seed + 1, infinite_samples, jobs) if m]
+    hist = Counter(order for order, _ in zero if order is not None)
     rows = [{"order": d, "count": hist[d]} for d in sorted(hist)]
     return VerificationReport(
         result="orders", q=q,
@@ -425,26 +386,21 @@ def verify_order_dichotomy(q: int, samples: int = 200, infinite_samples: int = 5
 # ---------------------------------------------------------------------------
 # solvability: depth-k trees vanish, depth-(k-1) witness search
 
-def _job_tree_identity(args):
-    idx, sseed, q, k, base_maxlen = args
-    rng = random.Random(sseed)
-    w = free_reduce(tree_word(rng, k, base_maxlen))
-    if not kernels.eval_is_identity(w, _tables(q)):
-        return f"tree {idx}: depth-{k} word of length {len(w)} is not the identity"
-    return None
-
-
 def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
                        base_maxlen: int = 3, seed: int = 0,
                        jobs: int = 1) -> SolvabilityReport:
     """Depth-k commutator trees evaluate to I; search one level down for life."""
     t0 = time.perf_counter()
     e_phi, k = solvability_bound(q)
-    tables = _tables(q)
+    tables = kernels.tables_for(SContext.for_q(q))
 
-    args = [(i, s, q, k, base_maxlen)
-            for i, s in enumerate(_sample_seeds(seed, samples))]
-    upper_failures = [m for m in _pmap(_job_tree_identity, args, jobs) if m]
+    def check(i, rng):
+        w = free_reduce(tree_word(rng, k, base_maxlen))
+        if not kernels.eval_is_identity(w, tables):
+            return f"tree {i}: depth-{k} word of length {len(w)} is not the identity"
+        return None
+
+    upper_failures = [m for m in _per_sample(check, seed, samples, jobs) if m]
 
     # structured candidates first (all generator-letter leaf tuples), then
     # random trees up to the budget; first non-identity word wins.  With more
@@ -479,25 +435,23 @@ def verify_solvability(q: int, samples: int = 50, witness_budget: int = 500,
 # ---------------------------------------------------------------------------
 # the commutative square
 
-def _job_square(args):
-    idx, sseed, q, max_len = args
-    rng = random.Random(sseed)
-    w = random_reduced_word(rng, max_len)
-    if not commutative_square_check(w, _sctx(q)):
-        return f"sample {idx}: square does not commute for word {w!r}"
-    return None
-
-
 def verify_square(q: int, samples: int = 100, max_len: int = 8, seed: int = 0,
                   jobs: int = 1) -> VerificationReport:
     """Quotient-then-specialize equals specialize-then-quotient on sampled words."""
     t0 = time.perf_counter()
-    # commutative_square_check evaluates on the kernel tables and the free
-    # context; build both before _pmap forks
-    _tables(q)
+    sctx = SContext.for_q(q)
+    # commutative_square_check reaches the kernel tables and the free context
+    # itself: build both before _pmap forks
+    kernels.tables_for(sctx)
     group_context("free")
-    args = [(i, s, q, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
-    failures = [m for m in _pmap(_job_square, args, jobs) if m]
+
+    def check(i, rng):
+        w = random_reduced_word(rng, max_len)
+        if not commutative_square_check(w, sctx):
+            return f"sample {i}: square does not commute for word {w!r}"
+        return None
+
+    failures = [m for m in _per_sample(check, seed, samples, jobs) if m]
     return VerificationReport(
         result="square", q=q,
         parameters={"samples": samples, "max_len": max_len},
@@ -513,26 +467,6 @@ def _layer_m(k: int) -> int:
     # needs one extra series slot there
     d = 1 << (k - 2)
     return d + 2 if k >= 4 else d + 1
-
-
-def _series(k: int) -> SeriesContext:
-    return _memo(("series", _layer_m(k)), lambda: SeriesContext(_layer_m(k)))
-
-
-def _job_layer(args):
-    idx, sseed, k = args
-    d = 1 << (k - 2)
-    samp = sample_layer_element(random.Random(sseed), k, _series(k))
-    sigma_ok = kernels.eval_is_identity(samp.word, kernels.sigma_tables(2 * d))
-    row = {"k": k, "sample": idx, "word_length": len(samp.word),
-           "valuation": samp.valuation, "certified": samp.certified,
-           "sigma_ok": sigma_ok}
-    msg = None
-    if samp.valuation < d:
-        msg = f"k={k} sample {idx}: valuation {samp.valuation} < {d}"
-    elif not sigma_ok:
-        msg = f"k={k} sample {idx}: coefficients escape Sigma^{2 * d}"
-    return row, msg, samp.word
 
 
 def verify_derived_layers(ks=(2, 3, 4), samples: int = 100, seed: int = 0,
@@ -555,10 +489,23 @@ def verify_derived_layers(ks=(2, 3, 4), samples: int = 100, seed: int = 0,
         d = 1 << (k - 2)
         # the exact-matrix path is cheap at k=2 and ~15 s per element at k=3
         crossings = cross_check if k == 2 else (1 if k == 3 else 0)
-        _series(k)
-        kernels.sigma_tables(2 * d)
-        args = [(i, s, k) for i, s in enumerate(_sample_seeds(seed + k, samples))]
-        for idx, (row, msg, word) in enumerate(_pmap(_job_layer, args, jobs)):
+        series = SeriesContext(_layer_m(k))
+        sigma = kernels.sigma_tables(2 * d)
+
+        def check(i, rng):
+            samp = sample_layer_element(rng, k, series)
+            sigma_ok = kernels.eval_is_identity(samp.word, sigma)
+            row = {"k": k, "sample": i, "word_length": len(samp.word),
+                   "valuation": samp.valuation, "certified": samp.certified,
+                   "sigma_ok": sigma_ok}
+            msg = None
+            if samp.valuation < d:
+                msg = f"k={k} sample {i}: valuation {samp.valuation} < {d}"
+            elif not sigma_ok:
+                msg = f"k={k} sample {i}: coefficients escape Sigma^{2 * d}"
+            return row, msg, samp.word
+
+        for idx, (row, msg, word) in enumerate(_per_sample(check, seed + k, samples, jobs)):
             rows.append(row)
             checks += 1
             if msg:
@@ -633,31 +580,26 @@ def verify_sanov(max_len: int = 10) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # normal-form invariants: fixed row and the product rule
 
-def _job_normal_form(args):
-    idx, sseed, max_len = args
-    ctx = group_context("metabelian")
-    rng = random.Random(sseed)
-    w1 = random_reduced_word(rng, max_len)
-    w2 = random_reduced_word(rng, max_len)
-    M1, M2 = ctx.eval_word(w1), ctx.eval_word(w2)
-    if not (check_row_fixed(M1) and check_row_fixed(M2)):
-        return f"sample {idx}: row (1-x, 1-y) moved"
-    nf1, nf2 = normal_form(M1), normal_form(M2)
-    predicted = product_normal_form_rule(nf1, nf2)
-    direct = normal_form(M1.mul(M2))
-    if predicted != direct:
-        return f"sample {idx}: product rule mismatch for {w1!r} * {w2!r}"
-    if not predicted.constraint_holds():
-        return f"sample {idx}: lambda constraint != 1 - u1*u2"
-    return None
-
-
 def verify_normal_forms(samples: int = 200, max_len: int = 10, seed: int = 0,
                         jobs: int = 1) -> VerificationReport:
     """Row fixed by every word matrix; product normal form from the factors."""
     t0 = time.perf_counter()
-    args = [(i, s, max_len) for i, s in enumerate(_sample_seeds(seed, samples))]
-    failures = [m for m in _pmap(_job_normal_form, args, jobs) if m]
+    ctx = group_context("metabelian")
+
+    def check(i, rng):
+        w1 = random_reduced_word(rng, max_len)
+        w2 = random_reduced_word(rng, max_len)
+        M1, M2 = ctx.eval_word(w1), ctx.eval_word(w2)
+        if not (check_row_fixed(M1) and check_row_fixed(M2)):
+            return f"sample {i}: row (1-x, 1-y) moved"
+        predicted = product_normal_form_rule(normal_form(M1), normal_form(M2))
+        if predicted != normal_form(M1.mul(M2)):
+            return f"sample {i}: product rule mismatch for {w1!r} * {w2!r}"
+        if not predicted.constraint_holds():
+            return f"sample {i}: lambda constraint != 1 - u1*u2"
+        return None
+
+    failures = [m for m in _per_sample(check, seed, samples, jobs) if m]
     return VerificationReport(
         result="normalform", q=None,
         parameters={"samples": samples, "max_len": max_len},

@@ -107,8 +107,10 @@ def test_order_beyond_the_scan_reports_its_cap(monkeypatch):
     assert (info.value.order, info.value.cap) == (None, 16)
     rc, out, _ = run(["order", "--q", "8", "abaB"])
     assert rc == EXIT_OK and out.endswith("\nprobed order: > 32\n")
-    order, message = verify._job_order_zero((3, 0, 9, 6))
-    assert order is None and message.endswith("has order > 81, not a divisor of 9")
+    report = verify.verify_order_dichotomy(9, samples=1, infinite_samples=1, max_len=6)
+    assert report.rows == []
+    assert report.failures == ["sample 0: zero-sum word 'Bab' has order > 81, "
+                               "not a divisor of 9"]
 
 
 def test_verify_unknown_suite():

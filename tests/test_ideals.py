@@ -313,8 +313,13 @@ def test_lattice_constructor_checks_its_rows():
     for modulus in (0, -4):
         with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
             IdealLattice(2, "bad", [[0, 2, 1], [0, 0, 2]], modulus)
-    # entries after a pivot must lie in [0, the pivot of their column)
-    for entry in (2, -1):
+    # moduli from 2^15 up, 3^39 (which fits int64) and 2^70 (which does not)
+    for modulus in (2 ** 15, 2 ** 16, 3 ** 39, 2 ** 70):
+        with pytest.raises(ValueError, match=f"modulus {modulus} is not below 2\\^15"):
+            IdealLattice(2, "bad", [[0, 2, 1], [0, 0, 2]], modulus)
+    # entries after a pivot must lie in [0, the pivot of their column), checked
+    # before any int64 array is built, so entries past int64 raise the same way
+    for entry in (2, -1, 2 ** 70, -2 ** 70):
         with pytest.raises(ValueError, match=f"entry {entry} of row 0 at column 2 is "
                                              r"outside \[0, 2\)"):
             IdealLattice(2, "bad", [[0, 2, entry], [0, 0, 2]], 4)

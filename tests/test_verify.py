@@ -1,5 +1,6 @@
 """Verification suites: determinism, statuses, and small-sample outcomes."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -22,6 +23,7 @@ from burnmat import (
     verify_square,
 )
 from burnmat.groups import balanced_commutator_word, group_context
+from burnmat.ideals import SContext
 
 
 def test_suite_registry():
@@ -71,6 +73,51 @@ def test_worker_count_does_not_change_reports():
     e1 = verify_burnside_exponent(3, samples=7, jobs=1)
     e2 = verify_burnside_exponent(3, samples=7, jobs=2)
     assert e1.to_record() == e2.to_record()
+
+
+# sha256 of each report's record, serialized as `--output structured` does
+# (less config_hash), at jobs 1 and 2.  Seed 2, not 0, so the stride of the
+# per-sample seeds shows.  A report shows its words only where they fail or
+# are tallied (orders, solvable, layers); the others pin their parameters.
+PINNED_REPORTS = {
+    "powers": (lambda j: verify_power_formula(samples=20, max_n=4, seed=2, jobs=j),
+               "bca66c6c774c4b837a0a6e0e255e34cfb3a1118cb97bfb499d304a4797d78162"),
+    "inclusions-q9": (lambda j: verify_ideal_inclusions(9, seed=2, jobs=j),
+                      "4a63d2f01b7a017872047968798910201e793ba86e7b24c7611a2c796d0e9568"),
+    "exponent-q3": (lambda j: verify_burnside_exponent(3, samples=20, seed=2, jobs=j),
+                    "5a2c8f97b7610e84f0e23f8561a9c556356b1695b875362fccaa1e764161e851"),
+    "exponent-q8": (lambda j: verify_burnside_exponent(8, samples=10, seed=2, jobs=j),
+                    "eaeb54199ee876ffd8832ea891684bb44fc2a698bcd21ea998fa0545a2670423"),
+    "orders-q4": (lambda j: verify_order_dichotomy(4, samples=20, infinite_samples=5,
+                                                   max_len=8, seed=2, jobs=j),
+                  "5bd738017195126960bfaa2b2877ef496fd076b8c93b2f92acb3b6108f557828"),
+    "orders-q5": (lambda j: verify_order_dichotomy(5, samples=10, infinite_samples=5,
+                                                   max_len=8, seed=2, jobs=j),
+                  "f3327b1be7586b3ecf99ff2da552240d687c91964538b6166b4d047af32af5b6"),
+    "solvable-q3": (lambda j: verify_solvability(3, samples=10, witness_budget=20,
+                                                 seed=2, jobs=j),
+                    "6953240eefaa88d2525cd7c48a3ced47b3d34fb6c8a834175226bb394834c1f5"),
+    "solvable-q4": (lambda j: verify_solvability(4, samples=5, witness_budget=5,
+                                                 seed=2, jobs=j),
+                    "5a9c9bd61c54bb6f5be1fcc6aee4af93bdac4ac4618f98cc4602a7c393a0aca5"),
+    "square-q4": (lambda j: verify_square(4, samples=10, seed=2, jobs=j),
+                  "66970a4a4e1d2afe115bd466e90b9c14d14a86d1e2a697a21bd2f4e4cde8afcc"),
+    # k = 2 only: one k = 3 cross-check costs about 15 s
+    "layers-k2": (lambda j: verify_derived_layers(ks=(2,), samples=20, seed=2, jobs=j),
+                  "7ce05631b2806834b8ac99d38ee5a93f88fe8499ce9179712c0f588d1e0066be"),
+    "sanov": (lambda j: verify_sanov(max_len=6),
+              "d1b68f2ab4a4afdff9c1bb4791c042fcaa05adb7ebd270ae4de4ee81e2f7deec"),
+    "normalform": (lambda j: verify_normal_forms(samples=20, seed=2, jobs=j),
+                   "f84104ceea9c987348470136e2f869daae568a0bab3456a2323aa19c4445269c"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_pinned_report_digests(name, jobs):
+    call, digest = PINNED_REPORTS[name]
+    record = json.dumps(call(jobs).to_record(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
 def test_inclusion_suite_parameters():
@@ -252,13 +299,19 @@ def test_basic_commutator_chain_matches_flat_words():
 
 def test_suites_build_in_the_parent_before_forking(monkeypatch):
     import burnmat.kernels as kernels
-    import burnmat.verify as verify
 
-    monkeypatch.setattr(verify, "_CTX_MEMO", {})
+    # forked children cannot fill this process's caches, so whatever is
+    # there after jobs=2 runs was built here, before the fork
+    SContext.for_q.cache_clear()
     monkeypatch.setattr(kernels, "_CACHE", {})
     assert verify_square(4, samples=2, jobs=2).passed
+    assert kernels._CACHE.keys() == {("s", 4)}
     assert verify_burnside_exponent(4, samples=2, jobs=2).passed
-    assert ("s", 4) in verify._CTX_MEMO and ("s", 4) in kernels._CACHE
+    assert kernels._CACHE.keys() == {("s", 4), ("t1", 4)}
+    assert verify_order_dichotomy(5, samples=2, infinite_samples=2, jobs=2).passed
+    assert kernels._CACHE.keys() == {("s", 4), ("t1", 4), ("s", 5)}
+    assert SContext.for_q.cache_info().currsize == 2
+    assert SContext.for_q(4) is SContext.for_q(4)
 
 
 def test_zero_checks_never_pass():
