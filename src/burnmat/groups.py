@@ -6,10 +6,12 @@ Generators (letters a/A are the matrix and its inverse, likewise b/B):
     a = [[1, 1-y], [0, x]]        b = [[y*t, 0], [1-x*t, 1]]
 
 Words are plain strings over a/A/b/B.  GroupContext evaluates them over
-R[t,t^-1] ("free") or R at t=1 ("metabelian"); words over S(q)[t,t^-1] go
-through kernels.QuotientMatrix.  An element of S(q) is its canonical
-coefficient tuple (SContext.reduce), so S(q) at t=1 is reached by reducing
-metabelian entries.  Setting t=1 commutes with reducing R -> S(q), which is
+R[t,t^-1] ("free") or R at t=1 ("metabelian") one letter step at a time: a
+generator column is e_j, which leaves the product's column j as it is, or
+at most three monomial terms, each a shifted copy of one column.  Words
+over S(q)[t,t^-1] go through kernels.QuotientMatrix.  An element of S(q)
+is its canonical coefficient tuple (SContext.reduce), so S(q) at t=1 is
+reached by reducing metabelian entries.  Setting t=1 commutes with reducing R -> S(q), which is
 the commutative-square check at the bottom of this module.
 """
 
@@ -176,10 +178,64 @@ def _free_generators() -> dict[str, Matrix2]:
     return {"a": a, "A": ai, "b": b, "B": bi}
 
 
+def _letter_steps(gens: dict[str, Matrix2]) -> dict[str, tuple]:
+    """Right multiplication by each generator as a sparse step on rows.
+
+    steps[ch][j] is None when column j of ch's matrix is e_j: the product
+    keeps its column j.  Otherwise it is the column's nonzero terms
+    ((l, (i, j, k), c), ...), each adding c x^i y^j t^k times entry (r, l)
+    of the product to entry (r, j).  A generator has at most three terms
+    per column, against the eight products and four sums of Matrix2.mul.
+    """
+    steps = {}
+    for ch, M in gens.items():
+        e = M.entries()
+        cols = []
+        for j in range(2):
+            col = (e[j], e[2 + j])
+            if col[j] == _ONE and col[1 - j].is_zero():
+                cols.append(None)
+            else:
+                cols.append(tuple((l, mono, c) for l, f in enumerate(col)
+                                  for mono, c in f.terms.items()))
+        steps[ch] = tuple(cols)
+    return steps
+
+
+def _eval_steps(steps: dict, w: str) -> Matrix2:
+    """The identity right-multiplied by the letters of w, one step each."""
+    rows = [[{(0, 0, 0): 1}, {}], [{}, {(0, 0, 0): 1}]]
+    for ch in w:
+        step = steps[ch]
+        for row in rows:
+            old = tuple(row)
+            for j, col in enumerate(step):
+                if col is None:
+                    continue
+                acc = {}
+                for l, (di, dj, dk), c in col:
+                    if not acc:
+                        acc = {(i + di, jj + dj, k + dk): c * v
+                               for (i, jj, k), v in old[l].items()}
+                        continue
+                    get = acc.get
+                    for (i, jj, k), v in old[l].items():
+                        key = (i + di, jj + dj, k + dk)
+                        v = get(key, 0) + c * v
+                        if v:
+                            acc[key] = v
+                        elif key in acc:
+                            del acc[key]
+                row[j] = acc
+    return Matrix2(*(LaurentPoly(terms) for row in rows for terms in row))
+
+
 class GroupContext:
     """Evaluation target: one of two coefficient rings.
 
-    mode "free" = R[t,t^-1], "metabelian" = R at t=1.
+    mode "free" = R[t,t^-1], "metabelian" = R at t=1.  Words are evaluated
+    by the generators' letter steps (_letter_steps); Matrix2.mul is the
+    generic product they are tested against.
     """
 
     MODES = ("free", "metabelian")
@@ -189,6 +245,7 @@ class GroupContext:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.gens = self._build_generators()
+        self.steps = _letter_steps(self.gens)
         ident = self.identity()
         for g, gi in (("a", "A"), ("b", "B")):
             if not self.gens[g].mul(self.gens[gi]) == ident:
@@ -205,10 +262,7 @@ class GroupContext:
         return Matrix2(one, zero, zero, one)
 
     def eval_word(self, w: str) -> Matrix2:
-        M = self.identity()
-        for ch in w:
-            M = M.mul(self.gens[ch])
-        return M
+        return _eval_steps(self.steps, w)
 
 
 @functools.cache
@@ -368,15 +422,15 @@ class OrderResult:
         return self.order == math.inf
 
 
+@functools.cache
+def _xy1_steps() -> dict[str, tuple]:
+    return _letter_steps({k: m.map_entries(lambda f: f.specialize(x=1, y=1))
+                          for k, m in _free_generators().items()})
+
+
 def specialize_xy1(w: str) -> Matrix2:
     """Evaluate the word with x = y = 1 kept exact in t (a triangular Z[t,t^-1] image)."""
-    free = _free_generators()
-    gens = {k: m.map_entries(lambda f: f.specialize(x=1, y=1)) for k, m in free.items()}
-    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
-    M = Matrix2(one, zero, zero, one)
-    for ch in w:
-        M = M.mul(gens[ch])
-    return M
+    return _eval_steps(_xy1_steps(), w)
 
 
 def order_in_G(w: str, sctx: SContext) -> OrderResult:

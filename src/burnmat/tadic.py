@@ -17,7 +17,16 @@ suites so that deep layers never require the exact matrix:
     since a nonzero polynomial of t-span n is never divisible by (t-1)^(n+1).
 
 SeriesContext carries exact integer x,y coefficients (no truncation), so the
-valuation side is exact; the sigma side runs on the kernels module.
+valuation side is exact; the sigma side runs on the kernels module.  It
+evaluates a word one letter step at a time, as GroupContext does in the
+exact ring: a generator column is e_j, which keeps the product's column j,
+or a few terms, each a copy of one column moved by a monomial and by s-slots.
+
+A commutator tree is evaluated node by node (_Node).  A leaf whose
+determinant is not 1 has valuation 0 and is evaluated only if a parent asks
+for its delta; a commutator of two leaves is evaluated as its word by letter
+steps; a deeper commutator takes the bracket of its children's deltas and
+builds its own delta only when a parent asks.
 """
 
 from __future__ import annotations
@@ -319,8 +328,30 @@ def _zero_slots(m: int) -> list:
     return [dict() for _ in range(m)]
 
 
+def _series_steps(g: SeriesMatrix) -> tuple:
+    """Right multiplication by g as a sparse step on rows, the series form of
+    groups._letter_steps.
+
+    Entry j is None when column j of g is e_j: the product keeps its column
+    j.  Otherwise it is the column's nonzero terms ((l, shift, r, c), ...),
+    each adding c times entry (row, l) of the product, its keys moved by
+    shift (the key of a monomial less _KONE) and its slots up by r, to entry
+    (row, j).  A generator column has at most 2m + 1 terms.
+    """
+    m = g.m
+    cols = []
+    for j in range(2):
+        col = (g.e[j], g.e[2 + j])
+        if col[j] == _one_slots(m) and col[1 - j] == _zero_slots(m):
+            cols.append(None)
+        else:
+            cols.append(tuple((l, key - _KONE, r, c) for l, ent in enumerate(col)
+                              for r, slot in enumerate(ent) for key, c in slot.items()))
+    return tuple(cols)
+
+
 class SeriesContext:
-    """Generator matrices over R[s]/(s^m) and word/tree evaluation."""
+    """Generator matrices over R[s]/(s^m) and word evaluation by letter steps."""
 
     def __init__(self, m: int):
         if m < 1:
@@ -330,6 +361,7 @@ class SeriesContext:
         for letter, M in _free_generators().items():
             self.gens[letter] = SeriesMatrix(
                 m, [_laurent_to_series(e, m) for e in M.entries()])
+        self.steps = {letter: _series_steps(g) for letter, g in self.gens.items()}
 
     def identity(self) -> SeriesMatrix:
         m = self.m
@@ -337,11 +369,37 @@ class SeriesContext:
                                 _zero_slots(m), _one_slots(m)])
 
     def eval_word(self, w: str) -> SeriesMatrix:
-        out = None
+        """The identity right-multiplied by the letters of w, one step each;
+        SeriesMatrix.mul is the generic product the steps are tested against."""
+        m = self.m
+        rows = [[_one_slots(m), _zero_slots(m)], [_zero_slots(m), _one_slots(m)]]
         for ch in w:
-            g = self.gens[ch]
-            out = g if out is None else out.mul(g)
-        return self.identity() if out is None else out
+            step = self.steps[ch]
+            for row in rows:
+                old = tuple(row)
+                for j, col in enumerate(step):
+                    if col is None:
+                        continue
+                    acc = [dict() for _ in range(m)]
+                    for l, shift, r, c in col:
+                        src = old[l]
+                        for sl in range(m - r):
+                            if not src[sl]:
+                                continue
+                            out = acc[sl + r]
+                            if not out:
+                                acc[sl + r] = {k + shift: c * v for k, v in src[sl].items()}
+                                continue
+                            get = out.get
+                            for k, v in src[sl].items():
+                                k += shift
+                                v = get(k, 0) + c * v
+                                if v:
+                                    out[k] = v
+                                elif k in out:
+                                    del out[k]
+                    row[j] = acc
+        return SeriesMatrix(m, rows[0] + rows[1])
 
 
 # ---------------------------------------------------------------------------
@@ -435,40 +493,65 @@ class _Node:
     """Tree node g: the valuation of g - I and det g up front, the delta g - I
     on demand.
 
-    det is (e1, e2) with det g = x^e1 (yt)^e2, and (0, 0) for a commutator.
-    A commutator keeps its children's deltas and its bracket in _parts until
-    a parent asks for its delta; a sample's root never does.
+    det is (e1, e2) with det g = x^e1 (yt)^e2, and (0, 0) for a commutator;
+    word is a leaf's word, None otherwise.  Until a parent asks for the
+    delta, _make holds the call that builds it; a sample's root never asks.
+    Two kinds of node wait:
+
+      * a leaf with det != (0, 0), whose valuation is 0 unevaluated: at
+        t = 1 its det is x^e1 y^e2 != 1, so g is not I mod s;
+      * a commutator with a child that is not a leaf, which keeps its
+        children's deltas and its bracket for _commutator_delta.
+
+    A zero-sum leaf and a commutator of two leaves evaluate their word at once.
     """
 
-    __slots__ = ("valuation", "det", "_delta", "_parts")
+    __slots__ = ("valuation", "det", "word", "_delta", "_make")
 
-    def __init__(self, valuation: int, det: tuple[int, int], delta=None, parts=None):
+    def __init__(self, valuation: int, det: tuple[int, int], word: str | None = None,
+                 delta=None, make=None):
         self.valuation = valuation
         self.det = det
+        self.word = word
         self._delta = delta
-        self._parts = parts
+        self._make = make
 
     @property
     def delta(self) -> SeriesMatrix:
         if self._delta is None:
-            self._delta = _commutator_delta(*self._parts)
-            self._parts = None
+            fn, *args = self._make
+            self._delta = fn(*args)
+            self._make = None
         return self._delta
 
 
+def _word_delta(w: str, ctx: SeriesContext) -> SeriesMatrix:
+    return _plus_identity(ctx.eval_word(w), -1)
+
+
 def _leaf(w: str, ctx: SeriesContext) -> _Node:
-    delta = _plus_identity(ctx.eval_word(w), -1)
-    return _Node(_valuation(delta), _word_det(w), delta=delta)
+    det = _word_det(w)
+    if det != (0, 0):
+        return _Node(0, det, word=w, make=(_word_delta, w, ctx))
+    delta = _word_delta(w, ctx)
+    return _Node(_valuation(delta), det, word=w, delta=delta)
 
 
-def _commutator(L: _Node, R: _Node) -> _Node:
+def _commutator(L: _Node, R: _Node, ctx: SeriesContext) -> _Node:
     """[L, R] - I = (LR - RL)(RL)^-1 and RL is a unit, so [L, R] has the
     valuation of D = LR - RL = AB - BA, for the deltas A = L - I and B = R - I.
-    The node computes D by _bracket; its delta waits for a parent."""
+    The node computes D by _bracket; its delta waits for a parent.
+
+    A commutator of two leaves is its word, at most four leaf lengths long,
+    evaluated by letter steps: cheaper than the children's deltas and the
+    products of the bracket and the delta."""
+    if L.word is not None and R.word is not None:
+        delta = _word_delta(free_reduce(commutator_word(L.word, R.word)), ctx)
+        return _Node(_valuation(delta), (0, 0), delta=delta)
     A, B = L.delta, R.delta
     D = _bracket(A, B)
     det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
-    return _Node(_valuation(D), (0, 0), parts=(A, B, D, det))
+    return _Node(_valuation(D), (0, 0), make=(_commutator_delta, A, B, D, det))
 
 
 def _commutator_delta(A, B, D, det) -> SeriesMatrix:
@@ -476,8 +559,9 @@ def _commutator_delta(A, B, D, det) -> SeriesMatrix:
 
     [L, R] = LR (RL)^-1 and RL = LR - D.  The adjugate is linear and D is
     traceless, so adj D = -D and LR adj(RL) = det(LR) I + LR D.  det(LR) is
-    1 unless a child is a leaf.  (A + B + AB) D starts at slot
-    min(val A, val B) + val D, so deep nodes skip most slot products.
+    1 unless one child is a leaf (two leaves make a word node instead).
+    (A + B + AB) D starts at slot min(val A, val B) + val D, so deep nodes
+    skip most slot products.
     """
     m = D.m
     # slot i of AB and of A + B + AB meets D only if i + val D < m
@@ -489,7 +573,7 @@ def _commutator_delta(A, B, D, det) -> SeriesMatrix:
 def _eval_tree(tree, ctx: SeriesContext) -> _Node:
     if tree[0] == "w":
         return _leaf(tree[1], ctx)
-    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx))
+    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx), ctx)
 
 
 def eval_tree_series(tree, ctx: SeriesContext) -> SeriesMatrix:
@@ -521,12 +605,12 @@ def sample_layer_element(rng, k: int, ctx: SeriesContext, maxlen: int = 3) -> La
             return ("w", w), node
         lt, ln = build(depth - 1)
         rt, rn = build(depth - 1)
-        nd = _commutator(ln, rn)
+        nd = _commutator(ln, rn, ctx)
         for _ in range(_RETRIES - 1):
             if nd.valuation < m:
                 break
             rt, rn = build(depth - 1)
-            nd = _commutator(ln, rn)
+            nd = _commutator(ln, rn, ctx)
         return ("c", lt, rt), nd
 
     tree, node = build(k)

@@ -5,7 +5,9 @@ perfbench/micro.py loads benchmarks/bench_kernels.py; a rename or deletion
 there would otherwise only show when the benchmark runs.
 """
 
+import inspect
 import os
+import random
 
 import pytest
 
@@ -37,6 +39,34 @@ def test_span_hooks_install_and_uninstall(perfbench):
     assert {"groups.closure", "ideals.reduce", "kernels.eval.S2"} <= set(tracer.agg)
     assert groups.group_closure is closure and verify.group_closure is closure
     assert ideals.SContext.__dict__["reduce"] is reduce
+
+
+def test_wrapped_layer_names_keep_their_signatures(perfbench):
+    # install_layers reads argument 1, named w, of both eval_word methods and
+    # argument 1, named k, of sample_layer_element, and wraps SeriesMatrix.mul
+    # and LaurentPoly.__mul__ from their class dicts
+    spans, _ = perfbench
+    from burnmat import groups, rings, tadic, verify
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)[:2]
+
+    for cls in (groups.GroupContext, tadic.SeriesContext):
+        assert params(cls.__dict__["eval_word"]) == ["self", "w"]
+    assert params(tadic.sample_layer_element) == ["rng", "k"]
+    assert callable(tadic.SeriesMatrix.__dict__["mul"])
+    assert callable(rings.LaurentPoly.__dict__["__mul__"])
+    tracer = spans.Tracer()
+    try:
+        spans.install_layers(tracer)
+        assert verify.verify_derived_layers(ks=(2,), samples=2, cross_check=1).passed
+        # depth-3 nodes take their children's deltas by SeriesMatrix.mul
+        tadic.sample_layer_element(random.Random(0), 3, tadic.SeriesContext(3))
+    finally:
+        tracer.uninstall()
+    assert {"groups.eval_word", "tadic.eval_word", "tadic.series_mul", "tadic.sample.k2",
+            "tadic.sample.k3", "rings.mul"} <= set(tracer.agg)
+    assert tracer.counts["groups.eval_word.letters"] > 0
 
 
 def test_micro_loads_lane_benchmark(perfbench):

@@ -7,6 +7,7 @@ import pytest
 from burnmat import (
     GroupContext,
     LaurentPoly,
+    Matrix2,
     NonConforming,
     SContext,
     UnitMonomial,
@@ -29,7 +30,7 @@ from burnmat import (
     tree_word,
     word_inverse,
 )
-from burnmat.groups import balanced_commutator_word, group_context
+from burnmat.groups import balanced_commutator_word, group_context, specialize_xy1
 
 ONE = LaurentPoly.const(1)
 X = LaurentPoly.var_x()
@@ -54,6 +55,43 @@ def test_eval_generator_displays(free_ctx):
     b = free_ctx.eval_word("b")
     assert b.e11 == parse_poly("y*t") and b.e12.is_zero()
     assert b.e21 == parse_poly("1 - x*t") and b.e22 == ONE
+
+
+def _product_chain(gens, w):
+    """w by Matrix2.mul, letter by letter: the oracle of the letter steps."""
+    M = Matrix2(ONE, LaurentPoly.zero(), LaurentPoly.zero(), ONE)
+    for ch in w:
+        M = M.mul(gens[ch])
+    return M
+
+
+def _oracle_words():
+    rng = random.Random(211)
+    words = ["", "a", "A", "b", "B", "aA", "Bb", "abAB", "bbbBBBaaaAAA"]
+    words += [random_reduced_word(rng, 44, minlen=40) for _ in range(3)]
+    # unreduced words too: the steps never cancel letters
+    words += ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 30)))
+              for _ in range(4)]
+    assert max(map(len, words)) >= 40
+    return words
+
+
+@pytest.mark.parametrize("mode", GroupContext.MODES)
+def test_eval_word_matches_generic_products(mode):
+    ctx = GroupContext(mode)
+    for w in _oracle_words():
+        assert ctx.eval_word(w) == _product_chain(ctx.gens, w), w
+
+
+def test_specialize_xy1_matches_generic_products(s3):
+    gens = {k: M.map_entries(lambda f: f.specialize(x=1, y=1))
+            for k, M in GroupContext("free").gens.items()}
+    for w in _oracle_words():
+        assert specialize_xy1(w) == _product_chain(gens, w), w
+    assert order_in_G("abbaB", s3).certificate == (
+        "specialization x=y=1 has determinant t^1, k != 0")
+    assert order_in_G("BaB", s3).certificate == (
+        "specialization x=y=1 has determinant t^-2, k != 0")
 
 
 def test_generator_inverses_check_out(free_ctx):

@@ -345,6 +345,75 @@ def test_leaf_inverse_is_adjugate_over_det(w, m):
     assert inv.e == ctx.eval_word(word_inverse(w)).e
 
 
+def _product_chain(ctx, w):
+    """w by SeriesMatrix.mul, letter by letter: the oracle of the letter steps."""
+    M = ctx.identity()
+    for ch in w:
+        M = M.mul(ctx.gens[ch])
+    return M
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_series_eval_word_matches_generic_products(m):
+    rng = random.Random(400 + m)
+    words = ["", "a", "A", "b", "B", "aA", "Bb", "BBBaab"]
+    words += [random_reduced_word(rng, 30, minlen=20) for _ in range(3)]
+    words += ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 20)))
+              for _ in range(3)]
+    ctx = SeriesContext(m)
+    for w in words:
+        assert ctx.eval_word(w).e == _product_chain(ctx, w).e, w
+
+
+def _reduced_words(n):
+    """Every freely reduced word of at most n letters, the empty word included."""
+    words, frontier = [""], [""]
+    for _ in range(n):
+        frontier = [w + ch for w in frontier for ch in "aAbB"
+                    if not w or w[-1] != ch.swapcase()]
+        words += frontier
+    return words
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_det_shortcut_matches_evaluated_valuation(m):
+    # a leaf with det != 1 takes valuation 0 unevaluated; zero-sum leaves
+    # such as abAB (valuation >= 1) are evaluated
+    ctx = SeriesContext(m)
+    words = _reduced_words(4)
+    assert len(words) == 161
+    for w in words:
+        node = tadic._leaf(w, ctx)
+        delta = tadic._plus_identity(_product_chain(ctx, w), -1)
+        assert node.valuation == tadic._valuation(delta), w
+        assert node.delta.e == delta.e, w
+
+
+def _zero_sum_word(rng, maxlen):
+    while True:
+        w = random_reduced_word(rng, maxlen, minlen=4)
+        if tadic._word_det(w) == (0, 0):
+            return w
+
+
+@pytest.mark.parametrize("maxlen", [4, 5, 6])
+def test_leaf_commutator_matches_bracket_path(maxlen):
+    # a node of two leaves is its commutator word; the bracket of the
+    # leaves' deltas and the delta LR D / det must give the same node
+    rng = random.Random(500 + maxlen)
+    for i in range(12):
+        l = _zero_sum_word(rng, maxlen) if i % 2 else random_reduced_word(rng, maxlen)
+        r = _zero_sum_word(rng, maxlen) if i % 3 else random_reduced_word(rng, maxlen)
+        for m in range(1, 5):
+            ctx = SeriesContext(m)
+            L, R = tadic._leaf(l, ctx), tadic._leaf(r, ctx)
+            node = tadic._commutator(L, R, ctx)
+            D = tadic._bracket(L.delta, R.delta)
+            det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
+            assert node.valuation == tadic._valuation(D), (l, r, m)
+            assert node.delta.e == tadic._commutator_delta(L.delta, R.delta, D, det).e
+
+
 def _subtrees(tree):
     yield tree
     if tree[0] == "c":

@@ -120,6 +120,56 @@ def test_pinned_report_digests(name, jobs):
     assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
+# sha256 of the sorted words each sampler handed each suite at seed 2,
+# recorded at the commit before word evaluation moved to letter steps.  A
+# passing report of these suites shows none of its words, so the digests in
+# PINNED_REPORTS cannot pin them; orders-q5 is the infinite-order half alone
+# (samples=0), drawn from seed + 1.
+PINNED_WORDS = {
+    "powers": (lambda j: verify_power_formula(samples=20, max_n=2, seed=2, jobs=j),
+               "18e88e916f2bedf579e12ed3d45d71486c552ae3933c8fe851539c4eb49227f1"),
+    "exponent-q8": (lambda j: verify_burnside_exponent(8, samples=10, seed=2, jobs=j),
+                    "9685cbd16a2acd08c5766c990061236f4d81b346dae83e7a5495109fe2d7e86e"),
+    "square-q4": (lambda j: verify_square(4, samples=10, seed=2, jobs=j),
+                  "1467090d447d79f7724fb8f114db086bd3452de1f5edda7d67eec97f1469948b"),
+    "normalform": (lambda j: verify_normal_forms(samples=20, seed=2, jobs=j),
+                   "7d65509be2605935ae6a87d725fe1d5967d68ec2c5487ba62a84d253f0116aa9"),
+    "orders-q5": (lambda j: verify_order_dichotomy(5, samples=0, infinite_samples=10,
+                                                   max_len=8, seed=2, jobs=j),
+                  "9469b9527f8d27e9b773db6933c50c1343694d4f67bf01afb323ce7b2b96e4ae"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", PINNED_WORDS)
+def test_pinned_sampled_words(name, jobs, tmp_path, monkeypatch):
+    # forked workers inherit the wrapped samplers and append to one file;
+    # sorting the lines makes the digest independent of their interleaving
+    import burnmat.verify as verify
+
+    log = str(tmp_path / "words")
+
+    def recording(sampler):
+        def draw(*args, **kwargs):
+            w = sampler(*args, **kwargs)
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{sampler.__name__} {w}\n".encode())
+            finally:
+                os.close(fd)
+            return w
+        return draw
+
+    for attr in ("random_reduced_word", "random_zero_sum_word"):
+        monkeypatch.setattr(verify, attr, recording(getattr(verify, attr)))
+    call, digest = PINNED_WORDS[name]
+    call(jobs)
+    with open(log, "rb") as fh:
+        lines = sorted(fh.read().splitlines())
+    assert lines
+    assert hashlib.sha256(b"\n".join(lines)).hexdigest() == digest
+
+
 def test_inclusion_suite_parameters():
     r2 = verify_ideal_inclusions(2)
     assert r2.passed and r2.parameters["d_min"] == 1
