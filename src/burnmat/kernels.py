@@ -3,23 +3,25 @@
 A matrix entry is a Laurent polynomial in t whose coefficients live on the
 monomial basis a^r b^s (r+s < D, a = 1-x, b = 1-y).  Multiplying by a basis
 monomial is an index shift on that basis, so right-multiplying the running
-product by one generator, or by the product xy of two, is a fixed integer
-linear map on the coefficients.  Two lanes compute the same thing:
+product by a generator is a fixed integer linear map on the coefficients;
+it changes one column of the product (a and A column 1, b and B column 0)
+and keeps the other.  Two lanes compute the same thing:
 
   python  exact integer dicts, one letter at a time: the correctness oracle
           and the Sigma^D overflow fallback
-  numpy   int64 [2 rows, T, 2N] window, one sparse gather and segment-sum
-          per two letters (an odd last letter alone), with an overflow guard
-          (the default)
+  numpy   float64 [T, 2 rows, 2 columns, N] window, one dense BLAS product
+          per letter on the column it changes (a few window rows at a
+          time), with a guard that keeps every value an integer below 2^52,
+          so float64 holds it exactly (the default)
 
 On S(q) tables both lanes take the I(q)Sigma lattice's mod_step (the
 lattice contract is in the ideals module docstring): the python lane after
 every letter, the numpy lane when its guard trips.  It keeps each vector's
 coset and every value below q (see the python lane), so no S(q) run can
 overflow.  On Sigma^D tables (q = 0, truncation only) the numpy lane raises
-KernelOverflow before a value could leave int64; eval_word_quotient falls
-back to the python lane and counts it in FALLBACKS under the table label
-(Sigma12).  Both lanes reduce canonically through the tables' lattice
+KernelOverflow before a value could pass the guard; eval_word_quotient
+falls back to the python lane and counts it in FALLBACKS under the table
+label (Sigma12).  Both lanes reduce canonically through the tables' lattice
 (reduce, reduce_rows) before they hand out a result: this module holds no
 reduction of its own.
 eval_word_quotient takes one word's value; least_identity_power runs a lane
@@ -27,15 +29,15 @@ once over w, w, w, ... to find w's order.
 
 tables_for(sctx, at_t1=True) gives the t = 1 tables: the S(q) tables with
 every t-shift set to 0, on which both lanes evaluate in S(q) itself, one
-t-slice per step however long the word.  The exponent suite uses them;
+t-slice per letter however long the word.  The exponent suite uses them;
 entries_at_t1 sums a full S(q)[t,t^-1] result over t instead.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -46,14 +48,21 @@ from .rings import tri_dim
 HAS_NUMBA = False
 
 LANES = ("python", "numpy")
-INT64_MAX = 2 ** 63 - 1
+# every integer of magnitude up to 2^53 is a float64
+FLOAT_EXACT = 2 ** 53
+# OpenBLAS splits a product m x k by k x n over threads once m*n*k passes
+# 2^18.  With as many busy processes as cores (--jobs 2 on two cores) those
+# threads wait on each other: 60 order scans at q = 8 took 24-36 s in place
+# of 1.4 s.  So the numpy lane multiplies a few window rows at a time, below
+# that size.
+SERIAL_MNK = 2 ** 18
 
 # overflow fallbacks to the python lane in this process, by table label
 FALLBACKS: Counter = Counter()
 
 
 class KernelOverflow(RuntimeError):
-    """A Sigma^D run on the numpy lane would leave int64; retry on the python lane.
+    """A Sigma^D run on the numpy lane would pass its float64 guard; retry on the python lane.
 
     S(q) tables never raise it: their lanes keep every value below q.
     """
@@ -68,7 +77,7 @@ def get_lane(lane: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tables: basis shift maps, generator term lists, optional reduction lattice
+# tables: basis shift maps, generator term lists, letter matrices, optional lattice
 
 @dataclass(frozen=True)
 class QuotientTables:
@@ -79,16 +88,15 @@ class QuotientTables:
     N: int
     # maps[m] = (src_idx, dst_idx): multiply by a^r b^s sends coeff[src] to coeff[dst]
     maps: tuple
-    # gen_terms[w][(l, j)] = ((dt, map_id, coeff), ...) for the matrix of w, a
-    # generator letter or a product of two
+    # gen_terms[ch][(l, j)] = ((dt, map_id, coeff), ...) for the matrix of letter ch
     gen_terms: dict
     # the I(q)Sigma lattice that reduces S(q) values, None for plain truncation
     lattice: IdealLattice | None
     one: tuple
     growth: int
-    # steps[w]: the numpy lane's sparse form of right multiplication by w
-    steps: dict
-    # every generator term's t-shift collapsed to 0: S(q) itself, see _at_t1
+    # mats[ch] = (j, dt_min, M): the numpy lane's form of right multiplication by ch
+    mats: dict
+    # every generator term's t-shift set to 0: S(q) itself, see _letters
     at_t1: bool = False
 
     @property
@@ -99,68 +107,10 @@ class QuotientTables:
 
     @property
     def guard_limit(self) -> int:
-        return INT64_MAX // (2 * self.growth)
+        return FLOAT_EXACT // (2 * self.growth)
 
     def reduce_vec(self, vec: list) -> tuple:
         return self.lattice.reduce(vec)
-
-
-@dataclass(frozen=True)
-class LetterStep:
-    """Right multiplication by one or two generators on the numpy lane's layout.
-
-    Row i of the running product is a [T, 2N] array whose column l*N + n holds
-    basis coefficient n of entry (i, l).  The step sends (column l, index
-    src) at t to (column j, index dst) at t + dt.  Pairs are sorted by
-    destination: pairs starts[k] up to starts[k+1] all land on destination k.
-    The arrays are int32, which holds every value (src < 2N, |coef| <= growth,
-    starts < pairs); products are formed in the int64 gather.
-    """
-
-    src: np.ndarray     # source column l*N + n of each pair
-    coef: np.ndarray    # integer coefficient of each pair
-    starts: np.ndarray  # first pair of each destination segment
-    dt_min: int
-    span: int           # dt_max - dt_min: how far one step widens the window
-    # (dt - dt_min, first segment, end segment, destination columns) per dt;
-    # the columns are a slice when contiguous, else an index array
-    blocks: tuple
-
-
-def _letter_step(terms: dict, maps: tuple, N: int) -> LetterStep:
-    width = 2 * N
-    flat = [(l, j, dt, mp, c) for (l, j), per in terms.items() for dt, mp, c in per]
-    dts = [dt for _, _, dt, _, _ in flat]
-    dt_min = min(dts)
-    lens = [len(maps[mp][0]) for _, _, _, mp, _ in flat]
-
-    def per_pair(vals):
-        return np.repeat(np.array(vals, dtype=np.int64), lens)
-
-    src_idx = np.concatenate([maps[mp][0] for _, _, _, mp, _ in flat])
-    dst_idx = np.concatenate([maps[mp][1] for _, _, _, mp, _ in flat])
-    # key = destination * width + source, destination = (dt - dt_min) * width + j*N + dst_idx
-    base = [((dt - dt_min) * width + j * N) * width + l * N for l, j, dt, _, _ in flat]
-    keys = per_pair(base) + dst_idx * width + src_idx
-    coefs = per_pair([c for _, _, _, _, c in flat])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    coef = np.add.reduceat(coefs[order], first)  # equal pairs summed
-    keep = coef != 0
-    dst, src = np.divmod(keys[first][keep], width)
-    starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
-    off, col = np.divmod(dst[starts], width)
-    blocks = []
-    for o in sorted(set(off.tolist())):
-        a, b = np.searchsorted(off, [o, o + 1]).tolist()
-        cols = col[a:b]
-        if cols[-1] - cols[0] == b - a - 1:
-            cols = slice(int(cols[0]), int(cols[-1]) + 1)
-        blocks.append((o, a, b, cols))
-    return LetterStep(src=src.astype(np.int32), coef=coef[keep].astype(np.int32),
-                      starts=starts.astype(np.int32), dt_min=dt_min,
-                      span=max(dts) - dt_min, blocks=tuple(blocks))
 
 
 def _matrix_terms(M, D: int) -> dict:
@@ -177,49 +127,74 @@ def _matrix_terms(M, D: int) -> dict:
     return per_entry
 
 
-def _build_tables(D: int, q: int, lattice: IdealLattice | None) -> QuotientTables:
+def _letter_matrix(terms: dict, maps: tuple, N: int) -> tuple:
+    """(j, dt_min, M) for a letter whose matrix has column 1 - j equal to e_{1-j}.
+
+    Only column j changes under right multiplication: M is a dense float64
+    [2N, (span + 1) N] matrix, and row l*N + src, column o*N + dst holds the
+    coefficient that sends basis coefficient src of entry (i, l) at t to basis
+    coefficient dst of entry (i, j) at t + dt_min + o.
+    """
+    (j,) = [j for j in range(2)
+            if terms[(1 - j, j)] or terms[(j, j)] != ((0, 0, 1),)]
+    dts = [dt for l in range(2) for dt, _, _ in terms[(l, j)]]
+    dt_min = min(dts)
+    M = np.zeros((2 * N, max(dts) - dt_min + 1, N))
+    for l in range(2):
+        for dt, mp, c in terms[(l, j)]:
+            src, dst = maps[mp]
+            M[l * N + src, dt - dt_min, dst] += c
+    return j, dt_min, M.reshape(2 * N, -1)
+
+
+@cache
+def _letters(D: int, at_t1: bool = False) -> tuple:
+    """(gen_terms, mats, growth) of the four generators over R/Sigma^D.
+
+    They depend on D alone, so every table of one D shares them: Sigma^D, and
+    S(q) at q = 4, 5 (D = 5) or at q = 8, 9 (D = 13).  growth is the largest
+    L1 norm of the coefficients of a column's terms, over the letters: an
+    output coefficient sums a subset of them, all t-offsets together.
+
+    at_t1 sets every t-shift to 0: setting t = 1 is a ring map
+    S(q)[t,t^-1] -> S(q) that commutes with truncation and with lattice
+    reduction, so a lane run on these tables returns, at t = 0, exactly
+    entries_at_t1 of the full run, one t-slice wide.  The t = 1 matrices sum
+    the offset blocks of the full ones, the t = 1 terms merge those that
+    share a shift map, and both keep the full growth: |c1 + c2| <= |c1| + |c2|.
+    """
     from .groups import _free_generators
 
     N = tri_dim(D)
+    if at_t1:
+        def merged(per):
+            acc = Counter()
+            for _, mp, c in per:
+                acc[mp] += c
+            return tuple((0, mp, c) for mp, c in acc.items() if c)
+
+        gen_terms, mats, growth = _letters(D)
+        gen_terms = {ch: {e: merged(per) for e, per in terms.items()}
+                     for ch, terms in gen_terms.items()}
+        mats = {ch: (j, 0, M.reshape(2 * N, -1, N).sum(axis=1) if M.shape[1] > N else M)
+                for ch, (j, _, M) in mats.items()}
+        return gen_terms, mats, growth
     maps = _shift_maps(D)
-    gens = _free_generators()
-    # truncation R -> R/Sigma^D is a ring map, so the step of a pair xy is
-    # the step of x followed by the step of y
-    mats = dict(gens, **{x + y: gens[x].mul(gens[y]) for x in gens for y in gens})
-    gen_terms = {w: _matrix_terms(M, D) for w, M in mats.items()}
-    growth = 1
-    for per_entry in gen_terms.values():
-        for j in range(2):
-            tot = sum(abs(c) for l in range(2) for (_, _, c) in per_entry[(l, j)])
-            growth = max(growth, tot)
-    steps = {w: _letter_step(terms, maps, N) for w, terms in gen_terms.items()}
+    gen_terms = {ch: _matrix_terms(M, D) for ch, M in _free_generators().items()}
+    mats = {ch: _letter_matrix(terms, maps, N) for ch, terms in gen_terms.items()}
+    growth = max(sum(abs(c) for l in range(2) for _, _, c in terms[(l, j)])
+                 for terms in gen_terms.values() for j in range(2))
+    return gen_terms, mats, growth
+
+
+def _build_tables(D: int, q: int, lattice: IdealLattice | None,
+                  at_t1: bool = False) -> QuotientTables:
+    gen_terms, mats, growth = _letters(D, at_t1)
+    N = tri_dim(D)
     one = (1,) + (0,) * (N - 1)
-    return QuotientTables(q=q, D=D, N=N, maps=maps, gen_terms=gen_terms, lattice=lattice,
-                          one=one if lattice is None else lattice.reduce(one), growth=growth,
-                          steps=steps)
-
-
-def _at_t1(tables: QuotientTables) -> QuotientTables:
-    """The same tables with every generator term's t-shift collapsed to 0.
-
-    Setting t = 1 is a ring map S(q)[t,t^-1] -> S(q) that commutes with
-    truncation and with lattice reduction, so a lane run on these tables
-    returns, at t = 0, exactly entries_at_t1 of the run on the full tables,
-    while its window stays one t-slice wide.  Terms of one entry that share
-    a shift map are merged into one, with the sum of their coefficients;
-    growth is kept from the unmerged terms, and |c1 + c2| <= |c1| + |c2|, so
-    it still bounds every column and the numpy lane's guard stays sound.
-    """
-    def collapse(per):
-        acc = Counter()
-        for _, mp, c in per:
-            acc[mp] += c
-        return tuple((0, mp, c) for mp, c in acc.items() if c)
-
-    gen_terms = {w: {e: collapse(per) for e, per in terms.items()}
-                 for w, terms in tables.gen_terms.items()}
-    steps = {w: _letter_step(terms, tables.maps, tables.N) for w, terms in gen_terms.items()}
-    return dataclasses.replace(tables, gen_terms=gen_terms, steps=steps, at_t1=True)
+    return QuotientTables(q=q, D=D, N=N, maps=_shift_maps(D), gen_terms=gen_terms,
+                          lattice=lattice, one=one if lattice is None else lattice.reduce(one),
+                          growth=growth, mats=mats, at_t1=at_t1)
 
 
 _CACHE: dict = {}
@@ -238,12 +213,10 @@ def tables_for(sctx: SContext, at_t1: bool = False) -> QuotientTables:
 
     at_t1 gives the t = 1 tables, which evaluate words in S(q) itself.
     """
-    q = sctx.params.q
-    if ("s", q) not in _CACHE:
-        _CACHE["s", q] = _build_tables(sctx.params.D, q, sctx.lattice)
-    if at_t1 and ("t1", q) not in _CACHE:
-        _CACHE["t1", q] = _at_t1(_CACHE["s", q])
-    return _CACHE["t1" if at_t1 else "s", q]
+    key = ("t1" if at_t1 else "s", sctx.params.q)
+    if key not in _CACHE:
+        _CACHE[key] = _build_tables(sctx.params.D, sctx.params.q, sctx.lattice, at_t1)
+    return _CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -335,85 +308,104 @@ def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
 
 
 # ---------------------------------------------------------------------------
-# numpy lane: two [2 rows, T, 2N] int64 buffers over a trimmed t-window
+# numpy lane: two float64 [T, 2 rows, 2 columns, N] buffers over a trimmed t-window
 #
-# Exactness: a step is right multiplication by one generator or by the
-# product of two.  An output coefficient sums one product c * v per term
-# (dt, map, c) of the step's column, because each shift map is injective, so
-# every pair product and every partial sum (in reduceat or in the block adds)
-# is at most growth * max|v|, growth being the largest column L1 over all
-# steps.  A step starts from max|v| <= guard_limit, so nothing exceeds 2^62
-# before the guard looks.  When the guard trips, Sigma^D tables raise
-# KernelOverflow; S(q) tables reduce the window through the lattice, whose
-# mod step takes every value below q (see the python lane), far below the
-# guard.  At a stop the lane reduces the window the same way and hands out
-# canonical vectors; a run goes on from them.
+# Exactness: a letter changes one column j of the running product.  Its new
+# coefficients are the float64 product of the live window, [2w, 2N], with the
+# letter's matrix, [2N, (span+1) N], in row chunks of at most SERIAL_MNK
+# multiply-adds, and the span+1 offset blocks are added into place; the other
+# column is copied.  Every output coefficient sums one product c * v per term
+# of column j (each shift map is injective), so every product and partial sum
+# that BLAS or the block adds form, in any order, is an integer of magnitude
+# at most growth * max|v|.  The lane runs a letter only from max|v| <=
+# guard_limit = 2^53 // (2 growth), so all of them lie below 2^52 and float64
+# holds each exactly.  It carries a proven bound, bnd *= growth per letter,
+# and measures max|v| only when bnd passes the limit.  When the measured value
+# passes it too, Sigma^D tables raise KernelOverflow; S(q) tables reduce the
+# window through the lattice on an int64 copy, whose mod step takes every
+# value below q (see the python lane).  At a stop the lane reduces the window
+# the same way and hands out canonical int64 vectors; a run goes on from them.
 #
-# The window is re-based to row 0 on every step, so T only has to hold the
+# The window is re-based to row 0 on every letter, so T only has to hold the
 # live window: it starts at one copy's 1 + sum of spans and doubles on demand.
 
 def _buffers(T: int, N: int) -> list:
-    """Two zeroed buffers, each as (per-entry view for reduction, flat view for steps)."""
-    bufs = [np.zeros((2, T, 2, N), dtype=np.int64) for _ in range(2)]
-    return [(b, b.reshape(2, T, 2 * N)) for b in bufs]
+    return [np.zeros((T, 2, 2, N)) for _ in range(2)]
 
 
 def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
-    # two letters per step, an odd last letter alone; each copy is chunked on
-    # its own, so the stops fall between steps
-    chunks = [tables.steps[word[i:i + 2]] for i in range(0, len(word), 2)]
-    T = 1 + sum(step.span for step in chunks)
+    mats = tables.mats
+    T = 1 + sum(mats[ch][2].shape[1] // N - 1 for ch in word)
     cur, nxt = _buffers(T, N)
-    cur[0][0, 0, 0, 0] = 1
-    cur[0][1, 0, 1, 0] = 1
+    cur[0, 0, 0, 0] = cur[0, 1, 1, 0] = 1
     lo = hi = 0  # live rows of cur
     t0 = 0       # t-exponent of row 0 of cur
-    limit = tables.guard_limit
+    bnd = 1      # proven bound on max|v| over the window
+    limit, growth = tables.guard_limit, tables.growth
+    lattice = tables.lattice
     for copy in range(1, stops[-1] + 1):
-        for k, step in enumerate(chunks):
+        for k, ch in enumerate(word):
+            j, dt_min, M = mats[ch]
             w = hi - lo + 1
-            nw = w + step.span
+            span = M.shape[1] // N - 1
+            nw = w + span
             if nw > T:
                 T = max(nw, 2 * T)
                 grown, nxt = _buffers(T, N)
-                grown[0][:, :w] = cur[0][:, lo:hi + 1]
+                grown[:w] = cur[lo:hi + 1]
                 cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
-            out = nxt[1][:, :nw]
-            out.fill(0)
-            g = np.take(cur[1][:, lo:hi + 1], step.src, axis=2)
-            g *= step.coef
-            seg = np.add.reduceat(g, step.starts, axis=2)
-            for off, a, b, cols in step.blocks:
-                out[:, off:off + w, cols] += seg[:, :, a:b]
-            t0 += lo + step.dt_min
-            mags = np.abs(out).max(axis=(0, 2)).tolist()
-            if max(mags) > limit:
-                if not tables.q:
-                    # name the step's last letter, counted over all copies
-                    letter = (copy - 1) * len(word) + min(2 * k + 2, len(word)) - 1
-                    raise KernelOverflow(f"{tables.label}: coefficients exceeded "
-                                         f"int64 guard at letter {letter}")
-                tables.lattice.reduce_rows(nxt[0][:, :nw])
-                mags = np.abs(out).max(axis=(0, 2)).tolist()
-            # trim t-slices that are zero in all four entries
+            win = cur[lo:hi + 1]
+            flat, step = win.reshape(2 * w, 2 * N), max(1, SERIAL_MNK // M.size)
+            prod = np.empty((2 * w, M.shape[1]))
+            for r in range(0, 2 * w, step):
+                np.matmul(flat[r:r + step], M, out=prod[r:r + step])
+            prod = prod.reshape(w, 2, span + 1, N)
+            out = nxt[:nw]
+            out[:w, :, j] = prod[:, :, 0]
+            if span:
+                out[w, :, j] = 0
+                out[1:, :, j] += prod[:, :, 1]
+                # the kept column lands at offset -dt_min; the other edge row is 0
+                s = -dt_min
+                out[s:s + w, :, 1 - j] = win[:, :, 1 - j]
+                out[0 if s else w, :, 1 - j] = 0
+            else:
+                out[:, :, 1 - j] = win[:, :, 1 - j]
+            t0 += lo + dt_min
             lo, hi = 0, nw - 1
-            while lo < hi and not mags[lo]:
-                lo += 1
-            while hi > lo and not mags[hi]:
-                hi -= 1
+            trim = span
+            bnd *= growth
+            if bnd > limit:
+                bnd = int(np.abs(out).max())
+                if bnd > limit:
+                    if lattice is None:
+                        raise KernelOverflow(f"{tables.label}: coefficients exceeded the float64 "
+                                             f"guard at letter {(copy - 1) * len(word) + k}")
+                    exact = out.astype(np.int64)
+                    lattice.reduce_rows(exact)
+                    out[:] = exact
+                    bnd, trim = lattice.modulus, True
+            # trim t-slices that are zero in all four entries: only a t-shift
+            # or a reduction can leave one, as the letters are invertible
+            if trim:
+                while lo < hi and not out[lo].any():
+                    lo += 1
+                while hi > lo and not out[hi].any():
+                    hi -= 1
             cur, nxt = nxt, cur
         if copy in stops:
-            if tables.q:
-                tables.lattice.reduce_rows(cur[0][:, lo:hi + 1])
+            exact = cur[lo:hi + 1].astype(np.int64)
+            if lattice is not None:
+                lattice.reduce_rows(exact)
+                cur[lo:hi + 1] = exact
+                bnd = lattice.modulus
             out = [{}, {}, {}, {}]
-            for i in range(2):
-                for r in range(lo, hi + 1):
-                    row = cur[1][i, r].tolist()
+            for r, rows in enumerate(exact.tolist(), t0 + lo):
+                for i in range(2):
                     for l in range(2):
-                        vec = row[l * N:(l + 1) * N]
-                        if any(vec):
-                            out[2 * i + l][t0 + r] = vec
+                        if any(rows[i][l]):
+                            out[2 * i + l][r] = rows[i][l]
             yield out
 
 

@@ -298,6 +298,14 @@ def verify_ideal_inclusions(q: int, seed: int = 0, jobs: int = 1) -> Verificatio
 
 # ---------------------------------------------------------------------------
 # Burnside exponent over S at t = 1
+#
+# G' is abelian at t = 1 by the normal form, not by assumption.  Every word
+# matrix is g = uI + N with the rows of N equal to lambda_i r, where
+# r = (1-x, 1-y), r . lambda = 1 - u and det g = u (groups.NormalForm).  For
+# h = u'I + N' with det h = 1, N N' = lambda (r . lambda') r = (1 - u') N = 0,
+# so (g - I)(h - I) = 0 for det-1 g and h, and gh - I = (g - I) + (h - I):
+# g -> g - I is an injective homomorphism from ker det, which holds G', into
+# the additive 2x2 matrices, and it stays one after the ring map R -> S(q).
 
 _CLOSURE_SIZES = {2: 4, 3: 27}
 

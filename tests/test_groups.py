@@ -15,6 +15,7 @@ from burnmat import (
     check_row_fixed,
     commutative_square_check,
     commutator,
+    commutator_word,
     det_t_degree,
     free_reduce,
     group_closure,
@@ -175,6 +176,25 @@ def test_commutator_of_generators(meta_ctx):
     C = commutator(meta_ctx.eval_word("b"), meta_ctx.eval_word("a"))
     nf = normal_form(C)
     assert nf.lambda1 == -(ONE - Y) and nf.lambda2 == ONE - X
+
+
+def test_derived_subgroup_is_additive_at_t1(free_ctx):
+    # what verify_burnside_exponent's comment proves: (g - I)(h - I) = 0 for
+    # det-1 g, h at t = 1, so g -> g - I takes products to sums on G'
+    ctx = group_context("metabelian")
+    ident = ctx.identity()
+    zero = ident.sub(ident)
+    rng = random.Random(41)
+    for _ in range(30):
+        g, h = (ctx.eval_word(commutator_word(random_reduced_word(rng, 5),
+                                              random_reduced_word(rng, 5)))
+                for _ in range(2))
+        assert g.det() == ONE and h.det() == ONE
+        assert g.sub(ident).mul(h.sub(ident)) == zero
+        assert g.mul(h).sub(ident).sub(g.sub(ident)) == h.sub(ident)
+    # negative control: over R[t,t^-1] two commutators need not do so
+    g, h = free_ctx.eval_word("abAB"), free_ctx.eval_word("baBA")
+    assert not g.sub(ident).mul(h.sub(ident)) == zero
 
 
 def test_matrix_inverse_round_trip(free_ctx):

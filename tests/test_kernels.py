@@ -32,6 +32,7 @@ from burnmat import (
 from test_ideals import _exact_reduce
 
 LANES = ["python", "numpy"]
+INT64_MAX = 2 ** 63 - 1
 
 
 def test_lane_selection(monkeypatch):
@@ -110,23 +111,70 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
 
 
 def test_kernel_overflow_names_the_letter():
-    # the numpy lane steps two letters at a time; the message gives the index
-    # of the step's last letter, where the exact values first pass the limit
+    # the lane measures its window whenever its proven bound could pass the
+    # guard, so it names the first letter after which the exact values do
     tables = sigma_tables(12)
+    word = "ab" * 120
     with pytest.raises(KernelOverflow) as exc:
-        next(kernels._eval_numpy("ab" * 120, tables))
+        next(kernels._eval_numpy(word, tables))
     letter = int(re.search(r"^Sigma12: .* at letter (\d+)$", str(exc.value)).group(1))
-    assert letter % 2 == 1
-    before, after = kernels._eval_python("ab", tables, stops=(letter // 2, letter // 2 + 1))
-    top = [max(abs(c) for ent in state for vec in ent.values() for c in vec)
-           for state in (before, after)]
+    top = [max(abs(c) for ent in next(kernels._eval_python(word[:n], tables))
+               for vec in ent.values() for c in vec)
+           for n in (letter, letter + 1)]
     assert top[0] <= tables.guard_limit < top[1]
+
+
+def test_guard_keeps_float64_exact():
+    # a letter run from max|v| <= guard_limit forms values of at most
+    # growth * guard_limit, which must stay below 2^52 in every table
+    for label in TABLE_LABELS:
+        tables = _tables(label)
+        assert 2 * tables.growth * tables.guard_limit <= kernels.FLOAT_EXACT
+
+
+def test_products_stay_below_the_blas_thread_size(monkeypatch):
+    # a wide window is multiplied a few rows at a time, so BLAS never splits
+    # a product over threads that busy worker processes would starve
+    sizes = []
+    real_matmul = np.matmul
+
+    def recording_matmul(x, y, **kw):
+        sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return real_matmul(x, y, **kw)
+
+    monkeypatch.setattr(kernels.np, "matmul", recording_matmul)
+    word = "b" * 30 + "aBAb" * 5 + "B" * 30
+    for label in ("S9", "S4", "Sigma8"):
+        tables = _tables(label)
+        assert eval_word_quotient(word, tables) == eval_word_quotient(word, tables, lane="python")
+    assert max(sizes) <= kernels.SERIAL_MNK
+    assert len(sizes) > 3 * len(word)  # some letters took more than one product
+
+
+def test_tables_of_one_truncation_share_their_letter_matrices():
+    s = {q: tables_for(_sctx(q)) for q in (4, 5, 8, 9)}
+    assert s[4].mats is s[5].mats is sigma_tables(5).mats
+    assert s[8].mats is s[9].mats is sigma_tables(13).mats
+    assert s[4].gen_terms is s[5].gen_terms
+    t1 = {q: tables_for(_sctx(q), at_t1=True) for q in (8, 9)}
+    assert t1[8].mats is t1[9].mats
+    # the t = 1 matrices sum the offset blocks of the full ones
+    for ch, (j, dt_min, M) in s[8].mats.items():
+        j1, dt1, M1 = t1[8].mats[ch]
+        assert (j1, dt1, M1.shape) == (j, 0, (2 * s[8].N, s[8].N))
+        assert np.array_equal(M1, M.reshape(2 * s[8].N, -1, s[8].N).sum(axis=1))
+    assert t1[8].growth == s[8].growth
+    # a and A change column 1 at no t-shift; b and B column 0 over two shifts
+    assert {ch: (j, dt_min, M.shape[1] // s[8].N)
+            for ch, (j, dt_min, M) in s[8].mats.items()} == {
+        "a": (1, 0, 1), "A": (1, 0, 1), "b": (0, 0, 2), "B": (0, -1, 2)}
 
 
 # ---------------------------------------------------------------------------
 # property-based differential tests: numpy lane against the exact python lane
 
-TABLE_LABELS = ["S2", "S3", "S4", "S5", "S7", "S8", "S9", "Sigma2", "Sigma4", "Sigma8"]
+TABLE_LABELS = ["S2", "S3", "S4", "S5", "S7", "S8", "S9", "S4@t1", "S9@t1",
+                "Sigma2", "Sigma4", "Sigma8", "Sigma12"]
 LANE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
@@ -135,7 +183,8 @@ LANE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, datab
 def _tables(label):
     if label.startswith("Sigma"):
         return sigma_tables(int(label[len("Sigma"):]))
-    return tables_for(SContext.for_q(int(label[1:])))
+    q, at_t1 = label[1:].removesuffix("@t1"), label.endswith("@t1")
+    return tables_for(SContext.for_q(int(q)), at_t1=at_t1)
 
 
 def _letters(max_size, min_size=0):
@@ -192,8 +241,8 @@ def test_numpy_lane_matches_python_lane(label, kind):
 
 @pytest.mark.parametrize("label", TABLE_LABELS)
 def test_every_step_matches_python_lane(label):
-    # all 16 two-letter steps, unreduced pairs such as aA included, and odd
-    # lengths, whose last letter is a step of its own
+    # every letter after every word of up to two letters, unreduced pairs such
+    # as aA and Bb included
     tables = _tables(label)
     for n in (1, 2, 3):
         for letters in itertools.product("aAbB", repeat=n):
@@ -203,11 +252,36 @@ def test_every_step_matches_python_lane(label):
             assert kernels._normalize(got, tables) == kernels._normalize(exact, tables), word
 
 
+@pytest.mark.parametrize("label", ["S4", "S9", "S9@t1", "Sigma4"])
+def test_t_runs_trim_both_window_edges(label, monkeypatch):
+    # a B after a b run leaves the window's low edge zero, a b after a B run
+    # its high edge.  The words below are one t-slice wide after each copy, so
+    # an untrimmed window would widen by every b and B of each of 20 copies,
+    # where the trimmed one never outgrows the buffers sized for one copy
+    tables = _tables(label)
+    real_buffers = kernels._buffers
+    sizes = []
+
+    def recording_buffers(T, N):
+        sizes.append(T)
+        return real_buffers(T, N)
+
+    monkeypatch.setattr(kernels, "_buffers", recording_buffers)
+    for word in ("BBBbbbbbBBa", "b" * 9 + "B" * 9, "BBBBaAbbbb"):
+        sizes.clear()
+        stops = (1, 2, 5, 20)
+        got = list(kernels._eval_numpy(word, tables, stops))
+        assert len(sizes) == 1, word
+        exact = list(kernels._eval_python(word, tables, stops))
+        assert ([kernels._normalize(r, tables) for r in got]
+                == [kernels._normalize(r, tables) for r in exact]), word
+
+
 def _forced_guard(tables):
-    """The tables with growth read as INT64_MAX // 256, which puts the guard
-    at 128: above every value a reduced window holds (all below q), so the
-    guard trips and reduces on short words instead of only past 2^47..2^59."""
-    forced = dataclasses.replace(tables, growth=kernels.INT64_MAX // 256)
+    """The tables with growth read as 2^53 // 256, which puts the guard at
+    128: above every value a reduced window holds (all below q), so the guard
+    trips and reduces on short words instead of only past 2^46..2^49."""
+    forced = dataclasses.replace(tables, growth=kernels.FLOAT_EXACT // 256)
     assert forced.guard_limit == 128
     return forced
 
@@ -429,7 +503,7 @@ def test_q_kills_every_coordinate_but_the_constant(q):
     for m in range(N):
         assert any(lattice.mod_step([q * (k == m) for k in range(N)])) == (m == 0)
     rng = random.Random(q)
-    big = kernels.INT64_MAX
+    big = INT64_MAX
     for _ in range(20):
         vec = [rng.choice((-1, 0, 1))] + [rng.randint(-big, big) for _ in range(N - 1)]
         step = lattice.mod_step(vec)
@@ -444,7 +518,7 @@ def test_np_reduce_below_q_stays_inside_int64(q):
     # rest untouched (tests/test_ideals.py bounds the pass inside int64)
     tables = _tables(f"S{q}")
     rng = random.Random(q)
-    big = kernels.INT64_MAX
+    big = INT64_MAX
     # row 0 holds values below q; row 1 any int64, as the mod q step takes them
     vecs = [[rng.choice((-1, 0, 1))] + [rng.randrange(q) for _ in range(tables.N - 1)]
             for _ in range(20)]
@@ -471,8 +545,7 @@ def test_constant_terms_are_the_word_at_x_y_1(word):
 
 TRIP_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
-# the shortest power of a whose exact coefficients pass 128 at q = 4, 8, 9;
-# even, so it ends on a step of the numpy lane
+# the shortest power of a whose exact coefficients pass 128 at q = 4, 8, 9
 TRIP_PREFIX = "a" * 10
 
 

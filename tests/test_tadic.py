@@ -304,6 +304,19 @@ def test_packed_product_at_its_coefficient_bound(bits, monkeypatch):
     assert _dict_sums([a], [b], (((0, 0),),), m, monkeypatch)[0] == expected
 
 
+def test_packed_product_fills_its_widest_field(monkeypatch):
+    # all positive: two left terms meet the same right coefficient in one
+    # output field, (u + v) * w = 2^63 - 1, the largest value of eight bytes
+    # with a sign bit, and exactly the proven bound
+    u, v, w = 1 << 20, (1 << 20) - 1, (1 << 42) + (1 << 21) + 1
+    a = [{tadic._pack(0, 0): u, tadic._pack(1, 0): v}]
+    b = [{tadic._pack(1, 0): w, tadic._pack(0, 0): w}]
+    expected = [{tadic._pack(0, 0): u * w, tadic._pack(1, 0): (1 << 63) - 1,
+                 tadic._pack(2, 0): v * w}]
+    assert tadic._packed_sums([a], [b], (((0, 0),),), 1, terms=float("inf"))[0] == expected
+    assert _dict_sums([a], [b], (((0, 0),),), 1, monkeypatch)[0] == expected
+
+
 @pytest.mark.parametrize("i, j", [(20000, 0), (0, 20000), (-20000, 20000), (40000, -35000)])
 def test_large_exponents_do_not_alias(i, j, monkeypatch):
     # a 16-bit y field would wrap y^20000 * y^20000 into the x field

@@ -75,6 +75,21 @@ def test_worker_count_does_not_change_reports():
     assert e1.to_record() == e2.to_record()
 
 
+def test_workers_forked_after_blas_products_match_serial():
+    # the numpy lane multiplies by BLAS; workers forked from a parent whose
+    # BLAS has already run wide products must give the serial report
+    from burnmat import kernels
+
+    tables = kernels.tables_for(SContext.for_q(8))
+    kernels.eval_word_quotient("b" * 40 + "abAB" * 10, tables)
+    kwargs = dict(samples=4, infinite_samples=2, max_len=6, seed=3)
+    forked = verify_order_dichotomy(8, jobs=2, **kwargs)
+    assert forked.to_record() == verify_order_dichotomy(8, jobs=1, **kwargs).to_record()
+    forked = verify_solvability(9, samples=3, witness_budget=2, seed=3, jobs=2)
+    assert forked.to_record() == verify_solvability(9, samples=3, witness_budget=2,
+                                                    seed=3, jobs=1).to_record()
+
+
 # sha256 of each report's record, serialized as `--output structured` does
 # (less config_hash), at jobs 1 and 2.  Seed 2, not 0, so the stride of the
 # per-sample seeds shows.  A report shows its words only where they fail or
