@@ -1,8 +1,7 @@
 """Exact matrix-group calculus over Laurent and cyclotomic-quotient rings."""
 
-from .rings import (LaurentPoly, TruncatedPoly, UnitMonomial, parse_poly,
-                    PolyParseError, ExactDivisionError, divide_one_minus,
-                    divide_by_t_minus_one)
+from .rings import (LaurentPoly, UnitMonomial, parse_poly, PolyParseError,
+                    ExactDivisionError, divide_one_minus, divide_by_t_minus_one)
 from .ideals import (BurnsideParams, IdealLattice, SContext,
                      cyclotomic_generators, cyclotomic_lattice, build_ideal_lattice,
                      sigma_power_lattice, p_power_sigma_check)
@@ -28,7 +27,7 @@ from .verify import (VerificationReport, SolvabilityReport, solvability_bound,
                      verify_sanov, verify_normal_forms, SUITES)
 
 __all__ = [
-    "LaurentPoly", "TruncatedPoly", "UnitMonomial", "parse_poly",
+    "LaurentPoly", "UnitMonomial", "parse_poly",
     "PolyParseError", "ExactDivisionError", "divide_one_minus",
     "divide_by_t_minus_one",
     "BurnsideParams", "IdealLattice", "SContext",

@@ -36,8 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rings import (LaurentPoly, TruncatedPoly, monomial_list, tri_dim,
-                    xpow_coeffs, _index_table)
+from .rings import LaurentPoly, monomial_list, tri_dim, xpow_coeffs, _index_table
 
 MAX_Q = 13
 
@@ -154,13 +153,9 @@ class IdealLattice:
 
     def _vec(self, f) -> list[int]:
         """Coordinates of f: a LaurentPoly is truncated at D (sound for ideals
-        containing Sigma^D), a TruncatedPoly or raw vector must match D."""
+        containing Sigma^D), a vector must have the dimension of R/Sigma^D."""
         if isinstance(f, LaurentPoly):
             f = f.to_truncated(self.D)
-        if isinstance(f, TruncatedPoly):
-            if f.D != self.D:
-                raise ValueError(f"truncation mismatch: {f.D} vs {self.D}")
-            return list(f.coeffs)
         v = list(f)
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != dimension {self.dim}")
@@ -263,7 +258,7 @@ def mul_by_b(vec: Sequence[int], D: int) -> list[int]:
 
 
 def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
-                          grid: int | None = None) -> list[TruncatedPoly]:
+                          grid: int | None = None) -> list[tuple[int, ...]]:
     """Images of 1 + u + ... + u^(q-1) in R/Sigma^D for u = x^i y^j on the grid
     0 <= i,j < grid (default D x D), i-major.
 
@@ -277,7 +272,7 @@ def cyclotomic_generators(params: BurnsideParams, D: int | None = None,
     # cols[i][r] = (X[0][r], X[i][r], ..., X[(q-1)i][r])
     cols = [list(zip(*(xpow_coeffs(i * m, D) for m in range(q)))) for i in range(grid)]
     monos = monomial_list(D)
-    return [TruncatedPoly(D, [sum(map(operator.mul, xc[r], yc[s])) for r, s in monos])
+    return [tuple(sum(map(operator.mul, xc[r], yc[s])) for r, s in monos)
             for xc in cols for yc in cols]
 
 
@@ -302,14 +297,14 @@ def _cyclotomic_rows(q: int, D: int, grid: int) -> np.ndarray:
     return full[:, :, r, s].reshape(grid * grid, -1) % q
 
 
-def _modulus(gens: list[TruncatedPoly], D: int) -> int:
+def _modulus(gens: list[Sequence[int]], D: int) -> int:
     """The gcd q of the constant generators, checked to be 1 or a prime power."""
     q = 0
     for g in gens:
-        if not isinstance(g, TruncatedPoly) or g.D != D:
+        if len(g) != tri_dim(D):
             raise ValueError(f"generator {g!r} does not lie in R/Sigma^{D}")
-        if not any(g.coeffs[1:]):
-            q = math.gcd(q, g.coeffs[0])
+        if not any(g[1:]):
+            q = math.gcd(q, g[0])
     if q == 0:
         raise ValueError("the generators need a nonzero constant")
     if q > 1 and (q >= _MAX_MODULUS or _prime_power(q) is None):
@@ -318,17 +313,18 @@ def _modulus(gens: list[TruncatedPoly], D: int) -> int:
     return q
 
 
-def build_ideal_lattice(gens: list[TruncatedPoly], D: int, label: str = "Ideal",
+def build_ideal_lattice(gens: list[Sequence[int]], D: int, label: str = "Ideal",
                         times_sigma: bool = False) -> IdealLattice:
     """Canonical HNF of the span of {a^r b^s * g : g in gens, r+s < D} (ideal closure).
 
-    gens must lie in R/Sigma^D and include a nonzero constant (the u = 1 case of
-    the cyclotomic generators is the constant q); the gcd of the constants must
-    be 1 or a prime power, and ValueError is raised otherwise.  times_sigma
-    multiplies every generator by a and b first (the product ideal).
+    gens are coordinate vectors of length tri_dim(D) and include a nonzero
+    constant (the u = 1 case of the cyclotomic generators is the constant q);
+    the gcd of the constants must be 1 or a prime power.  ValueError is raised
+    otherwise.  times_sigma multiplies every generator by a and b first (the
+    product ideal).
     """
     q = _modulus(gens, D)
-    rows = np.array([[c % q for c in g.coeffs] for g in gens], dtype=np.int64)
+    rows = np.array([[c % q for c in g] for g in gens], dtype=np.int64)
     return IdealLattice(D, label, _closure_hnf(rows, D, times_sigma, q).tolist(), q)
 
 
@@ -473,7 +469,8 @@ class SContext:
         return SContext(BurnsideParams.from_q(q))
 
     def reduce(self, f) -> tuple[int, ...]:
-        """Canonical residue of f (LaurentPoly, TruncatedPoly or vector) in S(q)."""
+        """Canonical residue in S(q) of f, a LaurentPoly or a coordinate vector
+        in R/Sigma^D (ValueError on another length)."""
         return self.lattice.reduce(f)
 
     def __repr__(self):

@@ -120,7 +120,7 @@ def _matrix_terms(M, D: int) -> dict:
     for e, f in enumerate(M.entries()):
         terms = []
         for dt, g in f.t_coefficients().items():
-            for idx, c in enumerate(g.to_truncated(D).coeffs):
+            for idx, c in enumerate(g.to_truncated(D)):
                 if c:
                     terms.append((dt, idx, c))
         per_entry[divmod(e, 2)] = tuple(terms)

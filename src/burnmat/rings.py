@@ -2,38 +2,14 @@
 
 Sigma is the augmentation ideal of R = Z[x,x^-1,y,y^-1], generated by a = 1-x and
 b = 1-y.  R/Sigma^D is represented on the monomial basis a^r b^s (r+s < D) in
-graded-lex order, as a plain integer vector of dimension D(D+1)/2.
+graded-lex order: an element is the tuple of its D(D+1)/2 integer coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping
-
-
-def _render(terms) -> str:
-    """Text of a sum of nonzero terms (c, [(name, exponent), ...]) in the given
-    order: unit coefficients, zero exponents and ^1 elided; "0" when empty."""
-    out = []
-    for c, powers in terms:
-        factors = []
-        for name, e in powers:
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(abs(c))] + factors)
-        if out:
-            out.append((" - " if c < 0 else " + ") + body)
-        else:
-            out.append(("-" if c < 0 else "") + body)
-    return "".join(out) or "0"
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -208,62 +184,78 @@ class LaurentPoly:
     def sigma_valuation(self) -> int | float:
         """Largest k with f in Sigma^k; math.inf for 0.  Rejects inputs containing t.
 
-        Negative exponents are cleared by a unit monomial first; this is sound because
-        x^m y^n = (1-a)^m (1-b)^n has constant term 1, so multiplying by it preserves
-        the lowest-degree homogeneous part in (a,b).
+        The least degree with a nonzero coordinate in to_truncated(D), for D
+        doubling from 1 until one appears; sound because to_truncated(D) is
+        exact below degree D.
         """
         if self.has_t:
             raise ValueError("sigma_valuation is defined on t-free polynomials")
         if not self.terms:
             return math.inf
-        mi = min(i for (i, _, _) in self.terms)
-        mj = min(j for (_, j, _) in self.terms)
-        acc: dict[tuple[int, int], int] = {}
-        for (i, j, _), c in self.terms.items():
-            for r, cr in enumerate(_binom_row(i - mi)):
-                for s, cs in enumerate(_binom_row(j - mj)):
-                    m = (r, s)
-                    v = acc.get(m, 0) + c * cr * cs
-                    if v:
-                        acc[m] = v
-                    else:
-                        acc.pop(m, None)
-        return min(r + s for (r, s) in acc)
+        D = 1
+        while True:
+            v = self.to_truncated(D)
+            for d in range(D):
+                if any(v[tri_dim(d):tri_dim(d + 1)]):
+                    return d
+            D *= 2
 
     def in_sigma_power(self, d: int) -> bool:
-        """Membership f in Sigma^d without the full valuation: only the degree-<d
-        part of the (a,b) expansion is computed, so this stays fast on inputs
-        whose sigma_valuation would expand millions of binomial products."""
+        """Membership f in Sigma^d: the coordinates of degree < d all vanish."""
         if d <= 0:
             return True
         if self.has_t:
             raise ValueError("in_sigma_power is defined on t-free polynomials")
-        if not self.terms:
-            return True
-        return not any(self.to_truncated(d).coeffs)
+        return not any(self.to_truncated(d))
 
-    def to_truncated(self, D: int) -> "TruncatedPoly":
-        """Image in R/Sigma^D under x -> 1-a, y -> 1-b (geometric series for inverses)."""
+    def to_truncated(self, D: int) -> tuple[int, ...]:
+        """Coordinates of the image in R/Sigma^D under x -> 1-a, y -> 1-b
+        (geometric series for inverses), on the a^r b^s basis of the module
+        docstring.  Exact below degree D: a larger D agrees there.
+
+        Terms are summed per y-exponent in a first, so each term costs O(D).
+        The rows of x^n are kept for this call only, so the big integers of a
+        large input do not outlive it.
+        """
         if self.has_t:
             raise ValueError("to_truncated is defined on t-free polynomials")
-        coeffs = [0] * tri_dim(D)
-        idx = _index_table(D)
+        rows: dict[int, tuple[int, ...]] = {}
+        in_a: dict[int, list[int]] = {}
         for (i, j, _), c in self.terms.items():
-            row_x = xpow_coeffs(i, D)
-            row_y = xpow_coeffs(j, D)
-            for r, cr in enumerate(row_x):
-                if not cr:
-                    continue
-                lim = D - r
-                for s in range(min(lim, len(row_y))):
-                    cs = row_y[s]
-                    if cs:
-                        coeffs[idx[(r, s)]] += c * cr * cs
-        return TruncatedPoly(D, coeffs)
+            if i not in rows:
+                rows[i] = xpow_coeffs(i, D)
+            acc = in_a.setdefault(j, [0] * D)
+            for r, cr in enumerate(rows[i]):
+                acc[r] += c * cr
+        coeffs = [0] * tri_dim(D)
+        for j, acc in in_a.items():
+            row_y = rows[j] if j in rows else xpow_coeffs(j, D)
+            for r, cr in enumerate(acc):
+                if cr:
+                    pos = tri_dim(r) + r  # a^r b^s sits at tri_dim(r+s) + r
+                    for s in range(D - r):
+                        coeffs[pos] += cr * row_y[s]
+                        pos += r + s + 1
+        return tuple(coeffs)
 
     def render(self) -> str:
-        """Canonical text: terms sorted, c*x^i*y^j*t^k with ^1 elided."""
-        return _render((self.terms[m], zip("xyt", m)) for m in sorted(self.terms))
+        """Canonical text: terms sorted, c*x^i*y^j*t^k with unit coefficients,
+        zero exponents and ^1 elided; "0" when empty."""
+        out = []
+        for m in sorted(self.terms):
+            c = self.terms[m]
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip("xyt", m) if e]
+            if not factors:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(abs(c))] + factors)
+            if out:
+                out.append((" - " if c < 0 else " + ") + body)
+            else:
+                out.append(("-" if c < 0 else "") + body)
+        return "".join(out) or "0"
 
     __str__ = render
 
@@ -322,31 +314,18 @@ def divide_by_t_minus_one(f: LaurentPoly) -> LaurentPoly:
     return -divide_one_minus(f, 2)
 
 
-@lru_cache(maxsize=None)
-def _binom_row(n: int) -> tuple[int, ...]:
-    """Coefficients of (1-v)^n in v, n >= 0 (signs included)."""
-    row = [1]
-    for _ in range(n):
-        nxt = [1]
-        for a, b in zip(row, row[1:]):
-            nxt.append(a + b)
-        nxt.append(1)
-        row = nxt
-    return tuple(c if r % 2 == 0 else -c for r, c in enumerate(row))
-
-
-@lru_cache(maxsize=None)
 def xpow_coeffs(n: int, D: int) -> tuple[int, ...]:
     """Coefficients of the image of x^n in Z[a]/(a^D), a = 1-x.
 
-    n >= 0: (1-a)^n, i.e. (-1)^r C(n,r).  n < 0: geometric series power,
-    C(-n-1+r, r), which is exact because (1-a) * sum a^r = 1 mod a^D.
+    (1-a)^n has (-1)^r C(n,r) = C(r-n-1, r) at a^r for every integer n; for
+    n < 0 this is the geometric series power, exact because
+    (1-a) * sum a^r = 1 mod a^D.  Each entry is the last times (r-n-1)/r,
+    an exact division, so a row costs D steps whatever the size of n.
     """
-    if n >= 0:
-        row = _binom_row(n)
-        return row[:D] + (0,) * max(0, D - len(row))
-    m = -n
-    return tuple(math.comb(m - 1 + r, r) for r in range(D))
+    row = [1]
+    for r in range(1, D):
+        row.append(row[-1] * (r - n - 1) // r)
+    return tuple(row[:D])
 
 
 @lru_cache(maxsize=None)
@@ -367,95 +346,6 @@ def _index_table(D: int) -> dict[tuple[int, int], int]:
 @lru_cache(maxsize=None)
 def monomial_list(D: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(_index_table(D), key=_index_table(D).get))
-
-
-class TruncatedPoly:
-    """Element of R/Sigma^D: integer vector on the a^r b^s basis, r+s < D."""
-
-    __slots__ = ("D", "coeffs")
-
-    def __init__(self, D: int, coeffs: Iterable[int]):
-        self.D = D
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != tri_dim(D):
-            raise ValueError(f"need {tri_dim(D)} coefficients for D={D}")
-
-    @staticmethod
-    def zero(D: int) -> "TruncatedPoly":
-        return TruncatedPoly(D, [0] * tri_dim(D))
-
-    @staticmethod
-    def one(D: int) -> "TruncatedPoly":
-        c = [0] * tri_dim(D)
-        c[0] = 1
-        return TruncatedPoly(D, c)
-
-    @staticmethod
-    def basis_monomial(D: int, r: int, s: int, c: int = 1) -> "TruncatedPoly":
-        v = [0] * tri_dim(D)
-        v[_index_table(D)[(r, s)]] = c
-        return TruncatedPoly(D, v)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def augmentation(self) -> int:
-        return self.coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.D == other.D and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.D, self.coeffs))
-
-    def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.D, [-c for c in self.coeffs])
-
-    def _check(self, other: "TruncatedPoly"):
-        if self.D != other.D:
-            raise ValueError(f"truncation mismatch: {self.D} vs {other.D}")
-
-    def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        self._check(other)
-        return TruncatedPoly(self.D, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        self._check(other)
-        return TruncatedPoly(self.D, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other) -> "TruncatedPoly":
-        if isinstance(other, int):
-            return TruncatedPoly(self.D, [other * c for c in self.coeffs])
-        self._check(other)
-        D = self.D
-        monos = monomial_list(D)
-        idx = _index_table(D)
-        out = [0] * tri_dim(D)
-        for m1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            r1, s1 = monos[m1]
-            for m2, c2 in enumerate(other.coeffs):
-                if not c2:
-                    continue
-                r2, s2 = monos[m2]
-                if r1 + r2 + s1 + s2 < D:
-                    out[idx[(r1 + r2, s1 + s2)]] += c1 * c2
-        return TruncatedPoly(D, out)
-
-    __rmul__ = __mul__
-
-    def render(self) -> str:
-        """Canonical text in basis order: c*a^r*b^s with ^1 elided."""
-        return _render((c, zip("ab", rs))
-                       for c, rs in zip(self.coeffs, monomial_list(self.D)) if c)
-
-    __str__ = render
-
-    def __repr__(self):
-        return f"TruncatedPoly(D={self.D}, {self.render()})"
 
 
 class UnitMonomial:

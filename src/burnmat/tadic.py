@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import LaurentPoly, divide_by_t_minus_one
+from .rings import LaurentPoly, divide_by_t_minus_one, xpow_coeffs
 from .groups import (Matrix2, _free_generators, commutator_word, free_reduce,
                      random_reduced_word)
 
@@ -301,10 +301,8 @@ class SeriesMatrix:
 
 
 def _t_power(k: int, m: int) -> list:
-    """Coefficients of t^k = (1+s)^k mod s^m; t^-1 is the geometric series."""
-    if k >= 0:
-        return [math.comb(k, r) for r in range(m)]
-    return [(-1) ** r * math.comb(-k - 1 + r, r) for r in range(m)]
+    """Coefficients of t^k mod s^m: t = 1+s is x = 1-a with a = -s."""
+    return [(-1) ** r * c for r, c in enumerate(xpow_coeffs(k, m))]
 
 
 def _laurent_to_series(f: LaurentPoly, m: int) -> list:

@@ -29,6 +29,16 @@ def test_ring_valuation_and_augmentation():
     assert rc == EXIT_OK and "n/a" in out
 
 
+def test_huge_exponents_answer_as_their_small_analogues():
+    # only D coordinates of (1-a)^n are taken, so n = 10^6 costs what n = 1 does
+    rc, out, _ = run(["ideal", "--q", "3", "x^1000000"])
+    assert rc == EXIT_OK and "sigma-valuation: 0" in out
+    assert out == run(["ideal", "--q", "3", "x"])[1]
+    rc, out, _ = run(["ring", "x^1000000*y - y"])
+    assert rc == EXIT_OK and "sigma-valuation: 1" in out
+    assert out.splitlines()[1:] == run(["ring", "x*y - y"])[1].splitlines()[1:]
+
+
 def test_ring_parse_error_is_usage_error():
     rc, _, err = run(["ring", "1 + * x"])
     assert rc == EXIT_USAGE

@@ -11,7 +11,6 @@ from burnmat import (
     BurnsideParams,
     IdealLattice,
     LaurentPoly,
-    TruncatedPoly,
     build_ideal_lattice,
     cyclotomic_generators,
     cyclotomic_lattice,
@@ -27,7 +26,14 @@ PARAMS = {q: BurnsideParams.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)}
 
 
 def _unit(D, r, s, c=1):
-    return TruncatedPoly.basis_monomial(D, r, s, c)
+    """c * a^r b^s in R/Sigma^D: graded-lex position (r+s)(r+s+1)/2 + r."""
+    v = [0] * (D * (D + 1) // 2)
+    v[(r + s) * (r + s + 1) // 2 + r] = c
+    return tuple(v)
+
+
+def _add(*vecs):
+    return tuple(map(sum, zip(*vecs)))
 
 
 def test_parameter_table():
@@ -60,15 +66,15 @@ def test_generator_at_unit_one_is_constant_q():
 
 def test_generator_truncated_images():
     # 1 + x = 2 - a at D = 2
-    assert _unit(2, 0, 0, 2) - _unit(2, 1, 0) in cyclotomic_generators(PARAMS[2])
+    assert _add(_unit(2, 0, 0, 2), _unit(2, 1, 0, -1)) in cyclotomic_generators(PARAMS[2])
     # 1 + y + y^2 = 3 - 3b + b^2 at D = 3
-    target = _unit(3, 0, 0, 3) - _unit(3, 0, 1, 3) + _unit(3, 0, 2)
+    target = _add(_unit(3, 0, 0, 3), _unit(3, 0, 1, -3), _unit(3, 0, 2))
     assert target in cyclotomic_generators(PARAMS[3])
 
 
 def test_unit_ideal_spans_everything():
     D = 3
-    lat = build_ideal_lattice([TruncatedPoly.one(D)], D)
+    lat = build_ideal_lattice([_unit(D, 0, 0)], D)
     n = D * (D + 1) // 2
     assert lat.rank == n
     assert [list(r) for r in lat.rows] == \
@@ -134,7 +140,7 @@ def _reference_hnf(gens, D, times_sigma, q):
         return grew
 
     for g in gens:
-        v = list(g.coeffs)
+        v = list(g)
         for w in ((mul_by_a(v, D), mul_by_b(v, D)) if times_sigma else (v,)):
             insert(w)
     changed = True
@@ -168,8 +174,7 @@ def test_lattice_is_the_canonical_hnf_of_the_ideal(q, times_sigma):
         _assert_canonical_hnf(lat)
         assert lat.rows == _reference_hnf(gens, pr.D, times_sigma, q)
         for g in gens:
-            seeds = ((mul_by_a(g.coeffs, pr.D), mul_by_b(g.coeffs, pr.D))
-                     if times_sigma else (g.coeffs,))
+            seeds = (mul_by_a(g, pr.D), mul_by_b(g, pr.D)) if times_sigma else (g,)
             assert all(lat.member(v) for v in seeds)
     assert lat == cyclotomic_lattice(pr, times_sigma=times_sigma)
 
@@ -177,7 +182,7 @@ def test_lattice_is_the_canonical_hnf_of_the_ideal(q, times_sigma):
 def test_pivot_multiple_is_requeued():
     # basis order 1, b, a: 2 * (2b + a) = 4b + 2a leaves 2a in the lattice once
     # 4b is subtracted, and neither shift of 2b + a reaches it at D = 2
-    lat = build_ideal_lattice([_unit(2, 0, 0, 4), _unit(2, 0, 1, 2) + _unit(2, 1, 0)], 2)
+    lat = build_ideal_lattice([_unit(2, 0, 0, 4), _add(_unit(2, 0, 1, 2), _unit(2, 1, 0))], 2)
     assert lat.rows == ((4, 0, 0), (0, 2, 1), (0, 0, 2))
 
 
@@ -189,8 +194,7 @@ def test_random_generator_sets_match_the_reference():
         n = D * (D + 1) // 2
         gens = [_unit(D, 0, 0, q)]
         for _ in range(rng.randint(1, 4)):
-            gens.append(TruncatedPoly(D, [rng.choice((0, 0, rng.randint(-30, 30)))
-                                          for _ in range(n)]))
+            gens.append(tuple(rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(n)))
         for times_sigma in (False, True):
             lat = build_ideal_lattice(gens, D, times_sigma=times_sigma)
             _assert_canonical_hnf(lat)
@@ -204,7 +208,7 @@ def test_mod_q_rows_match_exact_generators(q):
         for grid in (D, D + 1):
             exact = cyclotomic_generators(pr, D=D, grid=grid)
             assert _cyclotomic_rows(q, D, grid).tolist() == \
-                [[c % q for c in g.coeffs] for g in exact], (D, grid)
+                [[c % q for c in g] for g in exact], (D, grid)
 
 
 # for prime q, I(q)Sigma is q * Sigma at D = q, so the u = 1 row alone spans it
@@ -371,13 +375,22 @@ def test_build_ideal_lattice_checks_its_generators():
     with pytest.raises(ValueError, match="R/Sigma\\^3"):
         build_ideal_lattice(cyclotomic_generators(pr, D=2), 3)
     with pytest.raises(ValueError, match="nonzero constant"):
-        build_ideal_lattice([_unit(3, 1, 0), TruncatedPoly.zero(3)], 3)
+        build_ideal_lattice([_unit(3, 1, 0), (0,) * 6], 3)
     for c in (6, 12, -10, 1 << 15):
         with pytest.raises(ValueError, match=f"give {abs(c)}, which is neither"):
             build_ideal_lattice([_unit(3, 0, 0, c), _unit(3, 1, 0)], 3)
     # the constants' gcd is what counts: 4 and 6 give 2
     lat = build_ideal_lattice([_unit(3, 0, 0, 4), _unit(3, 0, 0, 6)], 3)
     assert [r[i] for i, r in enumerate(lat.rows)] == [2] * 6
+
+
+def test_build_ideal_lattice_rejects_a_wrong_length_generator():
+    # R/Sigma^3 has dimension 6: a 5- or 7-tuple is no element of it
+    for n in (5, 7):
+        with pytest.raises(ValueError, match="does not lie in R/Sigma\\^3"):
+            build_ideal_lattice([_unit(3, 0, 0, 3), (0, 1) + (0,) * (n - 2)], 3)
+    with pytest.raises(ValueError, match="does not lie in R/Sigma\\^3"):
+        build_ideal_lattice([[3, 0, 0, 0, 0]], 3)
 
 
 def test_membership_examples():
@@ -406,10 +419,11 @@ def test_ideal_closure_under_a_and_b():
 def test_augmentation_obstructions():
     for q in (2, 3, 4):
         pr = PARAMS[q]
+        # the augmentation is the constant coordinate
         for row in cyclotomic_lattice(pr).rows:
-            assert TruncatedPoly(pr.D, row).augmentation() % q == 0
+            assert row[0] % q == 0
         for row in cyclotomic_lattice(pr, times_sigma=True).rows:
-            assert TruncatedPoly(pr.D, row).augmentation() == 0
+            assert row[0] == 0
 
 
 def test_sigma_power_lattice_membership():
@@ -417,7 +431,7 @@ def test_sigma_power_lattice_membership():
     assert lat.member(_unit(4, 1, 1))
     assert lat.member(_unit(4, 3, 0))
     assert not lat.member(_unit(4, 1, 0))
-    assert not lat.member(TruncatedPoly.one(4))
+    assert not lat.member(_unit(4, 0, 0))
 
 
 def test_prime_q_membership_matches_valuation(s3):
@@ -451,33 +465,40 @@ def test_p_power_refinement_preconditions():
 
 
 def test_s_reduce_examples(s2):
-    assert not any(s2.reduce(TruncatedPoly.zero(2)))
+    assert not any(s2.reduce((0, 0, 0)))
     assert not any(s2.reduce(_unit(2, 1, 0, 2)))  # 2a lies in the lattice
 
 
 def test_s_reduce_idempotent(s2):
     rng = random.Random(2)
     for _ in range(25):
-        v = TruncatedPoly(2, [rng.randint(-9, 9) for _ in range(3)])
+        v = [rng.randint(-9, 9) for _ in range(3)]
         r = s2.reduce(v)
         assert s2.reduce(r) == r
 
 
 def test_s_arithmetic(s2, s3):
-    # S(q) elements are canonical tuples; products go through TruncatedPoly
-    xbar = TruncatedPoly(3, s3.reduce(parse_poly("x").to_truncated(3)))
-    xinv = TruncatedPoly(3, s3.reduce(parse_poly("x^-1").to_truncated(3)))
-    zero = TruncatedPoly.zero(3)
-    assert s3.reduce(xbar * xinv) == s3.reduce(TruncatedPoly.one(3))
-    assert not any(s3.reduce(xbar * zero))
-    assert s3.reduce(xbar + zero) == xbar.coeffs
-    abar = TruncatedPoly(2, s2.reduce(_unit(2, 1, 0)))
-    assert not any(s2.reduce(abar * abar))
+    # S(q) elements are canonical tuples v; x and y act as v - a*v and v - b*v
+    def times_x(v, D):
+        return [c - ca for c, ca in zip(v, mul_by_a(v, D))]
+
+    def times_y(v, D):
+        return [c - cb for c, cb in zip(v, mul_by_b(v, D))]
+
+    xinv = s3.reduce(parse_poly("x^-1"))
+    assert s3.reduce(times_x(xinv, 3)) == s3.reduce(LaurentPoly.const(1))
+    f = parse_poly("2 - x*y^-1 + 3*y^2 - x^4")
+    fbar = s3.reduce(f)
+    assert s3.reduce(times_x(fbar, 3)) == s3.reduce(parse_poly("x") * f)
+    assert s3.reduce(times_y(fbar, 3)) == s3.reduce(parse_poly("y") * f)
+    abar = s2.reduce(_unit(2, 1, 0))
+    assert not any(s2.reduce(mul_by_a(abar, 2)))
 
 
 def test_s_reduce_rejects_mismatched_truncation(s3):
     for D in (2, 4):
-        with pytest.raises(ValueError, match=f"truncation mismatch: {D} vs 3"):
-            s3.reduce(TruncatedPoly.one(D))
+        n = D * (D + 1) // 2
+        with pytest.raises(ValueError, match=f"vector length {n} != dimension 6"):
+            s3.reduce(_unit(D, 0, 0))
     with pytest.raises(ValueError, match="vector length 5 != dimension 6"):
         s3.reduce([1, 0, 0, 0, 0])

@@ -22,7 +22,7 @@ from burnmat import (
     verify_solvability,
     verify_square,
 )
-from burnmat.groups import balanced_commutator_word, group_context
+from burnmat.groups import GroupContext, balanced_commutator_word, group_context
 from burnmat.ideals import SContext
 
 
@@ -117,7 +117,7 @@ PINNED_REPORTS = {
                     "5a9c9bd61c54bb6f5be1fcc6aee4af93bdac4ac4618f98cc4602a7c393a0aca5"),
     "square-q4": (lambda j: verify_square(4, samples=10, seed=2, jobs=j),
                   "66970a4a4e1d2afe115bd466e90b9c14d14a86d1e2a697a21bd2f4e4cde8afcc"),
-    # k = 2 only: one k = 3 cross-check costs about 15 s
+    # k = 2 only: one k = 3 cross-check costs about 4 s
     "layers-k2": (lambda j: verify_derived_layers(ks=(2,), samples=20, seed=2, jobs=j),
                   "7ce05631b2806834b8ac99d38ee5a93f88fe8499ce9179712c0f588d1e0066be"),
     "sanov": (lambda j: verify_sanov(max_len=6),
@@ -252,6 +252,15 @@ def test_layers_suite_small():
     assert len(r.rows) == 4
     for row in r.rows:
         assert row["k"] == 2 and row["valuation"] >= 1 and row["sigma_ok"]
+
+
+def test_layers_cross_check_zero_skips_the_exact_path_at_k3(monkeypatch):
+    def no_exact(self, word):
+        raise AssertionError("exact evaluation with cross_check=0")
+
+    monkeypatch.setattr(GroupContext, "eval_word", no_exact)
+    r = verify_derived_layers(ks=(3,), samples=1, cross_check=0)
+    assert r.passed and r.checks == 1
 
 
 @pytest.mark.parametrize("ks", [(1,), (0,), (2, -1)])
