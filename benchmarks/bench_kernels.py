@@ -52,11 +52,17 @@ def main():
     rng = random.Random(args.seed)
     s3_words = _batch(rng, args.batch, 40)
     s9_words = _batch(rng, args.batch, 40)
+    sigma8_words = _batch(rng, args.batch, 30)
+    s5_words = _batch(rng, args.batch, 40)
+    sigma2_words = _batch(rng, args.batch, 30)
     s9 = SContext.for_q(9)
+    # S(3), S(5) and Sigma^2 step by pairs of letters (N <= 15), the others by letters
     workloads = [
         ("S(3), len<=40", tables_for(SContext.for_q(3)), s3_words),
+        ("S(5), len<=40", tables_for(SContext.for_q(5)), s5_words),
         ("S(9), len<=40", tables_for(s9), s9_words),
-        ("Sigma^8, len<=30", sigma_tables(8), _batch(rng, args.batch, 30)),
+        ("Sigma^2, len<=30", sigma_tables(2), sigma2_words),
+        ("Sigma^8, len<=30", sigma_tables(8), sigma8_words),
         # the same words in S(9) itself: one t-slice per step
         ("S(9) at t = 1, len<=40", tables_for(s9, at_t1=True), s9_words),
     ]

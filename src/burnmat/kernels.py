@@ -10,9 +10,11 @@ and keeps the other.  Two lanes compute the same thing:
   python  exact integer dicts, one letter at a time: the correctness oracle
           and the Sigma^D overflow fallback
   numpy   float64 [T, 2 rows, 2 columns, N] window, one dense BLAS product
-          per letter on the column it changes (a few window rows at a
-          time), with a guard that keeps every value an integer below 2^52,
-          so float64 holds it exactly (the default)
+          per step (a few window rows at a time), with a guard that keeps
+          every value an integer below 2^52, so float64 holds it exactly
+          (the default).  A step is a letter, on the column it changes, or
+          at N <= PAIR_MAX_N (D <= 5) a pair of letters, on both columns,
+          whose matrix is built on first use
 
 On S(q) tables both lanes take the I(q)Sigma lattice's mod_step (the
 lattice contract is in the ideals module docstring): the python lane after
@@ -56,6 +58,16 @@ FLOAT_EXACT = 2 ** 53
 # of 1.4 s.  So the numpy lane multiplies a few window rows at a time, below
 # that size.
 SERIAL_MNK = 2 ** 18
+# At small N a letter's product takes a few microseconds and the numpy calls
+# around it cost more, so the lane steps by pairs of letters, one product
+# each, on tables with N <= PAIR_MAX_N basis coefficients (D <= 5).  On
+# 400-letter random words (2-core x86 VM, best of 5) pairs took S(2) from 7.8
+# to 4.5 us per letter, S(4) from 12-13 to 8.3 and S(4) at t = 1 from 4.5 to
+# 2.2, and one `trees` benchmark pass from 0.15 to 0.10 s.  Above, they gain
+# less for more memory: S(7) (N = 28) went from 18-19 to 15.4 us for 0.86 MiB
+# of pair matrices, and at N = 91 (D = 13) pairs were slower, 82-97 against
+# 132-162 us.
+PAIR_MAX_N = 15
 
 # overflow fallbacks to the python lane in this process, by table label
 FALLBACKS: Counter = Counter()
@@ -94,8 +106,11 @@ class QuotientTables:
     lattice: IdealLattice | None
     one: tuple
     growth: int
-    # mats[ch] = (j, dt_min, M): the numpy lane's form of right multiplication by ch
+    # mats[ch] = ((j,), dt_min, M): the numpy lane's step for right multiplication by ch
     mats: dict
+    # pairs[xy] = ((0, 1), dt_min, M) at N <= PAIR_MAX_N, None when xy cancels;
+    # pairs is None above
+    pairs: _PairSteps | None
     # every generator term's t-shift set to 0: S(q) itself, see _letters
     at_t1: bool = False
 
@@ -127,74 +142,125 @@ def _matrix_terms(M, D: int) -> dict:
     return per_entry
 
 
-def _letter_matrix(terms: dict, maps: tuple, N: int) -> tuple:
-    """(j, dt_min, M) for a letter whose matrix has column 1 - j equal to e_{1-j}.
+def _step_matrix(terms: dict, maps: tuple, N: int, cols: tuple) -> tuple:
+    """(cols, dt_min, M): right multiplication by a matrix whose other columns are e_j.
 
-    Only column j changes under right multiplication: M is a dense float64
-    [2N, (span + 1) N] matrix, and row l*N + src, column o*N + dst holds the
-    coefficient that sends basis coefficient src of entry (i, l) at t to basis
-    coefficient dst of entry (i, j) at t + dt_min + o.
+    Only the columns in cols change: M is a dense float64
+    [2N, (span + 1) len(cols) N] matrix, and row l*N + src, column
+    (o len(cols) + c) N + dst holds the coefficient that sends basis
+    coefficient src of entry (i, l) at t to basis coefficient dst of entry
+    (i, cols[c]) at t + dt_min + o.
     """
-    (j,) = [j for j in range(2)
-            if terms[(1 - j, j)] or terms[(j, j)] != ((0, 0, 1),)]
-    dts = [dt for l in range(2) for dt, _, _ in terms[(l, j)]]
+    dts = [dt for l in range(2) for j in cols for dt, _, _ in terms[(l, j)]]
     dt_min = min(dts)
-    M = np.zeros((2 * N, max(dts) - dt_min + 1, N))
+    M = np.zeros((2 * N, max(dts) - dt_min + 1, len(cols), N))
     for l in range(2):
-        for dt, mp, c in terms[(l, j)]:
-            src, dst = maps[mp]
-            M[l * N + src, dt - dt_min, dst] += c
-    return j, dt_min, M.reshape(2 * N, -1)
+        for c, j in enumerate(cols):
+            for dt, mp, v in terms[(l, j)]:
+                src, dst = maps[mp]
+                M[l * N + src, dt - dt_min, c, dst] += v
+    return cols, dt_min, M.reshape(2 * N, -1)
+
+
+def _changed_column(terms: dict) -> tuple:
+    """(j,) for a generator: the one column that is not e_j."""
+    return tuple(j for j in range(2) if terms[(1 - j, j)] or terms[(j, j)] != ((0, 0, 1),))
+
+
+def _merged_terms(terms: dict) -> dict:
+    """terms with every t-shift set to 0, merging those that share a shift map."""
+    out = {}
+    for e, per in terms.items():
+        acc = Counter()
+        for _, mp, c in per:
+            acc[mp] += c
+        out[e] = tuple((0, mp, c) for mp, c in acc.items() if c)
+    return out
+
+
+def _pair_terms(xy: str, D: int) -> dict | None:
+    """_matrix_terms of the product xy of two generators; None when it cancels."""
+    from .groups import _free_generators
+
+    x, y = xy
+    if x == y.swapcase():
+        return None
+    gens = _free_generators()
+    return _matrix_terms(gens[x] @ gens[y], D)
+
+
+class _PairSteps(dict):
+    """pairs[xy]: the step of the product xy of two letters, built on first
+    use, so that a process holds only the pair matrices its words need; None
+    for the cancelling pairs aA, Aa, bB and Bb, the identity."""
+
+    def __init__(self, D: int, at_t1: bool):
+        super().__init__()
+        self.D, self.at_t1 = D, at_t1
+
+    def __missing__(self, xy: str):
+        terms, step = _pair_terms(xy, self.D), None
+        if terms is not None:
+            if self.at_t1:
+                terms = _merged_terms(terms)
+            step = _step_matrix(terms, _shift_maps(self.D), tri_dim(self.D), (0, 1))
+        self[xy] = step
+        return step
 
 
 @cache
 def _letters(D: int, at_t1: bool = False) -> tuple:
-    """(gen_terms, mats, growth) of the four generators over R/Sigma^D.
+    """(gen_terms, mats, pairs, growth) of the four generators over R/Sigma^D.
 
     They depend on D alone, so every table of one D shares them: Sigma^D, and
-    S(q) at q = 4, 5 (D = 5) or at q = 8, 9 (D = 13).  growth is the largest
-    L1 norm of the coefficients of a column's terms, over the letters: an
-    output coefficient sums a subset of them, all t-offsets together.
+    S(q) at q = 4, 5 (D = 5) or at q = 8, 9 (D = 13).  mats[ch] is the step
+    of letter ch, which changes one column.  At N <= PAIR_MAX_N, pairs[xy]
+    is the step of the product xy, which changes both; pairs is None above.
+    growth is the largest L1 norm of the coefficients of a column's terms,
+    over the letters and the pairs: an output coefficient sums a subset of
+    them, all t-offsets together.
 
     at_t1 sets every t-shift to 0: setting t = 1 is a ring map
     S(q)[t,t^-1] -> S(q) that commutes with truncation and with lattice
     reduction, so a lane run on these tables returns, at t = 0, exactly
-    entries_at_t1 of the full run, one t-slice wide.  The t = 1 matrices sum
-    the offset blocks of the full ones, the t = 1 terms merge those that
-    share a shift map, and both keep the full growth: |c1 + c2| <= |c1| + |c2|.
+    entries_at_t1 of the full run, one t-slice wide.  The t = 1 terms merge
+    those that share a shift map, so the t = 1 matrices sum the offset blocks
+    of the full ones, and both keep the full growth: |c1 + c2| <= |c1| + |c2|.
     """
     from .groups import _free_generators
 
     N = tri_dim(D)
     if at_t1:
-        def merged(per):
-            acc = Counter()
-            for _, mp, c in per:
-                acc[mp] += c
-            return tuple((0, mp, c) for mp, c in acc.items() if c)
+        def summed(step):
+            cols, _, M = step
+            n = len(cols) * N
+            return cols, 0, M.reshape(2 * N, -1, n).sum(axis=1) if M.shape[1] > n else M
 
-        gen_terms, mats, growth = _letters(D)
-        gen_terms = {ch: {e: merged(per) for e, per in terms.items()}
-                     for ch, terms in gen_terms.items()}
-        mats = {ch: (j, 0, M.reshape(2 * N, -1, N).sum(axis=1) if M.shape[1] > N else M)
-                for ch, (j, _, M) in mats.items()}
-        return gen_terms, mats, growth
+        gen_terms, mats, pairs, growth = _letters(D)
+        return ({ch: _merged_terms(terms) for ch, terms in gen_terms.items()},
+                {ch: summed(st) for ch, st in mats.items()},
+                None if pairs is None else _PairSteps(D, True), growth)
     maps = _shift_maps(D)
     gen_terms = {ch: _matrix_terms(M, D) for ch, M in _free_generators().items()}
-    mats = {ch: _letter_matrix(terms, maps, N) for ch, terms in gen_terms.items()}
+    mats = {ch: _step_matrix(terms, maps, N, _changed_column(terms))
+            for ch, terms in gen_terms.items()}
+    pair_terms = []
+    if N <= PAIR_MAX_N:
+        pair_terms = [_pair_terms(x + y, D) for x in "aAbB" for y in "aAbB"]
     growth = max(sum(abs(c) for l in range(2) for _, _, c in terms[(l, j)])
-                 for terms in gen_terms.values() for j in range(2))
-    return gen_terms, mats, growth
+                 for terms in [*gen_terms.values(), *filter(None, pair_terms)]
+                 for j in range(2))
+    return gen_terms, mats, _PairSteps(D, False) if pair_terms else None, growth
 
 
 def _build_tables(D: int, q: int, lattice: IdealLattice | None,
                   at_t1: bool = False) -> QuotientTables:
-    gen_terms, mats, growth = _letters(D, at_t1)
+    gen_terms, mats, pairs, growth = _letters(D, at_t1)
     N = tri_dim(D)
     one = (1,) + (0,) * (N - 1)
     return QuotientTables(q=q, D=D, N=N, maps=_shift_maps(D), gen_terms=gen_terms,
                           lattice=lattice, one=one if lattice is None else lattice.reduce(one),
-                          growth=growth, mats=mats, at_t1=at_t1)
+                          growth=growth, mats=mats, pairs=pairs, at_t1=at_t1)
 
 
 _CACHE: dict = {}
@@ -202,6 +268,9 @@ _CACHE: dict = {}
 
 def sigma_tables(D: int) -> QuotientTables:
     """Tables for (R/Sigma^D)[t,t^-1]; no lattice reduction, truncation only."""
+    if D < 2:
+        # at D = 1 the generator a is the identity, and D = 0 is the zero ring
+        raise ValueError(f"Sigma^D tables need D >= 2, got D = {D}")
     key = ("sigma", D)
     if key not in _CACHE:
         _CACHE[key] = _build_tables(D, 0, None)
@@ -310,33 +379,57 @@ def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
 # ---------------------------------------------------------------------------
 # numpy lane: two float64 [T, 2 rows, 2 columns, N] buffers over a trimmed t-window
 #
-# Exactness: a letter changes one column j of the running product.  Its new
-# coefficients are the float64 product of the live window, [2w, 2N], with the
-# letter's matrix, [2N, (span+1) N], in row chunks of at most SERIAL_MNK
-# multiply-adds, and the span+1 offset blocks are added into place; the other
-# column is copied.  Every output coefficient sums one product c * v per term
-# of column j (each shift map is injective), so every product and partial sum
-# that BLAS or the block adds form, in any order, is an integer of magnitude
-# at most growth * max|v|.  The lane runs a letter only from max|v| <=
-# guard_limit = 2^53 // (2 growth), so all of them lie below 2^52 and float64
-# holds each exactly.  It carries a proven bound, bnd *= growth per letter,
-# and measures max|v| only when bnd passes the limit.  When the measured value
-# passes it too, Sigma^D tables raise KernelOverflow; S(q) tables reduce the
-# window through the lattice on an int64 copy, whose mod step takes every
-# value below q (see the python lane).  At a stop the lane reduces the window
-# the same way and hands out canonical int64 vectors; a run goes on from them.
+# Exactness: a letter changes one column j of the running product, a pair
+# both.  A step's new coefficients are the float64 product of the live
+# window, [2w, 2N], with its matrix, [2N, (span+1) len(cols) N], in row chunks
+# of at most SERIAL_MNK multiply-adds, and the span+1 offset blocks are added
+# into place; a letter's other column is copied.  Every output coefficient
+# sums one product c * v per term of its column (each shift map is
+# injective), so every product and partial sum that BLAS or the block adds
+# form, in any order, is an integer of magnitude at most growth * max|v|:
+# growth bounds letters and pairs alike.  The lane runs a step only from
+# max|v| <= guard_limit = 2^53 // (2 growth), so all of them lie below 2^52
+# and float64 holds each exactly.  It carries a proven bound, bnd *= growth
+# per step, and measures max|v| only when bnd passes the limit.  When the
+# measured value passes it too, Sigma^D tables raise KernelOverflow; S(q)
+# tables reduce the window through the lattice on an int64 copy, whose mod
+# step takes every value below q (see the python lane).  On Sigma^D tables a
+# pair whose step could pass the guard runs as its two letters, so that
+# KernelOverflow names the first letter after which the values the lane
+# holds pass it.  A cancelling pair (aA, Aa, bB, Bb) takes no step: the lane
+# never holds the value between its letters.  At a stop the lane reduces the
+# window the same way and hands out canonical int64 vectors; a run goes on
+# from them.
 #
-# The window is re-based to row 0 on every letter, so T only has to hold the
+# The window is re-based to row 0 on every step, so T only has to hold the
 # live window: it starts at one copy's 1 + sum of spans and doubles on demand.
 
 def _buffers(T: int, N: int) -> list:
     return [np.zeros((T, 2, 2, N)) for _ in range(2)]
 
 
+def _steps(word: str, tables: QuotientTables):
+    """One copy of word as (k, step): pairs from the left, then a last odd
+    letter, k the index of the step's first letter.  A cancelling pair is
+    the identity and takes no step.  A generator, so that a long word holds
+    no list of its steps."""
+    mats, pairs = tables.mats, tables.pairs
+    if pairs is None:
+        for k, ch in enumerate(word):
+            yield k, mats[ch]
+        return
+    for k in range(0, len(word) - 1, 2):
+        step = pairs[word[k:k + 2]]
+        if step is not None:
+            yield k, step
+    if len(word) % 2:
+        yield len(word) - 1, mats[word[-1]]
+
+
 def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
     mats = tables.mats
-    T = 1 + sum(mats[ch][2].shape[1] // N - 1 for ch in word)
+    T = 1 + sum(M.shape[1] // (len(cols) * N) - 1 for _, (cols, _, M) in _steps(word, tables))
     cur, nxt = _buffers(T, N)
     cur[0, 0, 0, 0] = cur[0, 1, 1, 0] = 1
     lo = hi = 0  # live rows of cur
@@ -345,55 +438,67 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     limit, growth = tables.guard_limit, tables.growth
     lattice = tables.lattice
     for copy in range(1, stops[-1] + 1):
-        for k, ch in enumerate(word):
-            j, dt_min, M = mats[ch]
-            w = hi - lo + 1
-            span = M.shape[1] // N - 1
-            nw = w + span
-            if nw > T:
-                T = max(nw, 2 * T)
-                grown, nxt = _buffers(T, N)
-                grown[:w] = cur[lo:hi + 1]
-                cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
-            win = cur[lo:hi + 1]
-            flat, step = win.reshape(2 * w, 2 * N), max(1, SERIAL_MNK // M.size)
-            prod = np.empty((2 * w, M.shape[1]))
-            for r in range(0, 2 * w, step):
-                np.matmul(flat[r:r + step], M, out=prod[r:r + step])
-            prod = prod.reshape(w, 2, span + 1, N)
-            out = nxt[:nw]
-            out[:w, :, j] = prod[:, :, 0]
-            if span:
-                out[w, :, j] = 0
-                out[1:, :, j] += prod[:, :, 1]
-                # the kept column lands at offset -dt_min; the other edge row is 0
-                s = -dt_min
-                out[s:s + w, :, 1 - j] = win[:, :, 1 - j]
-                out[0 if s else w, :, 1 - j] = 0
+        for k, step in _steps(word, tables):
+            if lattice is None and len(step[0]) == 2 and bnd * growth > limit:
+                # a pair that could pass the guard runs as its two letters, so
+                # that KernelOverflow names the letter
+                run = ((k, mats[word[k]]), (k + 1, mats[word[k + 1]]))
             else:
-                out[:, :, 1 - j] = win[:, :, 1 - j]
-            t0 += lo + dt_min
-            lo, hi = 0, nw - 1
-            trim = span
-            bnd *= growth
-            if bnd > limit:
-                bnd = int(np.abs(out).max())
+                run = ((k, step),)
+            for k, (cols, dt_min, M) in run:
+                nc = len(cols)
+                w = hi - lo + 1
+                span = M.shape[1] // (nc * N) - 1
+                nw = w + span
+                if nw > T:
+                    T = max(nw, 2 * T)
+                    grown, nxt = _buffers(T, N)
+                    grown[:w] = cur[lo:hi + 1]
+                    cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
+                win = cur[lo:hi + 1]
+                flat, chunk = win.reshape(2 * w, 2 * N), max(1, SERIAL_MNK // M.size)
+                prod = np.empty((2 * w, M.shape[1]))
+                for r in range(0, 2 * w, chunk):
+                    np.matmul(flat[r:r + chunk], M, out=prod[r:r + chunk])
+                prod = prod.reshape(w, 2, span + 1, nc, N)
+                out = nxt[:nw]
+                c = slice(cols[0], cols[0] + nc)
+                out[:w, :, c] = prod[:, :, 0]
+                if span:
+                    out[w:, :, c] = 0
+                    for o in range(1, span + 1):
+                        out[o:o + w, :, c] += prod[:, :, o]
+                if nc == 1:
+                    # the kept column lands at offset -dt_min; a letter's span
+                    # is at most 1, so at most one edge row is 0
+                    j = 1 - cols[0]
+                    s = -dt_min
+                    out[s:s + w, :, j] = win[:, :, j]
+                    if span:
+                        out[0 if s else w, :, j] = 0
+                t0 += lo + dt_min
+                lo, hi = 0, nw - 1
+                trim = span
+                bnd *= growth
                 if bnd > limit:
-                    if lattice is None:
-                        raise KernelOverflow(f"{tables.label}: coefficients exceeded the float64 "
-                                             f"guard at letter {(copy - 1) * len(word) + k}")
-                    exact = out.astype(np.int64)
-                    lattice.reduce_rows(exact)
-                    out[:] = exact
-                    bnd, trim = lattice.modulus, True
-            # trim t-slices that are zero in all four entries: only a t-shift
-            # or a reduction can leave one, as the letters are invertible
-            if trim:
-                while lo < hi and not out[lo].any():
-                    lo += 1
-                while hi > lo and not out[hi].any():
-                    hi -= 1
-            cur, nxt = nxt, cur
+                    bnd = int(np.abs(out).max())
+                    if bnd > limit:
+                        if lattice is None:
+                            raise KernelOverflow(f"{tables.label}: coefficients exceeded the "
+                                                 f"float64 guard at letter "
+                                                 f"{(copy - 1) * len(word) + k}")
+                        exact = out.astype(np.int64)
+                        lattice.reduce_rows(exact)
+                        out[:] = exact
+                        bnd, trim = lattice.modulus, True
+                # trim t-slices that are zero in all four entries: only a t-shift
+                # or a reduction can leave one, as the steps are invertible
+                if trim:
+                    while lo < hi and not np.count_nonzero(out[lo]):
+                        lo += 1
+                    while hi > lo and not np.count_nonzero(out[hi]):
+                        hi -= 1
+                cur, nxt = nxt, cur
         if copy in stops:
             exact = cur[lo:hi + 1].astype(np.int64)
             if lattice is not None:

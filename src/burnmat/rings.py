@@ -186,17 +186,25 @@ class LaurentPoly:
 
         The least degree with a nonzero coordinate in to_truncated(D), for D
         doubling from 1 until one appears; sound because to_truncated(D) is
-        exact below degree D.
+        exact below degree D.  The coordinates are summed degree by degree
+        from the per-y-exponent sums in a, up to the first nonzero one, so the
+        whole tuple is never built.
         """
         if self.has_t:
             raise ValueError("sigma_valuation is defined on t-free polynomials")
         if not self.terms:
             return math.inf
+        f = self
+        if len({j for _, j, _ in self.terms}) > len({i for i, _, _ in self.terms}):
+            # swapping x and y keeps every degree: hold the fewer sums
+            f = LaurentPoly({(j, i, 0): c for (i, j, _), c in self.terms.items()})
         D = 1
         while True:
-            v = self.to_truncated(D)
+            sums = [(acc, xpow_coeffs(j, D)) for j, acc in f._sums_in_a(D).items()]
+            # at_r[r]: the nonzero a^r coefficients, each with its row of y^j
+            at_r = [[(acc[r], row_y) for acc, row_y in sums if acc[r]] for r in range(D)]
             for d in range(D):
-                if any(v[tri_dim(d):tri_dim(d + 1)]):
+                if any(sum(c * row_y[d - r] for c, row_y in at_r[r]) for r in range(d + 1)):
                     return d
             D *= 2
 
@@ -208,28 +216,34 @@ class LaurentPoly:
             raise ValueError("in_sigma_power is defined on t-free polynomials")
         return not any(self.to_truncated(d))
 
+    def _sums_in_a(self, D: int) -> dict[int, list[int]]:
+        """{j: coordinates in Z[a]/(a^D) of the sum of c x^i over the terms c x^i y^j}.
+
+        Terms are taken in order of i, so each row of x^i is computed once
+        and only one row is held at a time: a term costs O(D).
+        """
+        in_a: dict[int, list[int]] = {}
+        row_i, last = (), None
+        for m in sorted(self.terms):
+            i, j, _ = m
+            if i != last:
+                row_i, last = xpow_coeffs(i, D), i
+            c = self.terms[m]
+            acc = in_a.setdefault(j, [0] * D)
+            for r, cr in enumerate(row_i):
+                acc[r] += c * cr
+        return in_a
+
     def to_truncated(self, D: int) -> tuple[int, ...]:
         """Coordinates of the image in R/Sigma^D under x -> 1-a, y -> 1-b
         (geometric series for inverses), on the a^r b^s basis of the module
         docstring.  Exact below degree D: a larger D agrees there.
-
-        Terms are summed per y-exponent in a first, so each term costs O(D).
-        The rows of x^n are kept for this call only, so the big integers of a
-        large input do not outlive it.
         """
         if self.has_t:
             raise ValueError("to_truncated is defined on t-free polynomials")
-        rows: dict[int, tuple[int, ...]] = {}
-        in_a: dict[int, list[int]] = {}
-        for (i, j, _), c in self.terms.items():
-            if i not in rows:
-                rows[i] = xpow_coeffs(i, D)
-            acc = in_a.setdefault(j, [0] * D)
-            for r, cr in enumerate(rows[i]):
-                acc[r] += c * cr
         coeffs = [0] * tri_dim(D)
-        for j, acc in in_a.items():
-            row_y = rows[j] if j in rows else xpow_coeffs(j, D)
+        for j, acc in self._sums_in_a(D).items():
+            row_y = xpow_coeffs(j, D)
             for r, cr in enumerate(acc):
                 if cr:
                     pos = tri_dim(r) + r  # a^r b^s sits at tri_dim(r+s) + r

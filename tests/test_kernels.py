@@ -32,6 +32,7 @@ from burnmat import (
 from test_ideals import _exact_reduce
 
 LANES = ["python", "numpy"]
+PAIRS = [x + y for x in "aAbB" for y in "aAbB"]
 INT64_MAX = 2 ** 63 - 1
 
 
@@ -110,26 +111,52 @@ def test_int64_overflow_raises_and_falls_back(monkeypatch):
     assert kernels.FALLBACKS == Counter({"Sigma12": 1})
 
 
-def test_kernel_overflow_names_the_letter():
-    # the lane measures its window whenever its proven bound could pass the
-    # guard, so it names the first letter after which the exact values do
-    tables = sigma_tables(12)
-    word = "ab" * 120
+def _overflow_letter(word, tables):
+    """The letter KernelOverflow names, checked to be the first after which
+    the exact values pass the guard."""
     with pytest.raises(KernelOverflow) as exc:
         next(kernels._eval_numpy(word, tables))
-    letter = int(re.search(r"^Sigma12: .* at letter (\d+)$", str(exc.value)).group(1))
+    match = re.search(rf"^{tables.label}: .* at letter (\d+)$", str(exc.value))
+    letter = int(match.group(1))
     top = [max(abs(c) for ent in next(kernels._eval_python(word[:n], tables))
                for vec in ent.values() for c in vec)
            for n in (letter, letter + 1)]
     assert top[0] <= tables.guard_limit < top[1]
+    return letter
+
+
+def test_kernel_overflow_names_the_letter():
+    # the lane measures its window whenever its proven bound could pass the
+    # guard, so it names the first letter after which the exact values do
+    _overflow_letter("ab" * 120, sigma_tables(12))
+
+
+def test_kernel_overflow_names_the_letter_inside_a_pair():
+    # Sigma^5 steps by pairs, and runs a pair as its two letters once the pair
+    # could pass the guard: a^n passes it at the second letter of a pair, and
+    # one letter later after the pair Aa, which takes no step
+    tables = sigma_tables(5)
+    assert tables.pairs is not None
+    assert _overflow_letter("a" * 8000, tables) == 6543
+    assert _overflow_letter("Aa" + "a" * 8000, tables) == 6545
+    assert _overflow_letter("bab" + "a" * 8000, tables) == 6544
 
 
 def test_guard_keeps_float64_exact():
-    # a letter run from max|v| <= guard_limit forms values of at most
-    # growth * guard_limit, which must stay below 2^52 in every table
-    for label in TABLE_LABELS:
+    # a letter or pair run from max|v| <= guard_limit forms values of at most
+    # growth * guard_limit, which must stay below 2^52 in every table: growth
+    # bounds the L1 norm of every output coefficient's column of a letter or
+    # pair matrix, over all its t-offsets
+    for label in sorted({*TABLE_LABELS, *PAIRED_LABELS}):
         tables = _tables(label)
         assert 2 * tables.growth * tables.guard_limit <= kernels.FLOAT_EXACT
+        N = tables.N
+        pairs = [] if tables.pairs is None else [tables.pairs[xy] for xy in PAIRS]
+        for cols, _, M in [*tables.mats.values(), *filter(None, pairs)]:
+            l1 = np.abs(M.reshape(2 * N, -1, len(cols) * N)).sum(axis=(0, 1))
+            assert l1.max() <= tables.growth
+    # pairs raise the bound at D = 5 from the letters' 19 to 59
+    assert _tables("S5").growth == _tables("Sigma5").growth == 59
 
 
 def test_products_stay_below_the_blas_thread_size(monkeypatch):
@@ -144,6 +171,7 @@ def test_products_stay_below_the_blas_thread_size(monkeypatch):
 
     monkeypatch.setattr(kernels.np, "matmul", recording_matmul)
     word = "b" * 30 + "aBAb" * 5 + "B" * 30
+    assert _tables("S4").pairs is not None  # two letters per product
     for label in ("S9", "S4", "Sigma8"):
         tables = _tables(label)
         assert eval_word_quotient(word, tables) == eval_word_quotient(word, tables, lane="python")
@@ -156,18 +184,51 @@ def test_tables_of_one_truncation_share_their_letter_matrices():
     assert s[4].mats is s[5].mats is sigma_tables(5).mats
     assert s[8].mats is s[9].mats is sigma_tables(13).mats
     assert s[4].gen_terms is s[5].gen_terms
-    t1 = {q: tables_for(_sctx(q), at_t1=True) for q in (8, 9)}
+    # pairs at D = 5, each built on first use; none at D = 13
+    assert s[4].pairs is s[5].pairs is sigma_tables(5).pairs
+    assert s[8].pairs is s[9].pairs is sigma_tables(13).pairs is None
+    fresh = kernels._letters.__wrapped__(5)[2]
+    assert not fresh and fresh["ab"] is fresh["ab"] and list(fresh) == ["ab"]
+    t1 = {q: tables_for(_sctx(q), at_t1=True) for q in (4, 5, 8, 9)}
     assert t1[8].mats is t1[9].mats
+    assert t1[4].pairs is t1[5].pairs
     # the t = 1 matrices sum the offset blocks of the full ones
-    for ch, (j, dt_min, M) in s[8].mats.items():
-        j1, dt1, M1 = t1[8].mats[ch]
-        assert (j1, dt1, M1.shape) == (j, 0, (2 * s[8].N, s[8].N))
-        assert np.array_equal(M1, M.reshape(2 * s[8].N, -1, s[8].N).sum(axis=1))
-    assert t1[8].growth == s[8].growth
+    for full, at_t1 in ((s[8], t1[8]), (s[4], t1[4])):
+        N = full.N
+        pairs = {} if full.pairs is None else {xy: full.pairs[xy] for xy in PAIRS}
+        for ch, step in [*full.mats.items(), *pairs.items()]:
+            step1 = at_t1.pairs[ch] if len(ch) == 2 else at_t1.mats[ch]
+            if step is None:
+                assert step1 is None
+                continue
+            cols, dt_min, M = step
+            cols1, dt1, M1 = step1
+            assert (cols1, dt1, M1.shape) == (cols, 0, (2 * N, len(cols) * N))
+            assert np.array_equal(M1, M.reshape(2 * N, -1, len(cols) * N).sum(axis=1))
+    assert t1[8].growth == s[8].growth and t1[4].growth == s[4].growth
     # a and A change column 1 at no t-shift; b and B column 0 over two shifts
-    assert {ch: (j, dt_min, M.shape[1] // s[8].N)
-            for ch, (j, dt_min, M) in s[8].mats.items()} == {
-        "a": (1, 0, 1), "A": (1, 0, 1), "b": (0, 0, 2), "B": (0, -1, 2)}
+    assert {ch: (cols, dt_min, M.shape[1] // s[8].N)
+            for ch, (cols, dt_min, M) in s[8].mats.items()} == {
+        "a": ((1,), 0, 1), "A": ((1,), 0, 1), "b": ((0,), 0, 2), "B": ((0,), -1, 2)}
+    # a pair changes both columns over the summed shifts; xX is the identity
+    shapes = {}
+    for xy in PAIRS:
+        step = s[4].pairs[xy]
+        shapes[xy] = step and (step[0], step[1], step[2].shape[1] // (2 * s[4].N))
+    assert shapes == {
+        "aa": ((0, 1), 0, 1), "aA": None, "ab": ((0, 1), 0, 2), "aB": ((0, 1), -1, 2),
+        "Aa": None, "AA": ((0, 1), 0, 1), "Ab": ((0, 1), 0, 2), "AB": ((0, 1), -1, 2),
+        "ba": ((0, 1), 0, 2), "bA": ((0, 1), 0, 2), "bb": ((0, 1), 0, 3), "bB": None,
+        "Ba": ((0, 1), -1, 2), "BA": ((0, 1), -1, 2), "Bb": None, "BB": ((0, 1), -2, 3)}
+
+
+@pytest.mark.parametrize("D", [1, 0, -1])
+def test_sigma_tables_need_two_degrees(D):
+    # at D = 1 the generator a is the identity, and D <= 0 leaves no ring
+    before = kernels._letters.cache_info().currsize
+    with pytest.raises(ValueError, match=f"got D = {D}$"):
+        sigma_tables(D)
+    assert kernels._letters.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +313,36 @@ def test_every_step_matches_python_lane(label):
             assert kernels._normalize(got, tables) == kernels._normalize(exact, tables), word
 
 
+PAIRED_LABELS = ["S2", "S3", "S4", "S5", "S2@t1", "S3@t1", "S4@t1", "S5@t1",
+                 "Sigma2", "Sigma3", "Sigma4", "Sigma5"]
+
+
+def test_pairs_are_on_the_small_truncations():
+    for label in sorted({*TABLE_LABELS, *PAIRED_LABELS}):
+        tables = _tables(label)
+        paired = tables.pairs is not None
+        assert paired == (tables.N <= kernels.PAIR_MAX_N) == (label in PAIRED_LABELS)
+
+
+@pytest.mark.parametrize("label", PAIRED_LABELS)
+def test_every_pair_step_matches_python_lane(label):
+    # every word of up to four letters: each of the 16 pairs (aA and Bb, which
+    # take no step, included) after each pair, and odd lengths, whose copies
+    # each end on a single letter; over copies 1, 2 and 4 as in an order scan
+    tables = _tables(label)
+    stops = (1, 2, 4)
+    for n in range(1, 5):
+        for letters in itertools.product("aAbB", repeat=n):
+            word = "".join(letters)
+            exact = [kernels._normalize(r, tables)
+                     for r in kernels._eval_python(word, tables, stops)]
+            got = [kernels._normalize(r, tables) for r in kernels._eval_numpy(word, tables, stops)]
+            assert got == exact, word
+            if tables.q and not tables.at_t1 and word.count("b") == word.count("B"):
+                assert (kernels.least_identity_power(word, tables, tables.q, lane="numpy")
+                        == kernels.least_identity_power(word, tables, tables.q, lane="python"))
+
+
 @pytest.mark.parametrize("label", ["S4", "S9", "S9@t1", "Sigma4"])
 def test_t_runs_trim_both_window_edges(label, monkeypatch):
     # a B after a b run leaves the window's low edge zero, a b after a B run
@@ -284,6 +375,29 @@ def _forced_guard(tables):
     forced = dataclasses.replace(tables, growth=kernels.FLOAT_EXACT // 256)
     assert forced.guard_limit == 128
     return forced
+
+
+@LANE_SETTINGS
+@given(word=_letters(24, min_size=12))
+@example(word="AABBBAaBBbAA")  # passes 128 only between the letters of Bb
+@example(word="abAB" * 3)  # stays below 128
+def test_forced_guard_names_the_letter_inside_a_pair(word):
+    # with the guard at 128 the pairs of Sigma^5 run as letters from the
+    # start, but for aA, Aa, bB and Bb: they take no step, so the lane never
+    # holds the value between their letters
+    tables = sigma_tables(5)
+    forced = _forced_guard(tables)
+    held = [n for n in range(1, len(word) + 1)
+            if not (n % 2 and n < len(word) and word[n - 1] == word[n].swapcase())]
+    first = next((n - 1 for n in held
+                  if max((abs(c) for ent in next(kernels._eval_python(word[:n], tables))
+                          for vec in ent.values() for c in vec), default=0) > 128), None)
+    if first is None:
+        assert kernels._normalize(next(kernels._eval_numpy(word, forced)), tables) == \
+            kernels._normalize(next(kernels._eval_python(word, tables)), tables)
+    else:
+        with pytest.raises(KernelOverflow, match=f"at letter {first}$"):
+            next(kernels._eval_numpy(word, forced))
 
 
 @pytest.mark.parametrize("label", ["S4", "S8", "S9"])

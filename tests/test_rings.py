@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,45 @@ def test_sigma_valuation_additive_on_products():
             continue
         assert (f * g).sigma_valuation() == f.sigma_valuation() + g.sigma_valuation()
         done += 1
+
+
+def _valuation_from_tuples(f):
+    """The least degree with a nonzero coordinate in the whole to_truncated(D) tuple,
+    D doubling: how sigma_valuation read it before it summed degree by degree."""
+    D = 1
+    while True:
+        v = f.to_truncated(D)
+        for d in range(D):
+            if any(v[d * (d + 1) // 2:(d + 1) * (d + 2) // 2]):
+                return d
+        D *= 2
+
+
+def test_sigma_valuation_matches_the_truncated_tuples():
+    rng = random.Random(11)
+    for _ in range(200):
+        f = _rand_poly(rng)
+        # products of (1-x)^i (1-y)^j, and more y- than x-exponents
+        f = f * (ONE - X) ** rng.randint(0, 5) * (ONE - Y) ** rng.randint(0, 5)
+        if rng.random() < 0.3:
+            f = f * (ONE - LaurentPoly.monomial(1, 0, rng.choice((-2, -1, 1, 2))))
+        if not f.is_zero():
+            assert f.sigma_valuation() == _valuation_from_tuples(f)
+
+
+def test_sigma_valuation_memory_stays_bounded():
+    # the whole to_truncated(512) tuple of (x^-1 - 1)^500 and its rows of x^i
+    # peaked at 24.9 MiB; degree by degree it takes 0.25 MiB.  In y, the sums
+    # are held per x-exponent instead
+    for f, v in (((LaurentPoly.monomial(1, -1) - ONE) ** 500, 500),
+                 ((LaurentPoly.monomial(1, 0, -1) - ONE) ** 200, 200)):
+        tracemalloc.start()
+        try:
+            assert f.sigma_valuation() == v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def test_in_sigma_power_matches_valuation():
