@@ -16,9 +16,9 @@ from .groups import (Matrix2, GroupContext, NormalForm, OrderResult,
 from .kernels import (KernelOverflow, QuotientTables, QuotientMatrix, get_lane,
                       sigma_tables, tables_for, eval_word_quotient,
                       eval_is_identity, entries_at_t1, HAS_NUMBA)
-from .tadic import (TAdicCoefficient, formal_coefficients, formal_coefficient,
-                    t1_valuation, vanishes_mod_sigma, check_derived_layer,
-                    SeriesContext, SeriesMatrix, eval_tree_series, flatten_tree,
+from .tadic import (formal_coefficients, formal_coefficient, t1_valuation,
+                    vanishes_mod_sigma, check_derived_layer, SeriesContext,
+                    SeriesMatrix, eval_tree_series, flatten_tree,
                     sample_layer_element, LayerSample)
 from .verify import (VerificationReport, SolvabilityReport, solvability_bound,
                      verify_power_formula, verify_ideal_inclusions,
@@ -43,7 +43,7 @@ __all__ = [
     "KernelOverflow", "QuotientTables", "QuotientMatrix", "get_lane",
     "sigma_tables", "tables_for", "eval_word_quotient", "eval_is_identity",
     "entries_at_t1", "HAS_NUMBA",
-    "TAdicCoefficient", "formal_coefficients", "formal_coefficient",
+    "formal_coefficients", "formal_coefficient",
     "t1_valuation", "vanishes_mod_sigma", "check_derived_layer",
     "SeriesContext", "SeriesMatrix", "eval_tree_series", "flatten_tree",
     "sample_layer_element", "LayerSample",

@@ -13,8 +13,7 @@ and keeps the other.  Two lanes compute the same thing:
           per step (a few window rows at a time), with a guard that keeps
           every value an integer below 2^52, so float64 holds it exactly
           (the default).  A step is a letter, on the column it changes, or
-          at N <= PAIR_MAX_N (D <= 5) a pair of letters, on both columns,
-          whose matrix is built on first use
+          at N <= PAIR_MAX_N (D <= 5) a pair of letters, on both columns
 
 On S(q) tables both lanes take the I(q)Sigma lattice's mod_step (the
 lattice contract is in the ideals module docstring): the python lane after
@@ -29,8 +28,11 @@ reduction of its own.
 eval_word_quotient takes one word's value; least_identity_power runs a lane
 once over w, w, w, ... to find w's order.
 
-tables_for(sctx, at_t1=True) gives the t = 1 tables: the S(q) tables with
-every t-shift set to 0, on which both lanes evaluate in S(q) itself, one
+Every table is built one way, from a generator set (_letters): the terms
+of the four letters and, at N <= PAIR_MAX_N, of their 16 products, and one
+step table that builds a letter's or a pair's matrix from its terms.
+tables_for(sctx, at_t1=True) gives the t = 1 tables, built so from the
+generators of F(S) (t = 1), on which both lanes evaluate in S(q) itself, one
 t-slice per letter however long the word.  The exponent suite uses them;
 entries_at_t1 sums a full S(q)[t,t^-1] result over t instead.
 """
@@ -89,7 +91,7 @@ def get_lane(lane: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tables: basis shift maps, generator term lists, letter matrices, optional lattice
+# tables: basis shift maps, generator term lists, step matrices, optional lattice
 
 @dataclass(frozen=True)
 class QuotientTables:
@@ -106,12 +108,10 @@ class QuotientTables:
     lattice: IdealLattice | None
     one: tuple
     growth: int
-    # mats[ch] = ((j,), dt_min, M): the numpy lane's step for right multiplication by ch
-    mats: dict
-    # pairs[xy] = ((0, 1), dt_min, M) at N <= PAIR_MAX_N, None when xy cancels;
-    # pairs is None above
-    pairs: _PairSteps | None
-    # every generator term's t-shift set to 0: S(q) itself, see _letters
+    # steps[w] = (cols, dt_min, M): the numpy lane's step for right
+    # multiplication by the letter w or, at N <= PAIR_MAX_N, the pair w
+    steps: _StepTable
+    # built from the t = 1 generators: S(q) itself, see _letters
     at_t1: bool = False
 
     @property
@@ -162,105 +162,71 @@ def _step_matrix(terms: dict, maps: tuple, N: int, cols: tuple) -> tuple:
     return cols, dt_min, M.reshape(2 * N, -1)
 
 
-def _changed_column(terms: dict) -> tuple:
-    """(j,) for a generator: the one column that is not e_j."""
-    return tuple(j for j in range(2) if terms[(1 - j, j)] or terms[(j, j)] != ((0, 0, 1),))
+class _StepTable(dict):
+    """steps[w]: the step of the letter or pair w, built from terms[w] on
+    first use.  A letter's step is on the one column it changes, a pair's on
+    both: bb and BB change one column too, but over a t-span of 2, where the
+    lane's kept-column copy zeroes one edge row only.  A cancelling pair (aA,
+    Aa, bB, Bb) has terms None, the identity, and gives None."""
 
-
-def _merged_terms(terms: dict) -> dict:
-    """terms with every t-shift set to 0, merging those that share a shift map."""
-    out = {}
-    for e, per in terms.items():
-        acc = Counter()
-        for _, mp, c in per:
-            acc[mp] += c
-        out[e] = tuple((0, mp, c) for mp, c in acc.items() if c)
-    return out
-
-
-def _pair_terms(xy: str, D: int) -> dict | None:
-    """_matrix_terms of the product xy of two generators; None when it cancels."""
-    from .groups import _free_generators
-
-    x, y = xy
-    if x == y.swapcase():
-        return None
-    gens = _free_generators()
-    return _matrix_terms(gens[x] @ gens[y], D)
-
-
-class _PairSteps(dict):
-    """pairs[xy]: the step of the product xy of two letters, built on first
-    use, so that a process holds only the pair matrices its words need; None
-    for the cancelling pairs aA, Aa, bB and Bb, the identity."""
-
-    def __init__(self, D: int, at_t1: bool):
+    def __init__(self, terms: dict, D: int):
         super().__init__()
-        self.D, self.at_t1 = D, at_t1
+        self.terms, self.maps, self.N = terms, _shift_maps(D), tri_dim(D)
 
-    def __missing__(self, xy: str):
-        terms, step = _pair_terms(xy, self.D), None
+    def __missing__(self, w: str):
+        terms, step = self.terms[w], None
         if terms is not None:
-            if self.at_t1:
-                terms = _merged_terms(terms)
-            step = _step_matrix(terms, _shift_maps(self.D), tri_dim(self.D), (0, 1))
-        self[xy] = step
+            # a letter changes the one column that is not e_j
+            cols = (0, 1) if len(w) == 2 else tuple(
+                j for j in range(2) if terms[(1 - j, j)] or terms[(j, j)] != ((0, 0, 1),))
+            step = _step_matrix(terms, self.maps, self.N, cols)
+        self[w] = step
         return step
 
 
 @cache
 def _letters(D: int, at_t1: bool = False) -> tuple:
-    """(gen_terms, mats, pairs, growth) of the four generators over R/Sigma^D.
+    """(gen_terms, steps, growth) of the four generators over R/Sigma^D.
 
     They depend on D alone, so every table of one D shares them: Sigma^D, and
-    S(q) at q = 4, 5 (D = 5) or at q = 8, 9 (D = 13).  mats[ch] is the step
-    of letter ch, which changes one column.  At N <= PAIR_MAX_N, pairs[xy]
-    is the step of the product xy, which changes both; pairs is None above.
-    growth is the largest L1 norm of the coefficients of a column's terms,
-    over the letters and the pairs: an output coefficient sums a subset of
-    them, all t-offsets together.
+    S(q) at q = 4, 5 (D = 5) or at q = 8, 9 (D = 13).  The terms of the
+    letters and, at N <= PAIR_MAX_N, of the 16 products of two generators
+    are computed here once, so forked workers inherit them; steps builds the
+    letters' matrices now and a pair's on first use, so that a process holds
+    only the pair matrices its words need.  growth is the largest L1 norm of
+    the coefficients of a column's terms, over the letters and the pairs: an
+    output coefficient sums a subset of them, all t-offsets together.
 
-    at_t1 sets every t-shift to 0: setting t = 1 is a ring map
-    S(q)[t,t^-1] -> S(q) that commutes with truncation and with lattice
-    reduction, so a lane run on these tables returns, at t = 0, exactly
-    entries_at_t1 of the full run, one t-slice wide.  The t = 1 terms merge
-    those that share a shift map, so the t = 1 matrices sum the offset blocks
-    of the full ones, and both keep the full growth: |c1 + c2| <= |c1| + |c2|.
+    at_t1 takes the generators of F(S), the t = 1 image: setting t = 1 is a
+    ring map S(q)[t,t^-1] -> S(q) that commutes with truncation and with
+    lattice reduction, so a lane run on these tables returns, at t = 0,
+    exactly entries_at_t1 of the full run, one t-slice wide.  Their growth
+    bounds their own terms, which the lanes multiply by.
     """
-    from .groups import _free_generators
+    from .groups import group_context
 
-    N = tri_dim(D)
-    if at_t1:
-        def summed(step):
-            cols, _, M = step
-            n = len(cols) * N
-            return cols, 0, M.reshape(2 * N, -1, n).sum(axis=1) if M.shape[1] > n else M
-
-        gen_terms, mats, pairs, growth = _letters(D)
-        return ({ch: _merged_terms(terms) for ch, terms in gen_terms.items()},
-                {ch: summed(st) for ch, st in mats.items()},
-                None if pairs is None else _PairSteps(D, True), growth)
-    maps = _shift_maps(D)
-    gen_terms = {ch: _matrix_terms(M, D) for ch, M in _free_generators().items()}
-    mats = {ch: _step_matrix(terms, maps, N, _changed_column(terms))
-            for ch, terms in gen_terms.items()}
-    pair_terms = []
-    if N <= PAIR_MAX_N:
-        pair_terms = [_pair_terms(x + y, D) for x in "aAbB" for y in "aAbB"]
-    growth = max(sum(abs(c) for l in range(2) for _, _, c in terms[(l, j)])
-                 for terms in [*gen_terms.values(), *filter(None, pair_terms)]
-                 for j in range(2))
-    return gen_terms, mats, _PairSteps(D, False) if pair_terms else None, growth
+    gens = group_context("metabelian" if at_t1 else "free").gens
+    gen_terms = {ch: _matrix_terms(M, D) for ch, M in gens.items()}
+    terms = dict(gen_terms)
+    if tri_dim(D) <= PAIR_MAX_N:
+        terms.update((x + y, None if x == y.swapcase() else _matrix_terms(gens[x] @ gens[y], D))
+                     for x in gens for y in gens)
+    growth = max(sum(abs(c) for l in range(2) for _, _, c in per[(l, j)])
+                 for per in filter(None, terms.values()) for j in range(2))
+    steps = _StepTable(terms, D)
+    for ch in gens:
+        steps[ch]  # letters now, pairs on first use
+    return gen_terms, steps, growth
 
 
 def _build_tables(D: int, q: int, lattice: IdealLattice | None,
                   at_t1: bool = False) -> QuotientTables:
-    gen_terms, mats, pairs, growth = _letters(D, at_t1)
+    gen_terms, steps, growth = _letters(D, at_t1)
     N = tri_dim(D)
     one = (1,) + (0,) * (N - 1)
     return QuotientTables(q=q, D=D, N=N, maps=_shift_maps(D), gen_terms=gen_terms,
                           lattice=lattice, one=one if lattice is None else lattice.reduce(one),
-                          growth=growth, mats=mats, pairs=pairs, at_t1=at_t1)
+                          growth=growth, steps=steps, at_t1=at_t1)
 
 
 _CACHE: dict = {}
@@ -409,26 +375,21 @@ def _buffers(T: int, N: int) -> list:
 
 
 def _steps(word: str, tables: QuotientTables):
-    """One copy of word as (k, step): pairs from the left, then a last odd
-    letter, k the index of the step's first letter.  A cancelling pair is
-    the identity and takes no step.  A generator, so that a long word holds
-    no list of its steps."""
-    mats, pairs = tables.mats, tables.pairs
-    if pairs is None:
-        for k, ch in enumerate(word):
-            yield k, mats[ch]
-        return
-    for k in range(0, len(word) - 1, 2):
-        step = pairs[word[k:k + 2]]
+    """One copy of word as (k, step), k the index of the step's first letter:
+    at N <= PAIR_MAX_N pairs from the left, then a last odd letter, else
+    letters.  A cancelling pair is the identity and takes no step.  A
+    generator, so that a long word holds no list of its steps."""
+    steps = tables.steps
+    n = 2 if tables.N <= PAIR_MAX_N else 1
+    for k in range(0, len(word), n):
+        step = steps[word[k:k + n]]
         if step is not None:
             yield k, step
-    if len(word) % 2:
-        yield len(word) - 1, mats[word[-1]]
 
 
 def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
-    mats = tables.mats
+    steps = tables.steps
     T = 1 + sum(M.shape[1] // (len(cols) * N) - 1 for _, (cols, _, M) in _steps(word, tables))
     cur, nxt = _buffers(T, N)
     cur[0, 0, 0, 0] = cur[0, 1, 1, 0] = 1
@@ -442,7 +403,7 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
             if lattice is None and len(step[0]) == 2 and bnd * growth > limit:
                 # a pair that could pass the guard runs as its two letters, so
                 # that KernelOverflow names the letter
-                run = ((k, mats[word[k]]), (k + 1, mats[word[k + 1]]))
+                run = ((k, steps[word[k]]), (k + 1, steps[word[k + 1]]))
             else:
                 run = ((k, step),)
             for k, (cols, dt_min, M) in run:

@@ -41,12 +41,6 @@ from .groups import (Matrix2, _free_generators, commutator_word, free_reduce,
                      random_reduced_word)
 
 
-@dataclass(frozen=True)
-class TAdicCoefficient:
-    index: int
-    matrix: Matrix2
-
-
 def _identity_free() -> Matrix2:
     one, zero = LaurentPoly.const(1), LaurentPoly.zero()
     return Matrix2(one, zero, zero, one)
@@ -56,13 +50,13 @@ def _spec_t1(M: Matrix2) -> Matrix2:
     return M.map_entries(lambda f: f.specialize(t=1))
 
 
-def formal_coefficients(g: Matrix2, n: int) -> list[TAdicCoefficient]:
+def formal_coefficients(g: Matrix2, n: int) -> list[Matrix2]:
     """A_0..A_n of g = sum (t-1)^i A_i; A_0 is the t=1 specialization."""
     out = []
     gi = g
     for i in range(n + 1):
         ai = _spec_t1(gi)
-        out.append(TAdicCoefficient(i, ai))
+        out.append(ai)
         if i < n:
             gi = gi.sub(ai).map_entries(divide_by_t_minus_one)
     return out
@@ -71,7 +65,7 @@ def formal_coefficients(g: Matrix2, n: int) -> list[TAdicCoefficient]:
 def formal_coefficient(g: Matrix2, i: int) -> Matrix2:
     if i < 0:
         raise ValueError("coefficient index must be >= 0")
-    return formal_coefficients(g, i)[i].matrix
+    return formal_coefficients(g, i)[i]
 
 
 def t1_valuation(g: Matrix2) -> int | float:

@@ -136,7 +136,7 @@ def test_kernel_overflow_names_the_letter_inside_a_pair():
     # could pass the guard: a^n passes it at the second letter of a pair, and
     # one letter later after the pair Aa, which takes no step
     tables = sigma_tables(5)
-    assert tables.pairs is not None
+    assert _pair_steps(tables)
     assert _overflow_letter("a" * 8000, tables) == 6543
     assert _overflow_letter("Aa" + "a" * 8000, tables) == 6545
     assert _overflow_letter("bab" + "a" * 8000, tables) == 6544
@@ -151,8 +151,8 @@ def test_guard_keeps_float64_exact():
         tables = _tables(label)
         assert 2 * tables.growth * tables.guard_limit <= kernels.FLOAT_EXACT
         N = tables.N
-        pairs = [] if tables.pairs is None else [tables.pairs[xy] for xy in PAIRS]
-        for cols, _, M in [*tables.mats.values(), *filter(None, pairs)]:
+        letters = [tables.steps[ch] for ch in "aAbB"]
+        for cols, _, M in [*letters, *filter(None, _pair_steps(tables).values())]:
             l1 = np.abs(M.reshape(2 * N, -1, len(cols) * N)).sum(axis=(0, 1))
             assert l1.max() <= tables.growth
     # pairs raise the bound at D = 5 from the letters' 19 to 59
@@ -171,7 +171,7 @@ def test_products_stay_below_the_blas_thread_size(monkeypatch):
 
     monkeypatch.setattr(kernels.np, "matmul", recording_matmul)
     word = "b" * 30 + "aBAb" * 5 + "B" * 30
-    assert _tables("S4").pairs is not None  # two letters per product
+    assert _pair_steps(_tables("S4"))  # two letters per product
     for label in ("S9", "S4", "Sigma8"):
         tables = _tables(label)
         assert eval_word_quotient(word, tables) == eval_word_quotient(word, tables, lane="python")
@@ -179,25 +179,32 @@ def test_products_stay_below_the_blas_thread_size(monkeypatch):
     assert len(sizes) > 3 * len(word)  # some letters took more than one product
 
 
+def _pair_steps(tables):
+    """{xy: step} of the 16 pairs, built now; {} on tables that step by letters."""
+    return {xy: tables.steps[xy] for xy in PAIRS if xy in tables.steps.terms}
+
+
 def test_tables_of_one_truncation_share_their_letter_matrices():
     s = {q: tables_for(_sctx(q)) for q in (4, 5, 8, 9)}
-    assert s[4].mats is s[5].mats is sigma_tables(5).mats
-    assert s[8].mats is s[9].mats is sigma_tables(13).mats
+    assert s[4].steps is s[5].steps is sigma_tables(5).steps
+    assert s[8].steps is s[9].steps is sigma_tables(13).steps
     assert s[4].gen_terms is s[5].gen_terms
     # pairs at D = 5, each built on first use; none at D = 13
-    assert s[4].pairs is s[5].pairs is sigma_tables(5).pairs
-    assert s[8].pairs is s[9].pairs is sigma_tables(13).pairs is None
-    fresh = kernels._letters.__wrapped__(5)[2]
-    assert not fresh and fresh["ab"] is fresh["ab"] and list(fresh) == ["ab"]
+    assert _pair_steps(s[4]) and not _pair_steps(s[8])
+    with pytest.raises(KeyError):
+        s[8].steps["ab"]
+    fresh = kernels._letters.__wrapped__(5)[1]
+    assert list(fresh) == list("aAbB")
+    assert fresh["ab"] is fresh["ab"] and list(fresh) == [*"aAbB", "ab"]
     t1 = {q: tables_for(_sctx(q), at_t1=True) for q in (4, 5, 8, 9)}
-    assert t1[8].mats is t1[9].mats
-    assert t1[4].pairs is t1[5].pairs
-    # the t = 1 matrices sum the offset blocks of the full ones
+    assert t1[8].steps is t1[9].steps
+    assert t1[4].steps is t1[5].steps
+    # the t = 1 matrices, built from the t = 1 generators, sum the offset
+    # blocks of the full ones
     for full, at_t1 in ((s[8], t1[8]), (s[4], t1[4])):
         N = full.N
-        pairs = {} if full.pairs is None else {xy: full.pairs[xy] for xy in PAIRS}
-        for ch, step in [*full.mats.items(), *pairs.items()]:
-            step1 = at_t1.pairs[ch] if len(ch) == 2 else at_t1.mats[ch]
+        for w in [*"aAbB", *_pair_steps(full)]:
+            step, step1 = full.steps[w], at_t1.steps[w]
             if step is None:
                 assert step1 is None
                 continue
@@ -205,21 +212,55 @@ def test_tables_of_one_truncation_share_their_letter_matrices():
             cols1, dt1, M1 = step1
             assert (cols1, dt1, M1.shape) == (cols, 0, (2 * N, len(cols) * N))
             assert np.array_equal(M1, M.reshape(2 * N, -1, len(cols) * N).sum(axis=1))
-    assert t1[8].growth == s[8].growth and t1[4].growth == s[4].growth
     # a and A change column 1 at no t-shift; b and B column 0 over two shifts
+    letters = {ch: s[8].steps[ch] for ch in "aAbB"}
     assert {ch: (cols, dt_min, M.shape[1] // s[8].N)
-            for ch, (cols, dt_min, M) in s[8].mats.items()} == {
+            for ch, (cols, dt_min, M) in letters.items()} == {
         "a": ((1,), 0, 1), "A": ((1,), 0, 1), "b": ((0,), 0, 2), "B": ((0,), -1, 2)}
     # a pair changes both columns over the summed shifts; xX is the identity
-    shapes = {}
-    for xy in PAIRS:
-        step = s[4].pairs[xy]
-        shapes[xy] = step and (step[0], step[1], step[2].shape[1] // (2 * s[4].N))
+    shapes = {xy: step and (step[0], step[1], step[2].shape[1] // (2 * s[4].N))
+              for xy, step in _pair_steps(s[4]).items()}
     assert shapes == {
         "aa": ((0, 1), 0, 1), "aA": None, "ab": ((0, 1), 0, 2), "aB": ((0, 1), -1, 2),
         "Aa": None, "AA": ((0, 1), 0, 1), "Ab": ((0, 1), 0, 2), "AB": ((0, 1), -1, 2),
         "ba": ((0, 1), 0, 2), "bA": ((0, 1), 0, 2), "bb": ((0, 1), 0, 3), "bB": None,
         "Ba": ((0, 1), -1, 2), "BA": ((0, 1), -1, 2), "Bb": None, "BB": ((0, 1), -2, 3)}
+
+
+def test_t1_growth_bounds_the_t1_terms():
+    # each table's growth bounds the terms its lanes multiply by: the t = 1
+    # tables merge terms that differ only in their t-shift, so theirs is lower
+    full = {q: _tables(f"S{q}").growth for q in SCAN_QS}
+    at_t1 = {q: _tables(f"S{q}@t1").growth for q in SCAN_QS}
+    assert full == {2: 11, 3: 23, 4: 59, 5: 59, 7: 27, 8: 51, 9: 51}
+    assert at_t1 == {2: 5, 3: 11, 4: 29, 5: 29, 7: 13, 8: 25, 9: 25}
+
+
+def _merged_terms(terms):
+    """terms with every t-shift set to 0, merging those that share a shift map."""
+    out = {}
+    for e, per in terms.items():
+        acc = Counter()
+        for _, mp, c in per:
+            acc[mp] += c
+        out[e] = sorted((0, mp, c) for mp, c in acc.items() if c)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_t1_terms_are_the_full_terms_merged(q):
+    # the t = 1 tables are built from the t = 1 generators, the full ones from
+    # F(S[t,t^-1])'s: setting t = 1 in the full terms must give the t = 1
+    # terms, for the python lane's letters and for the pairs
+    full, at_t1 = tables_for(_sctx(q)), tables_for(_sctx(q), at_t1=True)
+    assert at_t1.steps.terms.keys() == full.steps.terms.keys()
+    for w, terms in full.steps.terms.items():
+        if terms is None:
+            assert at_t1.steps.terms[w] is None
+            continue
+        assert {e: sorted(per) for e, per in at_t1.steps.terms[w].items()} == _merged_terms(terms)
+        if len(w) == 1:
+            assert at_t1.gen_terms[w] is at_t1.steps.terms[w]
 
 
 @pytest.mark.parametrize("D", [1, 0, -1])
@@ -320,8 +361,11 @@ PAIRED_LABELS = ["S2", "S3", "S4", "S5", "S2@t1", "S3@t1", "S4@t1", "S5@t1",
 def test_pairs_are_on_the_small_truncations():
     for label in sorted({*TABLE_LABELS, *PAIRED_LABELS}):
         tables = _tables(label)
-        paired = tables.pairs is not None
+        paired = bool(_pair_steps(tables))
         assert paired == (tables.N <= kernels.PAIR_MAX_N) == (label in PAIRED_LABELS)
+        # the lane steps by the pairs: ab, aB, then the last odd letter
+        ks = [k for k, _ in kernels._steps("abaBb", tables)]
+        assert ks == ([0, 2, 4] if paired else [0, 1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("label", PAIRED_LABELS)

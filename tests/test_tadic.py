@@ -111,8 +111,7 @@ def test_finite_expansion_reconstructs(free_ctx):
         acc = Matrix2(ZERO, ZERO, ZERO, ZERO)
         power = ONE
         for c in coeffs:
-            acc = Matrix2(*(a + power * e for a, e in zip(acc.entries(),
-                                                          c.matrix.entries())))
+            acc = Matrix2(*(a + power * e for a, e in zip(acc.entries(), c.entries())))
             power = power * tm1
         assert acc == g
 
@@ -145,7 +144,7 @@ def test_commutator_closed_words_have_sigma_coefficients(free_ctx):
         g = free_ctx.eval_word(w)
         assert vanishes_mod_sigma(g, 1)
         for c in formal_coefficients(g, 8)[1:]:
-            assert all(e.sigma_valuation() >= 1 for e in c.matrix.entries())
+            assert all(e.sigma_valuation() >= 1 for e in c.entries())
         done += 1
 
 
