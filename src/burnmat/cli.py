@@ -167,10 +167,10 @@ def _emit_report_text(rep) -> None:
               f"depth-{rep.k - 1} witness: {wit} "
               f"({rep.witness_tried}/{rep.witness_budget} tried) "
               f"[{rep.wall_time:.2f}s]")
-        return
-    qpart = f" q={rep.q}" if rep.q is not None else ""
-    print(f"[{tag}] {rep.result}{qpart}: checks={rep.checks} "
-          f"failures={len(rep.failures)} [{rep.wall_time:.2f}s]")
+    else:
+        qpart = f" q={rep.q}" if rep.q is not None else ""
+        print(f"[{tag}] {rep.result}{qpart}: checks={rep.checks} "
+              f"failures={len(rep.failures)} [{rep.wall_time:.2f}s]")
     for f in rep.failures[:10]:
         print(f"    {f}")
     if len(rep.failures) > 10:

@@ -5,10 +5,12 @@ Generators (letters a/A are the matrix and its inverse, likewise b/B):
 
     a = [[1, 1-y], [0, x]]        b = [[y*t, 0], [1-x*t, 1]]
 
-Words are plain strings over a/A/b/B.  GroupContext evaluates them over
-R[t,t^-1] ("free") or R at t=1 ("metabelian") one letter step at a time: a
-generator column is e_j, which leaves the product's column j as it is, or
-at most three monomial terms, each a shifted copy of one column.  Words
+Words are plain strings over a/A/b/B.  One evaluator (_eval_steps, on
+steps from _letter_steps) takes them one letter step at a time, over entries
+{r: {key: c}}: GroupContext over R[t,t^-1] ("free") or R at t=1
+("metabelian"), specialize_xy1 over Z[t,t^-1], and tadic.SeriesContext over
+R[s]/(s^m).  A generator column is e_j, which leaves the product's column j
+as it is, or a few terms, each a shifted, scaled copy of one column.  Words
 over S(q)[t,t^-1] go through kernels.QuotientMatrix.  An element of S(q)
 is its canonical coefficient tuple (SContext.reduce), so S(q) at t=1 is
 reached by reducing metabelian entries.  Setting t=1 commutes with reducing R -> S(q), which is
@@ -178,33 +180,76 @@ def _free_generators() -> dict[str, Matrix2]:
     return {"a": a, "A": ai, "b": b, "B": bi}
 
 
-def _letter_steps(gens: dict[str, Matrix2]) -> dict[str, tuple]:
+# Entries of the letter-step evaluator are {r: {key: c}}: r is the
+# t-exponent over R[t,t^-1] and R, or the s-slot over R[s]/(s^m), and
+# monomial x^i y^j is the int key (i << 32) + j + 2^31, so the key of a
+# product is k1 + k2 - 2^31.  The x field has no bound (a floor shift reads
+# it back for any i); the y field holds |j| < 2^31, while a word of n
+# letters has |j| <= n.  Zero coefficients and empty slots are never kept.
+
+_YBITS = 32
+_YMASK = (1 << _YBITS) - 1
+_KONE = 1 << (_YBITS - 1)  # the key of 1, which every product key subtracts once
+
+
+def _pack(i: int, j: int) -> int:
+    return (i << _YBITS) + j + _KONE
+
+
+def _unpack(k: int) -> tuple[int, int]:
+    return k >> _YBITS, (k & _YMASK) - _KONE
+
+
+def _slots(f: LaurentPoly) -> dict:
+    """f as an evaluator entry, its t-exponents as slots."""
+    out = {}
+    for (i, j, k), c in f.terms.items():
+        out.setdefault(k, {})[_pack(i, j)] = c
+    return out
+
+
+def _matrix(entries) -> Matrix2:
+    """Four evaluator entries over R[t,t^-1] as a Matrix2 of LaurentPoly."""
+    polys = []
+    for ent in entries:
+        f = LaurentPoly()
+        f.terms = {(key >> _YBITS, (key & _YMASK) - _KONE, k): c
+                   for k, slot in ent.items() for key, c in slot.items()}
+        polys.append(f)
+    return Matrix2(*polys)
+
+
+def _letter_steps(gens: dict) -> dict[str, tuple]:
     """Right multiplication by each generator as a sparse step on rows.
 
-    steps[ch][j] is None when column j of ch's matrix is e_j: the product
-    keeps its column j.  Otherwise it is the column's nonzero terms
-    ((l, (i, j, k), c), ...), each adding c x^i y^j t^k times entry (r, l)
-    of the product to entry (r, j).  A generator has at most three terms
-    per column, against the eight products and four sums of Matrix2.mul.
+    gens[ch] is ch's four entries as {r: {key: c}}.  steps[ch][j] is None
+    when column j of ch's matrix is e_j: the product keeps its column j.
+    Otherwise it is the column's terms ((l, shift, r, c), ...), each adding
+    c times entry (row, l) of the product, its keys moved by shift (the key
+    of a monomial less _KONE) and its slots by r, to entry (row, j).  A
+    generator column has at most three terms over R[t,t^-1], against the
+    eight products and four sums of Matrix2.mul, and at most 2m + 1 over
+    R[s]/(s^m).
     """
+    one = {0: {_KONE: 1}}
     steps = {}
-    for ch, M in gens.items():
-        e = M.entries()
+    for ch, e in gens.items():
         cols = []
         for j in range(2):
             col = (e[j], e[2 + j])
-            if col[j] == _ONE and col[1 - j].is_zero():
+            if col[j] == one and not col[1 - j]:
                 cols.append(None)
             else:
-                cols.append(tuple((l, mono, c) for l, f in enumerate(col)
-                                  for mono, c in f.terms.items()))
+                cols.append(tuple((l, key - _KONE, r, c) for l, ent in enumerate(col)
+                                  for r, slot in ent.items() for key, c in slot.items()))
         steps[ch] = tuple(cols)
     return steps
 
 
-def _eval_steps(steps: dict, w: str) -> Matrix2:
-    """The identity right-multiplied by the letters of w, one step each."""
-    rows = [[{(0, 0, 0): 1}, {}], [{}, {(0, 0, 0): 1}]]
+def _eval_steps(steps: dict, w: str, cap: int | None = None) -> list:
+    """The identity right-multiplied by the letters of w, one step each: its
+    four entries as {r: {key: c}}, with the slots r >= cap dropped."""
+    rows = [[{0: {_KONE: 1}}, {}], [{}, {0: {_KONE: 1}}]]
     for ch in w:
         step = steps[ch]
         for row in rows:
@@ -213,21 +258,27 @@ def _eval_steps(steps: dict, w: str) -> Matrix2:
                 if col is None:
                     continue
                 acc = {}
-                for l, (di, dj, dk), c in col:
-                    if not acc:
-                        acc = {(i + di, jj + dj, k + dk): c * v
-                               for (i, jj, k), v in old[l].items()}
-                        continue
-                    get = acc.get
-                    for (i, jj, k), v in old[l].items():
-                        key = (i + di, jj + dj, k + dk)
-                        v = get(key, 0) + c * v
-                        if v:
-                            acc[key] = v
-                        elif key in acc:
-                            del acc[key]
+                for l, shift, r, c in col:
+                    for sl, src in old[l].items():
+                        sl += r
+                        if cap is not None and sl >= cap:
+                            continue
+                        out = acc.get(sl)
+                        if out is None:
+                            acc[sl] = {k + shift: c * v for k, v in src.items()}
+                            continue
+                        get = out.get
+                        for k, v in src.items():
+                            k += shift
+                            v = get(k, 0) + c * v
+                            if v:
+                                out[k] = v
+                            elif k in out:
+                                del out[k]
+                        if not out:
+                            del acc[sl]
                 row[j] = acc
-    return Matrix2(*(LaurentPoly(terms) for row in rows for terms in row))
+    return rows[0] + rows[1]
 
 
 class GroupContext:
@@ -245,7 +296,8 @@ class GroupContext:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.gens = self._build_generators()
-        self.steps = _letter_steps(self.gens)
+        self.steps = _letter_steps({ch: [_slots(e) for e in M.entries()]
+                                    for ch, M in self.gens.items()})
         ident = self.identity()
         for g, gi in (("a", "A"), ("b", "B")):
             if not self.gens[g].mul(self.gens[gi]) == ident:
@@ -262,7 +314,7 @@ class GroupContext:
         return Matrix2(one, zero, zero, one)
 
     def eval_word(self, w: str) -> Matrix2:
-        return _eval_steps(self.steps, w)
+        return _matrix(_eval_steps(self.steps, w))
 
 
 @functools.cache
@@ -424,13 +476,13 @@ class OrderResult:
 
 @functools.cache
 def _xy1_steps() -> dict[str, tuple]:
-    return _letter_steps({k: m.map_entries(lambda f: f.specialize(x=1, y=1))
-                          for k, m in _free_generators().items()})
+    return _letter_steps({ch: [_slots(e.specialize(x=1, y=1)) for e in M.entries()]
+                          for ch, M in _free_generators().items()})
 
 
 def specialize_xy1(w: str) -> Matrix2:
     """Evaluate the word with x = y = 1 kept exact in t (a triangular Z[t,t^-1] image)."""
-    return _eval_steps(_xy1_steps(), w)
+    return _matrix(_eval_steps(_xy1_steps(), w))
 
 
 def order_in_G(w: str, sctx: SContext) -> OrderResult:

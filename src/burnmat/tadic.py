@@ -18,9 +18,9 @@ suites so that deep layers never require the exact matrix:
 
 SeriesContext carries exact integer x,y coefficients (no truncation), so the
 valuation side is exact; the sigma side runs on the kernels module.  It
-evaluates a word one letter step at a time, as GroupContext does in the
-exact ring: a generator column is e_j, which keeps the product's column j,
-or a few terms, each a copy of one column moved by a monomial and by s-slots.
+evaluates a word by the letter steps of groups._eval_steps, the evaluator
+GroupContext uses in the exact ring, with the s-slots in place of t-exponents
+and the slots from m on dropped.
 
 A commutator tree is evaluated node by node (_Node).  A leaf whose
 determinant is not 1 has valuation 0 and is evaluated only if a parent asks
@@ -37,17 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import LaurentPoly, divide_by_t_minus_one, xpow_coeffs
-from .groups import (Matrix2, _free_generators, commutator_word, free_reduce,
-                     random_reduced_word)
-
-
-def _identity_free() -> Matrix2:
-    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
-    return Matrix2(one, zero, zero, one)
-
-
-def _spec_t1(M: Matrix2) -> Matrix2:
-    return M.map_entries(lambda f: f.specialize(t=1))
+from .groups import (Matrix2, _KONE, _YBITS, _YMASK, _eval_steps, _free_generators,
+                     _letter_steps, _pack, _unpack, commutator_word, free_reduce,
+                     group_context, random_reduced_word)
 
 
 def formal_coefficients(g: Matrix2, n: int) -> list[Matrix2]:
@@ -55,7 +47,7 @@ def formal_coefficients(g: Matrix2, n: int) -> list[Matrix2]:
     out = []
     gi = g
     for i in range(n + 1):
-        ai = _spec_t1(gi)
+        ai = gi.map_entries(lambda f: f.specialize(t=1))
         out.append(ai)
         if i < n:
             gi = gi.sub(ai).map_entries(divide_by_t_minus_one)
@@ -71,7 +63,7 @@ def formal_coefficient(g: Matrix2, i: int) -> Matrix2:
 def t1_valuation(g: Matrix2) -> int | float:
     """Largest d with (t-1)^d dividing every entry of g - I; +inf iff g = I."""
     best = math.inf
-    for e in g.sub(_identity_free()).entries():
+    for e in g.sub(group_context("free").identity()).entries():
         if e.is_zero():
             continue
         v = 0
@@ -85,7 +77,7 @@ def t1_valuation(g: Matrix2) -> int | float:
 
 def vanishes_mod_sigma(g: Matrix2, d: int) -> bool:
     """Every Laurent-in-t coefficient of every entry of g - I lies in Sigma^d."""
-    for e in g.sub(_identity_free()).entries():
+    for e in g.sub(group_context("free").identity()).entries():
         for coeff in e.t_coefficients().values():
             if not coeff.in_sigma_power(d):
                 return False
@@ -101,23 +93,8 @@ def check_derived_layer(g: Matrix2, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# series quotient R[s]/(s^m): slot vectors of exact 2-variable polynomials.
-# Monomial x^i y^j is the int key (i << 32) + j + 2^31, so the key of a
-# product is k1 + k2 - 2^31.  The x field has no bound (a floor shift reads
-# it back for any i); the y field holds |j| < 2^31, while a word of n
-# letters has |j| <= n.
-
-_YBITS = 32
-_YMASK = (1 << _YBITS) - 1
-_KONE = 1 << (_YBITS - 1)  # the key of 1, which every product key subtracts once
-
-
-def _pack(i: int, j: int) -> int:
-    return (i << _YBITS) + j + _KONE
-
-
-def _unpack(k: int) -> tuple[int, int]:
-    return k >> _YBITS, (k & _YMASK) - _KONE
+# series quotient R[s]/(s^m): slot vectors of exact 2-variable polynomials,
+# each monomial x^i y^j keyed by groups._pack(i, j).
 
 
 def _p2mul_into(acc: dict, a: dict, b: dict):
@@ -281,18 +258,6 @@ class SeriesMatrix:
         return SeriesMatrix(m, [ent + [dict() for _ in range(m - live)]
                                 for ent in _sums(self.e, other.e, _MATRIX_SUMS, live)])
 
-    def sub_identity_valuation(self) -> int:
-        """First s-slot where self differs from I, or m if none (image is I)."""
-        for sl in range(self.m):
-            for idx in range(4):
-                slot = self.e[idx][sl]
-                if idx in (0, 3) and sl == 0:
-                    if slot != {_KONE: 1}:
-                        return 0
-                elif slot:
-                    return sl
-        return self.m
-
 
 def _t_power(k: int, m: int) -> list:
     """Coefficients of t^k mod s^m: t = 1+s is x = 1-a with a = -s."""
@@ -310,38 +275,6 @@ def _laurent_to_series(f: LaurentPoly, m: int) -> list:
     return slots
 
 
-def _one_slots(m: int) -> list:
-    s = [dict() for _ in range(m)]
-    s[0] = {_KONE: 1}
-    return s
-
-
-def _zero_slots(m: int) -> list:
-    return [dict() for _ in range(m)]
-
-
-def _series_steps(g: SeriesMatrix) -> tuple:
-    """Right multiplication by g as a sparse step on rows, the series form of
-    groups._letter_steps.
-
-    Entry j is None when column j of g is e_j: the product keeps its column
-    j.  Otherwise it is the column's nonzero terms ((l, shift, r, c), ...),
-    each adding c times entry (row, l) of the product, its keys moved by
-    shift (the key of a monomial less _KONE) and its slots up by r, to entry
-    (row, j).  A generator column has at most 2m + 1 terms.
-    """
-    m = g.m
-    cols = []
-    for j in range(2):
-        col = (g.e[j], g.e[2 + j])
-        if col[j] == _one_slots(m) and col[1 - j] == _zero_slots(m):
-            cols.append(None)
-        else:
-            cols.append(tuple((l, key - _KONE, r, c) for l, ent in enumerate(col)
-                              for r, slot in enumerate(ent) for key, c in slot.items()))
-    return tuple(cols)
-
-
 class SeriesContext:
     """Generator matrices over R[s]/(s^m) and word evaluation by letter steps."""
 
@@ -353,45 +286,22 @@ class SeriesContext:
         for letter, M in _free_generators().items():
             self.gens[letter] = SeriesMatrix(
                 m, [_laurent_to_series(e, m) for e in M.entries()])
-        self.steps = {letter: _series_steps(g) for letter, g in self.gens.items()}
+        self.steps = _letter_steps(
+            {letter: [{r: slot for r, slot in enumerate(ent) if slot} for ent in g.e]
+             for letter, g in self.gens.items()})
 
     def identity(self) -> SeriesMatrix:
-        m = self.m
-        return SeriesMatrix(m, [_one_slots(m), _zero_slots(m),
-                                _zero_slots(m), _one_slots(m)])
+        e = [[dict() for _ in range(self.m)] for _ in range(4)]
+        e[0][0], e[3][0] = {_KONE: 1}, {_KONE: 1}
+        return SeriesMatrix(self.m, e)
 
     def eval_word(self, w: str) -> SeriesMatrix:
-        """The identity right-multiplied by the letters of w, one step each;
-        SeriesMatrix.mul is the generic product the steps are tested against."""
+        """The identity right-multiplied by the letters of w, one step each
+        (groups._eval_steps); SeriesMatrix.mul is the generic product the
+        steps are tested against."""
         m = self.m
-        rows = [[_one_slots(m), _zero_slots(m)], [_zero_slots(m), _one_slots(m)]]
-        for ch in w:
-            step = self.steps[ch]
-            for row in rows:
-                old = tuple(row)
-                for j, col in enumerate(step):
-                    if col is None:
-                        continue
-                    acc = [dict() for _ in range(m)]
-                    for l, shift, r, c in col:
-                        src = old[l]
-                        for sl in range(m - r):
-                            if not src[sl]:
-                                continue
-                            out = acc[sl + r]
-                            if not out:
-                                acc[sl + r] = {k + shift: c * v for k, v in src[sl].items()}
-                                continue
-                            get = out.get
-                            for k, v in src[sl].items():
-                                k += shift
-                                v = get(k, 0) + c * v
-                                if v:
-                                    out[k] = v
-                                elif k in out:
-                                    del out[k]
-                    row[j] = acc
-        return SeriesMatrix(m, rows[0] + rows[1])
+        return SeriesMatrix(m, [[ent.get(sl, {}) for sl in range(m)]
+                                for ent in _eval_steps(self.steps, w, m)])
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_series_evaluation_matches_exact_truncation(free_ctx):
         if samp.certified:
             assert t1_valuation(g) == samp.valuation
         assert samp.word == free_reduce(flatten_tree(samp.tree))
-        assert series.sub_identity_valuation() == samp.valuation
+        assert tadic._valuation(tadic._plus_identity(series, -1)) == samp.valuation
 
 
 def test_sampled_layers_obey_bounds():
@@ -550,4 +550,4 @@ def test_commutator_value_matches_letter_by_letter_product(seed, m):
     lw, rw = flatten_tree(left), flatten_tree(right)
     expected = ctx.eval_word(lw + rw + word_inverse(lw) + word_inverse(rw))
     assert eval_tree_series(("c", left, right), ctx).e == expected.e
-    assert node.valuation == expected.sub_identity_valuation()
+    assert node.valuation == tadic._valuation(tadic._plus_identity(expected, -1))

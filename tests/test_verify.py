@@ -272,6 +272,66 @@ def test_layers_suite_rejects_k_below_two(ks):
         check_derived_layer(group_context("free").identity(), min(ks))
 
 
+def _recorded_eval_is_identity(monkeypatch, result):
+    """Make every kernel identity test return result; the words it saw, in order."""
+    import burnmat.verify as verify
+
+    seen = []
+
+    def fake(w, tables):
+        seen.append(w)
+        return result
+
+    monkeypatch.setattr(verify.kernels, "eval_is_identity", fake)
+    return seen
+
+
+def test_layers_sigma_failure_names_sample_and_word(monkeypatch):
+    seen = _recorded_eval_is_identity(monkeypatch, False)
+    r = verify_derived_layers(ks=(2,), samples=3, cross_check=0)
+    assert not r.passed and len(seen) == 3
+    assert r.failures == [f"k=2 sample {i}: coefficients escape Sigma^2 for word {w!r}"
+                          for i, w in enumerate(seen)]
+
+
+def test_layers_valuation_failure_names_sample_and_word(monkeypatch):
+    import dataclasses
+
+    import burnmat.verify as verify
+
+    real = verify.sample_layer_element
+    words = []
+
+    def collapsed(*args, **kwargs):
+        samp = real(*args, **kwargs)
+        words.append(samp.word)
+        return dataclasses.replace(samp, valuation=0)
+
+    monkeypatch.setattr(verify, "sample_layer_element", collapsed)
+    r = verify_derived_layers(ks=(3,), samples=2, cross_check=0)
+    assert r.failures == [f"k=3 sample {i}: valuation 0 < 2 for word {w!r}"
+                          for i, w in enumerate(words)]
+
+
+def test_solvability_failures_name_tree_and_word(monkeypatch, capsys):
+    from burnmat import cli
+
+    seen = _recorded_eval_is_identity(monkeypatch, False)
+    r = verify_solvability(2, samples=12, witness_budget=1)
+    trees = seen[:12]
+    assert not r.passed and not r.upper_ok
+    assert r.failures == [f"tree {i}: depth-2 word {w!r} of length {len(w)} is not the identity"
+                          for i, w in enumerate(trees)]
+    assert r.witness == seen[12]
+    # the text report lists the first 10, as the other suites do
+    cli._emit_report_text(r)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[FAIL] solvable q=2:")
+    assert out[1:] == [f"    {m}" for m in r.failures[:10]] + ["    ... 2 more"]
+    # the structured record is unchanged: the failures stay out of it
+    assert "failures" not in r.to_record()
+
+
 def test_sanov_suite_counts():
     r = verify_sanov(max_len=5)
     assert r.passed
