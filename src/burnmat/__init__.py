@@ -7,7 +7,7 @@ from .ideals import (BurnsideParams, IdealLattice, SContext,
                      sigma_power_lattice, p_power_sigma_check)
 from .groups import (Matrix2, GroupContext, NormalForm, OrderResult,
                      NonConforming, ExponentLawViolation, normal_form,
-                     power_closed_form, basic_commutator, commutator,
+                     basic_commutator, commutator,
                      commutator_word, matrix_inverse, order_in_G,
                      commutative_square_check, group_closure, check_row_fixed,
                      product_normal_form_rule, det_t_degree, free_reduce,
@@ -16,9 +16,8 @@ from .groups import (Matrix2, GroupContext, NormalForm, OrderResult,
 from .kernels import (KernelOverflow, QuotientTables, QuotientMatrix, get_lane,
                       sigma_tables, tables_for, eval_word_quotient,
                       eval_is_identity, entries_at_t1, HAS_NUMBA)
-from .tadic import (formal_coefficients, formal_coefficient, t1_valuation,
-                    vanishes_mod_sigma, check_derived_layer, SeriesContext,
-                    SeriesMatrix, eval_tree_series, flatten_tree,
+from .tadic import (t1_valuation, vanishes_mod_sigma, check_derived_layer, SeriesContext,
+                    SeriesMatrix, flatten_tree,
                     sample_layer_element, LayerSample)
 from .verify import (VerificationReport, SolvabilityReport, solvability_bound,
                      verify_power_formula, verify_ideal_inclusions,
@@ -35,7 +34,7 @@ __all__ = [
     "sigma_power_lattice", "p_power_sigma_check",
     "Matrix2", "GroupContext", "NormalForm", "OrderResult",
     "NonConforming", "ExponentLawViolation", "normal_form",
-    "power_closed_form", "basic_commutator", "commutator", "commutator_word",
+    "basic_commutator", "commutator", "commutator_word",
     "matrix_inverse", "order_in_G", "commutative_square_check", "group_closure",
     "check_row_fixed", "product_normal_form_rule", "det_t_degree",
     "free_reduce", "word_inverse", "parse_word", "t_exponent_sum", "random_reduced_word",
@@ -43,9 +42,8 @@ __all__ = [
     "KernelOverflow", "QuotientTables", "QuotientMatrix", "get_lane",
     "sigma_tables", "tables_for", "eval_word_quotient", "eval_is_identity",
     "entries_at_t1", "HAS_NUMBA",
-    "formal_coefficients", "formal_coefficient",
     "t1_valuation", "vanishes_mod_sigma", "check_derived_layer",
-    "SeriesContext", "SeriesMatrix", "eval_tree_series", "flatten_tree",
+    "SeriesContext", "SeriesMatrix", "flatten_tree",
     "sample_layer_element", "LayerSample",
     "VerificationReport", "SolvabilityReport", "solvability_bound",
     "verify_power_formula", "verify_ideal_inclusions",

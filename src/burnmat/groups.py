@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .rings import ExactDivisionError, LaurentPoly, UnitMonomial, divide_one_minus
+from .rings import (ExactDivisionError, LaurentPoly, UnitMonomial, divide_one_minus,
+                    ONE as _ONE, T as _T, X as _X, Y as _Y)
 from .ideals import SContext
 
 LETTERS = "aAbB"
@@ -164,10 +165,6 @@ def matrix_inverse(M: Matrix2) -> Matrix2:
 
 _XI = LaurentPoly.monomial(1, -1, 0, 0)
 _YI = LaurentPoly.monomial(1, 0, -1, 0)
-_ONE = LaurentPoly.const(1)
-_X = LaurentPoly.var_x()
-_Y = LaurentPoly.var_y()
-_T = LaurentPoly.var_t()
 
 
 def _free_generators() -> dict[str, Matrix2]:
@@ -384,13 +381,8 @@ def normal_form(M: Matrix2) -> NormalForm:
     return nf
 
 
-def power_closed_form(M: Matrix2, n: int) -> Matrix2:
-    """M^n = u^n*I + (1 + u + ... + u^(n-1))*N for M = u*I + N in normal form."""
-    return power_from_normal_form(normal_form(M), n)
-
-
 def power_from_normal_form(nf: NormalForm, n: int) -> Matrix2:
-    """power_closed_form for a matrix whose normal form nf is already known."""
+    """M^n = u^n*I + (1 + u + ... + u^(n-1))*N for M = u*I + N in normal form nf."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     up = nf.u.as_poly()

@@ -207,15 +207,6 @@ class IdealLattice:
     def __hash__(self):
         return hash((self.D, self.rows))
 
-    def verify_ideal_closure(self) -> bool:
-        """Each basis row stays in the lattice after multiplication by a and by b."""
-        for row in self.rows:
-            if not self.member(mul_by_a(row, self.D)):
-                return False
-            if not self.member(mul_by_b(row, self.D)):
-                return False
-        return True
-
     def __repr__(self):
         return f"IdealLattice({self.label}, D={self.D}, rank={self.rank})"
 
@@ -238,23 +229,6 @@ def _shift_maps(D: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 # positions of a and b in the graded basis 1, b, a, b^2, ...
 _B, _A = 1, 2
-
-
-def _mul_by(vec: Sequence[int], D: int, which: int) -> list[int]:
-    out = [0] * tri_dim(D)
-    src, dst = _shift_maps(D)[which]
-    for m, t in zip(src.tolist(), dst.tolist()):
-        out[t] = vec[m]
-    return out
-
-
-def mul_by_a(vec: Sequence[int], D: int) -> list[int]:
-    """Coordinates of a * f truncated at degree D."""
-    return _mul_by(vec, D, _A)
-
-
-def mul_by_b(vec: Sequence[int], D: int) -> list[int]:
-    return _mul_by(vec, D, _B)
 
 
 def cyclotomic_generators(params: BurnsideParams, D: int | None = None,

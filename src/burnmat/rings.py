@@ -55,14 +55,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def const_value(self) -> int:
-        """The value of a constant polynomial; rejects non-constants."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {(0, 0, 0)}:
-            raise ValueError("not a constant polynomial")
-        return self.terms[(0, 0, 0)]
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

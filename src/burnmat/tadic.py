@@ -20,13 +20,16 @@ SeriesContext carries exact integer x,y coefficients (no truncation), so the
 valuation side is exact; the sigma side runs on the kernels module.  It
 evaluates a word by the letter steps of groups._eval_steps, the evaluator
 GroupContext uses in the exact ring, with the s-slots in place of t-exponents
-and the slots from m on dropped.
+and the slots from m on dropped.  R[s]/(s^m) has that one form throughout:
+a SeriesMatrix entry is what _eval_steps returns, {slot: {key: c}} with
+0 <= slot < m, and no empty slot or zero coefficient.
 
-A commutator tree is evaluated node by node (_Node).  A leaf whose
-determinant is not 1 has valuation 0 and is evaluated only if a parent asks
-for its delta; a commutator of two leaves is evaluated as its word by letter
-steps; a deeper commutator takes the bracket of its children's deltas and
-builds its own delta only when a parent asks.
+A commutator tree is evaluated node by node (_Node), in the one tree
+recursion, sample_layer_element's.  A leaf whose determinant is not 1 has
+valuation 0 and is evaluated only if a parent asks for its delta; a
+commutator of two leaves is evaluated as its word by letter steps; a deeper
+commutator takes the bracket of its children's deltas and builds its own
+delta only when a parent asks.
 """
 
 from __future__ import annotations
@@ -36,49 +39,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import LaurentPoly, divide_by_t_minus_one, xpow_coeffs
+from .rings import LaurentPoly, divide_one_minus, xpow_coeffs
 from .groups import (Matrix2, _KONE, _YBITS, _YMASK, _eval_steps, _free_generators,
-                     _letter_steps, _pack, _unpack, commutator_word, free_reduce,
-                     group_context, random_reduced_word)
-
-
-def formal_coefficients(g: Matrix2, n: int) -> list[Matrix2]:
-    """A_0..A_n of g = sum (t-1)^i A_i; A_0 is the t=1 specialization."""
-    out = []
-    gi = g
-    for i in range(n + 1):
-        ai = gi.map_entries(lambda f: f.specialize(t=1))
-        out.append(ai)
-        if i < n:
-            gi = gi.sub(ai).map_entries(divide_by_t_minus_one)
-    return out
-
-
-def formal_coefficient(g: Matrix2, i: int) -> Matrix2:
-    if i < 0:
-        raise ValueError("coefficient index must be >= 0")
-    return formal_coefficients(g, i)[i]
+                     _letter_steps, _pack, commutator_word, free_reduce,
+                     random_reduced_word)
 
 
 def t1_valuation(g: Matrix2) -> int | float:
-    """Largest d with (t-1)^d dividing every entry of g - I; +inf iff g = I."""
+    """Largest d with (t-1)^d dividing every entry of g - I; +inf iff g = I.
+
+    The entries of g - I are e11 - 1, e12, e21 and e22 - 1, so only the
+    diagonal is copied.  An entry is divided by 1 - t (the sign does not
+    change divisibility) only while its count is below the least so far.
+    """
+    e11, e12, e21, e22 = g.entries()
     best = math.inf
-    for e in g.sub(group_context("free").identity()).entries():
-        if e.is_zero():
+    for f in (e11 - 1, e12, e21, e22 - 1):
+        if f.is_zero():
             continue
         v = 0
-        f = e
-        while f.specialize(t=1).is_zero():
-            f = divide_by_t_minus_one(f)
+        while v < best and f.specialize(t=1).is_zero():
+            f = divide_one_minus(f, 2)
             v += 1
-        best = min(best, v)
+        best = v
     return best
 
 
 def vanishes_mod_sigma(g: Matrix2, d: int) -> bool:
     """Every Laurent-in-t coefficient of every entry of g - I lies in Sigma^d."""
-    for e in g.sub(group_context("free").identity()).entries():
-        for coeff in e.t_coefficients().values():
+    e11, e12, e21, e22 = g.entries()
+    for f in (e11 - 1, e12, e21, e22 - 1):
+        for coeff in f.t_coefficients().values():
             if not coeff.in_sigma_power(d):
                 return False
     return True
@@ -93,8 +84,9 @@ def check_derived_layer(g: Matrix2, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# series quotient R[s]/(s^m): slot vectors of exact 2-variable polynomials,
-# each monomial x^i y^j keyed by groups._pack(i, j).
+# series quotient R[s]/(s^m): an entry is {slot: {key: c}}, the form
+# groups._eval_steps returns, with 0 <= slot < m, each monomial x^i y^j keyed
+# by groups._pack(i, j), and no empty slot or zero coefficient.
 
 
 def _p2mul_into(acc: dict, a: dict, b: dict):
@@ -135,26 +127,26 @@ _MATRIX_SUMS = (((0, 0), (1, 2)), ((0, 1), (1, 3)), ((2, 0), (3, 2)), ((2, 1), (
 def _sums(left: list, right: list, sums, m: int) -> list:
     """For each tuple of (l, r) in sums, sum of left[l] * right[r] in R[s]/(s^m).
 
-    Operands are slot lists: m slots of {key: coefficient}.  Large products
-    go through Kronecker substitution, unless the operands are so sparse
-    that the packed integers would hold more fields than they have terms.
+    Large products go through Kronecker substitution, unless the operands
+    are so sparse that the packed integers would hold more fields than they
+    have terms.
     """
-    terms = [sum(map(len, ent)) for ent in left], [sum(map(len, ent)) for ent in right]
+    terms = ([sum(map(len, ent.values())) for ent in left],
+             [sum(map(len, ent.values())) for ent in right])
     if sum(terms[0][l] * terms[1][r] for pairs in sums for l, r in pairs) >= _PACK_MIN_PAIRS:
         out = _packed_sums(left, right, sums, m, sum(terms[0]) + sum(terms[1]))
         if out is not None:
             return out
     out = []
     for pairs in sums:
-        acc = [dict() for _ in range(m)]
+        acc = {}
         for l, r in pairs:
-            a, b = left[l], right[r]
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(m - i):
-                        if b[j]:
-                            _p2mul_into(acc[i + j], ai, b[j])
-        out.append(acc)
+            b = right[r]
+            for i, ai in left[l].items():
+                for j, bj in b.items():
+                    if i + j < m:
+                        _p2mul_into(acc.setdefault(i + j, {}), ai, bj)
+        out.append({sl: s for sl, s in acc.items() if s})
     return out
 
 
@@ -204,6 +196,19 @@ def _unpack_slot(v: int, base: int, stride: int, wb: int, n: int) -> dict:
     return out
 
 
+def _slot_products(left: list, right: list, pairs, m: int) -> dict:
+    """{r: sum of left[l][i] * right[r'][j] over (l, r') in pairs and the
+    slots i + j = r < m}, for entries of integers: only slots both hold meet."""
+    out = {}
+    for l, r in pairs:
+        b = right[r]
+        for i, ai in left[l].items():
+            for j, bj in b.items():
+                if i + j < m:
+                    out[i + j] = out.get(i + j, 0) + ai * bj
+    return out
+
+
 def _packed_sums(left: list, right: list, sums, m: int, terms: int) -> list | None:
     """_sums by Kronecker substitution, or None when the packed integers would
     hold more fields than the operands have terms.
@@ -211,39 +216,35 @@ def _packed_sums(left: list, right: list, sums, m: int, terms: int) -> list | No
     Each operand slot is packed once, however many products it takes part
     in, and only the output slots are decoded.
     """
-    lslots = [s for ent in left for s in ent if s]
-    rslots = [s for ent in right for s in ent if s]
+    lslots = [s for ent in left for s in ent.values()]
+    rslots = [s for ent in right for s in ent.values()]
     if not lslots or not rslots:
-        return [[dict() for _ in range(m)] for _ in sums]
+        return [{} for _ in sums]
     ax, ay, asx, asy = _box(lslots)
     bx, by, bsx, bsy = _box(rslots)
     stride = asy + bsy + 1
     na, nb = asx * stride + asy + 1, bsx * stride + bsy + 1
     if na + nb - 1 > terms:
         return None
-    l1 = [[sum(map(abs, s.values())) for s in ent] for ent in left]
-    top = [[max(map(abs, s.values()), default=0) for s in ent] for ent in right]
+    l1 = [{i: sum(map(abs, s.values())) for i, s in ent.items()} for ent in left]
+    top = [{j: max(map(abs, s.values())) for j, s in ent.items()} for ent in right]
     # the operands' own coefficients are written into fields too
-    bound = max(max(map(max, l1)), max(map(max, top)),
-                *(sum(l1[l][i] * top[r][sl - i] for l, r in pairs for i in range(sl + 1))
-                  for pairs in sums for sl in range(m)))
+    bound = max(max(v for ent in l1 for v in ent.values()),
+                max(v for ent in top for v in ent.values()))
+    for pairs in sums:
+        bound = max(bound, *_slot_products(l1, top, pairs, m).values(), 0)
     wb = (bound.bit_length() + 8) // 8  # field bytes, sign bit included
     ka, kb = (ax << _YBITS) + ay, (bx << _YBITS) + by
-    pa = [[_pack_slot(s, ka, stride, wb, na) if s else 0 for s in ent] for ent in left]
-    pb = [[_pack_slot(s, kb, stride, wb, nb) if s else 0 for s in ent] for ent in right]
+    pa = [{i: _pack_slot(s, ka, stride, wb, na) for i, s in ent.items()} for ent in left]
+    pb = [{j: _pack_slot(s, kb, stride, wb, nb) for j, s in ent.items()} for ent in right]
     base = ka + kb - _KONE
-    out = []
-    for pairs in sums:
-        slots = []
-        for sl in range(m):
-            v = sum(pa[l][i] * pb[r][sl - i] for l, r in pairs for i in range(sl + 1))
-            slots.append(_unpack_slot(v, base, stride, wb, na + nb - 1) if v else {})
-        out.append(slots)
-    return out
+    return [{sl: _unpack_slot(v, base, stride, wb, na + nb - 1)
+             for sl, v in _slot_products(pa, pb, pairs, m).items() if v}
+            for pairs in sums]
 
 
 class SeriesMatrix:
-    """2x2 matrix over R[s]/(s^m); entries are slot lists of {key: c} dicts."""
+    """2x2 matrix over R[s]/(s^m); entries are {slot: {key: c}}."""
 
     __slots__ = ("m", "e")
 
@@ -253,10 +254,8 @@ class SeriesMatrix:
 
     def mul(self, other: "SeriesMatrix", live: int | None = None) -> "SeriesMatrix":
         """self * other; with live, only the slots below live are computed."""
-        m = self.m
-        live = m if live is None else live
-        return SeriesMatrix(m, [ent + [dict() for _ in range(m - live)]
-                                for ent in _sums(self.e, other.e, _MATRIX_SUMS, live)])
+        return SeriesMatrix(self.m, _sums(self.e, other.e, _MATRIX_SUMS,
+                                          self.m if live is None else live))
 
 
 def _t_power(k: int, m: int) -> list:
@@ -264,15 +263,15 @@ def _t_power(k: int, m: int) -> list:
     return [(-1) ** r * c for r, c in enumerate(xpow_coeffs(k, m))]
 
 
-def _laurent_to_series(f: LaurentPoly, m: int) -> list:
+def _laurent_to_series(f: LaurentPoly, m: int) -> dict:
     """Image under t = 1+s in R[s]/(s^m)."""
-    slots = [dict() for _ in range(m)]
+    out = {}
     for (i, j, k), c in f.terms.items():
         key = _pack(i, j)
         for r, w in enumerate(_t_power(k, m)):
             if w:
-                _p2addto(slots[r], {key: c * w})
-    return slots
+                _p2addto(out.setdefault(r, {}), {key: c * w})
+    return {r: s for r, s in out.items() if s}
 
 
 class SeriesContext:
@@ -282,26 +281,18 @@ class SeriesContext:
         if m < 1:
             raise ValueError("need at least one slot")
         self.m = m
-        self.gens = {}
-        for letter, M in _free_generators().items():
-            self.gens[letter] = SeriesMatrix(
-                m, [_laurent_to_series(e, m) for e in M.entries()])
-        self.steps = _letter_steps(
-            {letter: [{r: slot for r, slot in enumerate(ent) if slot} for ent in g.e]
-             for letter, g in self.gens.items()})
+        self.gens = {letter: SeriesMatrix(m, [_laurent_to_series(e, m) for e in M.entries()])
+                     for letter, M in _free_generators().items()}
+        self.steps = _letter_steps({letter: g.e for letter, g in self.gens.items()})
 
     def identity(self) -> SeriesMatrix:
-        e = [[dict() for _ in range(self.m)] for _ in range(4)]
-        e[0][0], e[3][0] = {_KONE: 1}, {_KONE: 1}
-        return SeriesMatrix(self.m, e)
+        return SeriesMatrix(self.m, [{0: {_KONE: 1}}, {}, {}, {0: {_KONE: 1}}])
 
     def eval_word(self, w: str) -> SeriesMatrix:
         """The identity right-multiplied by the letters of w, one step each
         (groups._eval_steps); SeriesMatrix.mul is the generic product the
         steps are tested against."""
-        m = self.m
-        return SeriesMatrix(m, [[ent.get(sl, {}) for sl in range(m)]
-                                for ent in _eval_steps(self.steps, w, m)])
+        return SeriesMatrix(self.m, _eval_steps(self.steps, w, self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +309,46 @@ def _word_det(w: str) -> tuple[int, int]:
     return w.count("a") - w.count("A"), w.count("b") - w.count("B")
 
 
-def _slot_sum(terms, m: int, live: int | None = None) -> list:
-    """Sum of sign * X over (sign, X) in terms, X slot lists, in new dicts;
-    with live, the slots from live on are left empty."""
-    out = [dict() for _ in range(m)]
-    for sl in range(m if live is None else live):
-        acc = {}
-        for sign, X in terms:
-            src = X[sl]
+def _slot_sum(terms, live: int | None = None) -> dict:
+    """Sum of sign * X over (sign, X) in terms, X entries, in new slot dicts;
+    with live, the slots from live on are left out."""
+    out = {}
+    for sign, X in terms:
+        for sl, src in X.items():
+            if live is not None and sl >= live:
+                continue
             if sign < 0:
                 src = {k: -c for k, c in src.items()}
-            if acc:
-                _p2addto(acc, src)
+            acc = out.get(sl)
+            if acc is None:
+                out[sl] = dict(src) if sign > 0 else src
             else:
-                acc = dict(src) if sign > 0 else src
-        out[sl] = acc
-    return out
+                _p2addto(acc, src)
+    return {sl: s for sl, s in out.items() if s}
 
 
 def _matrix_sum(terms, m: int, live: int | None = None) -> SeriesMatrix:
     """Sum of sign * X over (sign, X) in terms, X series matrices."""
-    return SeriesMatrix(m, [_slot_sum([(sign, X.e[idx]) for sign, X in terms], m, live)
+    return SeriesMatrix(m, [_slot_sum([(sign, X.e[idx]) for sign, X in terms], live)
                             for idx in range(4)])
 
 
 def _plus_identity(X: SeriesMatrix, c: int) -> SeriesMatrix:
     """X + c * I; the slots it does not change are shared with X."""
-    e = [list(ent) for ent in X.e]
+    e = list(X.e)
     for idx in (0, 3):
-        e[idx][0] = dict(X.e[idx][0])
-        _p2addto(e[idx][0], {_KONE: c})
+        ent = dict(e[idx])
+        s0 = dict(ent.pop(0, {}))
+        _p2addto(s0, {_KONE: c})
+        if s0:
+            ent[0] = s0
+        e[idx] = ent
     return SeriesMatrix(X.m, e)
 
 
 def _valuation(delta: SeriesMatrix) -> int:
     """First s-slot where delta is nonzero, or m if none."""
-    for sl in range(delta.m):
-        if any(ent[sl] for ent in delta.e):
-            return sl
-    return delta.m
+    return min((sl for ent in delta.e for sl in ent), default=delta.m)
 
 
 # AB - BA from entries, for 2x2 A and B over a commutative ring:
@@ -369,14 +361,12 @@ _BRACKET_SUMS = (((0, 0), (1, 1)), ((0, 2), (1, 3)), ((2, 3), (3, 2)))
 
 def _bracket(A: SeriesMatrix, B: SeriesMatrix) -> SeriesMatrix:
     """AB - BA in six entry products instead of the sixteen of AB and BA."""
-    m = A.m
     a11, a12, a21, a22 = A.e
     b11, b12, b21, b22 = B.e
-    left = [a12, _slot_sum(((-1, b12),), m), b21, _slot_sum(((-1, a21),), m)]
-    right = [b21, a21, _slot_sum(((1, b22), (-1, b11)), m),
-             _slot_sum(((1, a22), (-1, a11)), m)]
-    d11, d12, d21 = _sums(left, right, _BRACKET_SUMS, m)
-    return SeriesMatrix(m, [d11, d12, d21, _slot_sum(((-1, d11),), m)])
+    left = [a12, _slot_sum(((-1, b12),)), b21, _slot_sum(((-1, a21),))]
+    right = [b21, a21, _slot_sum(((1, b22), (-1, b11))), _slot_sum(((1, a22), (-1, a11)))]
+    d11, d12, d21 = _sums(left, right, _BRACKET_SUMS, A.m)
+    return SeriesMatrix(A.m, [d11, d12, d21, _slot_sum(((-1, d11),))])
 
 
 _ENTRY_TIMES_SCALAR = tuple(((idx, 0),) for idx in range(4))
@@ -387,7 +377,7 @@ def _over_det(X: SeriesMatrix, det: tuple[int, int]) -> SeriesMatrix:
     if det == (0, 0):
         return X
     key = _pack(-det[0], -det[1])
-    scalar = [{key: w} if w else {} for w in _t_power(-det[1], X.m)]
+    scalar = {r: {key: w} for r, w in enumerate(_t_power(-det[1], X.m)) if w}
     return SeriesMatrix(X.m, _sums(X.e, [scalar], _ENTRY_TIMES_SCALAR, X.m))
 
 
@@ -470,16 +460,6 @@ def _commutator_delta(A, B, D, det) -> SeriesMatrix:
     live = m - _valuation(D)
     S = _matrix_sum(((1, A), (1, B), (1, A.mul(B, live))), m, live)
     return _over_det(_matrix_sum(((1, D), (1, S.mul(D))), m), det)
-
-
-def _eval_tree(tree, ctx: SeriesContext) -> _Node:
-    if tree[0] == "w":
-        return _leaf(tree[1], ctx)
-    return _commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx), ctx)
-
-
-def eval_tree_series(tree, ctx: SeriesContext) -> SeriesMatrix:
-    return _plus_identity(_eval_tree(tree, ctx).delta, 1)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ perfbench/micro.py loads benchmarks/bench_kernels.py; a rename or deletion
 there would otherwise only show when the benchmark runs.
 """
 
+import ast
+import importlib.util
 import inspect
 import os
 import random
@@ -74,3 +76,29 @@ def test_micro_loads_lane_benchmark(perfbench):
     bench = micro._bench_kernels()
     assert callable(bench._batch) and callable(bench._time_lane)
     from burnmat import HAS_NUMBA  # noqa: F401  (perfbench/run.py imports it)
+
+
+def _names_imported_from_burnmat(paths):
+    names = set()
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "burnmat"
+                  for alias in node.names}
+    return names
+
+
+def test_public_names_resolve():
+    import burnmat
+
+    assert len(burnmat.__all__) == len(set(burnmat.__all__))
+    assert [n for n in burnmat.__all__ if not hasattr(burnmat, n)] == []
+    # every name perfbench/ and benchmarks/ import from the package itself
+    paths = [os.path.join(ROOT, d, f) for d in ("perfbench", "benchmarks")
+             for f in sorted(os.listdir(os.path.join(ROOT, d))) if f.endswith(".py")]
+    names = _names_imported_from_burnmat(paths)
+    assert {"HAS_NUMBA", "SContext", "SeriesContext", "sample_layer_element",
+            "random_reduced_word", "kernels"} <= names
+    for name in sorted(names):
+        assert hasattr(burnmat, name) or importlib.util.find_spec(f"burnmat.{name}"), name

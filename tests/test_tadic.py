@@ -1,5 +1,6 @@
 """Shifted-parameter expansions: coefficients, valuations, and layer bounds."""
 
+import math
 import random
 import warnings
 from collections import Counter
@@ -18,10 +19,7 @@ from burnmat import (
     commutator_word,
     divide_by_t_minus_one,
     divide_one_minus,
-    eval_tree_series,
     flatten_tree,
-    formal_coefficient,
-    formal_coefficients,
     free_reduce,
     parse_poly,
     random_reduced_word,
@@ -30,11 +28,39 @@ from burnmat import (
     vanishes_mod_sigma,
     word_inverse,
 )
+from burnmat import groups
+from burnmat.groups import _KONE, _pack, _unpack
 
 ONE = LaurentPoly.const(1)
 ZERO = LaurentPoly.zero()
 T_MATRIX = Matrix2(parse_poly("t"), ZERO, parse_poly("1-t"), ONE)
 SHIFT = Matrix2(ONE, ZERO, -ONE, ZERO)
+
+
+def formal_coefficients(g, n):
+    """A_0..A_n of g = sum (t-1)^i A_i; A_0 is the t=1 specialization.
+
+    The exact expansion the series side is checked against."""
+    out = []
+    gi = g
+    for i in range(n + 1):
+        ai = gi.map_entries(lambda f: f.specialize(t=1))
+        out.append(ai)
+        if i < n:
+            gi = gi.sub(ai).map_entries(divide_by_t_minus_one)
+    return out
+
+
+def _eval_tree(tree, ctx):
+    """The node of tree, children first: the oracle recursion over
+    tadic._leaf and tadic._commutator, without sample_layer_element's resampling."""
+    if tree[0] == "w":
+        return tadic._leaf(tree[1], ctx)
+    return tadic._commutator(_eval_tree(tree[1], ctx), _eval_tree(tree[2], ctx), ctx)
+
+
+def eval_tree_series(tree, ctx):
+    return tadic._plus_identity(_eval_tree(tree, ctx).delta, 1)
 
 
 def _commutator_closed_word(rng, maxlen=4, parts=3):
@@ -67,28 +93,28 @@ def test_divide_by_t_minus_one_exactness():
 
 def test_shift_matrix_decomposition():
     assert SHIFT.mul(SHIFT) == SHIFT
-    assert formal_coefficient(T_MATRIX, 0) == Matrix2(ONE, ZERO, ZERO, ONE)
-    assert formal_coefficient(T_MATRIX, 1) == SHIFT
+    assert formal_coefficients(T_MATRIX, 0)[0] == Matrix2(ONE, ZERO, ZERO, ONE)
+    assert formal_coefficients(T_MATRIX, 1)[1] == SHIFT
     for i in (2, 3, 4):
-        assert all(e.is_zero() for e in formal_coefficient(T_MATRIX, i).entries())
+        assert all(e.is_zero() for e in formal_coefficients(T_MATRIX, i)[i].entries())
 
 
 def test_coefficients_of_inverse_generator(free_ctx, meta_ctx):
     g = free_ctx.eval_word("B")
     m2_inv = meta_ctx.eval_word("B")
-    assert formal_coefficient(g, 0) == m2_inv
+    assert formal_coefficients(g, 0)[0] == m2_inv
     alternating = SHIFT.mul(m2_inv)
     for i in (1, 2, 3):
         expected = alternating.map_entries(lambda f: f if i % 2 == 0 else -f)
-        assert formal_coefficient(g, i) == expected
+        assert formal_coefficients(g, i)[i] == expected
 
 
 def test_coefficients_of_t_free_matrix(meta_ctx):
     g = meta_ctx.eval_word("aA")
-    assert formal_coefficient(g, 0) == g
+    assert formal_coefficients(g, 0)[0] == g
     g = meta_ctx.eval_word("abA")
-    assert formal_coefficient(g, 0) == g
-    assert all(e.is_zero() for e in formal_coefficient(g, 1).entries())
+    assert formal_coefficients(g, 0)[0] == g
+    assert all(e.is_zero() for e in formal_coefficients(g, 1)[1].entries())
 
 
 def test_zeroth_coefficient_is_t1_specialization(free_ctx):
@@ -96,7 +122,7 @@ def test_zeroth_coefficient_is_t1_specialization(free_ctx):
     for _ in range(10):
         g = free_ctx.eval_word(random_reduced_word(rng, 8))
         at_t1 = g.map_entries(lambda f: f.specialize(t=1))
-        assert formal_coefficient(g, 0) == at_t1
+        assert formal_coefficients(g, 0)[0] == at_t1
 
 
 def test_finite_expansion_reconstructs(free_ctx):
@@ -121,6 +147,46 @@ def test_t1_valuation_values(free_ctx):
     assert t1_valuation(T_MATRIX) == 1
     assert t1_valuation(Matrix2(parse_poly("t^-1"), ZERO, ZERO, ONE)) == 1
     assert t1_valuation(free_ctx.eval_word("ab")) == 0
+
+
+def _t1_valuation_by_definition(g):
+    """Every entry of g - I divided by t - 1 until it no longer vanishes at t = 1."""
+    best = math.inf
+    for e in g.sub(Matrix2(ONE, ZERO, ZERO, ONE)).entries():
+        if e.is_zero():
+            continue
+        v, f = 0, e
+        while f.specialize(t=1).is_zero():
+            f = divide_by_t_minus_one(f)
+            v += 1
+        best = min(best, v)
+    return best
+
+
+def _vanishes_by_definition(g, d):
+    return all(c.in_sigma_power(d) for e in g.sub(Matrix2(ONE, ZERO, ZERO, ONE)).entries()
+               for c in e.t_coefficients().values())
+
+
+def test_valuation_and_sigma_check_leave_g_unchanged(free_ctx):
+    rng = random.Random(139)
+    tm1 = parse_poly("t - 1")
+    gs = [free_ctx.identity(), T_MATRIX,
+          # zero off-diagonal entries; the diagonal stops at valuation 1, 2 or 3
+          Matrix2(ONE + tm1 ** 3 * parse_poly("x"), ZERO, ZERO, ONE - tm1 ** 2),
+          Matrix2(ONE + tm1, ZERO, ZERO, ONE + tm1 ** 5 * parse_poly("y^-1")),
+          Matrix2(ONE, ZERO, ZERO, ONE + tm1 ** 2 * parse_poly("t^-3"))]
+    gs += [free_ctx.eval_word(random_reduced_word(rng, 8)) for _ in range(8)]
+    gs += [free_ctx.eval_word(_depth2_word(rng, maxlen=2)) for _ in range(4)]
+    for g in gs:
+        entries = g.entries()
+        before = [dict(e.terms) for e in entries]
+        assert t1_valuation(g) == _t1_valuation_by_definition(g)
+        for d in (1, 2, 3):
+            assert vanishes_mod_sigma(g, d) == _vanishes_by_definition(g, d)
+        assert all(a is b for a, b in zip(g.entries(), entries))
+        assert [e.terms for e in g.entries()] == before
+    assert [t1_valuation(g) for g in gs[2:5]] == [2, 1, 2]
 
 
 def test_vanishes_mod_sigma_definition(free_ctx):
@@ -159,7 +225,7 @@ def test_second_layer_remark_on_first_coefficient(free_ctx):
         if not w:
             continue
         g = free_ctx.eval_word(w)
-        a1 = formal_coefficient(g, 1)
+        a1 = formal_coefficients(g, 1)[1]
         vals = [e.sigma_valuation() for e in a1.entries() if not e.is_zero()]
         assert all(v >= 2 for v in vals)
         if not all(v >= 3 for v in vals):
@@ -242,27 +308,32 @@ COEFFS = st.one_of(
               st.integers(0, 80), st.sampled_from([1, -1]), st.integers(-1, 1)).filter(bool))
 
 
-def _slot_lists(m, entries):
+def _entries(m, entries):
+    """Lists of series entries {slot: {key: c}}: slots below m, none empty,
+    no zero coefficient."""
     exps = st.integers(-6, 6)
-    poly = st.dictionaries(st.tuples(exps, exps), COEFFS, max_size=8)
-    slots = st.lists(poly, min_size=m, max_size=m).map(
-        lambda ps: [{tadic._pack(i, j): c for (i, j), c in p.items()} for p in ps])
-    return st.lists(slots, min_size=entries, max_size=entries)
+    poly = st.dictionaries(st.tuples(exps, exps), COEFFS, min_size=1, max_size=8).map(
+        lambda p: {_pack(i, j): c for (i, j), c in p.items()})
+    entry = st.dictionaries(st.integers(0, m - 1), poly, max_size=m)
+    return st.lists(entry, min_size=entries, max_size=entries)
 
 
 def _reference_sums(left, right, sums, m):
     """sum of left[l] * right[r] over (i, j) exponent tuples, independent of the key layout."""
     out = []
     for pairs in sums:
-        acc = [Counter() for _ in range(m)]
+        acc = {}
         for l, r in pairs:
-            for i, a in enumerate(left[l]):
-                for j in range(m - i):
+            for i, a in left[l].items():
+                for j, b in right[r].items():
+                    if i + j >= m:
+                        continue
                     for k1, c1 in a.items():
-                        for k2, c2 in right[r][j].items():
-                            (x1, y1), (x2, y2) = tadic._unpack(k1), tadic._unpack(k2)
-                            acc[i + j][tadic._pack(x1 + x2, y1 + y2)] += c1 * c2
-        out.append([{k: c for k, c in s.items() if c} for s in acc])
+                        for k2, c2 in b.items():
+                            (x1, y1), (x2, y2) = _unpack(k1), _unpack(k2)
+                            acc.setdefault(i + j, Counter())[_pack(x1 + x2, y1 + y2)] += c1 * c2
+        slots = {sl: {k: c for k, c in s.items() if c} for sl, s in acc.items()}
+        out.append({sl: s for sl, s in slots.items() if s})
     return out
 
 
@@ -280,8 +351,8 @@ def test_packed_products_match_dict_loop(kind, monkeypatch):
     @DIFF_SETTINGS
     @given(data=st.data(), m=st.integers(1, 6))
     def check(data, m):
-        left = data.draw(_slot_lists(m, entries=n))
-        right = data.draw(_slot_lists(m, entries=n))
+        left = data.draw(_entries(m, entries=n))
+        right = data.draw(_entries(m, entries=n))
         expected = _reference_sums(left, right, sums, m)
         packed = tadic._packed_sums(left, right, sums, m, terms=float("inf"))
         assert packed == expected
@@ -296,9 +367,9 @@ def test_packed_product_at_its_coefficient_bound(bits, monkeypatch):
     # exactly the proven bound, whatever the field width it lands in
     m = 6
     c = (1 << bits) - 1
-    a = [{tadic._pack(-3, 5): c} for _ in range(m)]
-    b = [{tadic._pack(2, -7): -c} for _ in range(m)]
-    expected = [{tadic._pack(-1, -2): -(r + 1) * c * c} for r in range(m)]
+    a = {r: {_pack(-3, 5): c} for r in range(m)}
+    b = {r: {_pack(2, -7): -c} for r in range(m)}
+    expected = {r: {_pack(-1, -2): -(r + 1) * c * c} for r in range(m)}
     assert tadic._packed_sums([a], [b], (((0, 0),),), m, terms=float("inf"))[0] == expected
     assert _dict_sums([a], [b], (((0, 0),),), m, monkeypatch)[0] == expected
 
@@ -308,10 +379,10 @@ def test_packed_product_fills_its_widest_field(monkeypatch):
     # output field, (u + v) * w = 2^63 - 1, the largest value of eight bytes
     # with a sign bit, and exactly the proven bound
     u, v, w = 1 << 20, (1 << 20) - 1, (1 << 42) + (1 << 21) + 1
-    a = [{tadic._pack(0, 0): u, tadic._pack(1, 0): v}]
-    b = [{tadic._pack(1, 0): w, tadic._pack(0, 0): w}]
-    expected = [{tadic._pack(0, 0): u * w, tadic._pack(1, 0): (1 << 63) - 1,
-                 tadic._pack(2, 0): v * w}]
+    a = {0: {_pack(0, 0): u, _pack(1, 0): v}}
+    b = {0: {_pack(1, 0): w, _pack(0, 0): w}}
+    expected = {0: {_pack(0, 0): u * w, _pack(1, 0): (1 << 63) - 1,
+                    _pack(2, 0): v * w}}
     assert tadic._packed_sums([a], [b], (((0, 0),),), 1, terms=float("inf"))[0] == expected
     assert _dict_sums([a], [b], (((0, 0),),), 1, monkeypatch)[0] == expected
 
@@ -319,29 +390,71 @@ def test_packed_product_fills_its_widest_field(monkeypatch):
 @pytest.mark.parametrize("i, j", [(20000, 0), (0, 20000), (-20000, 20000), (40000, -35000)])
 def test_large_exponents_do_not_alias(i, j, monkeypatch):
     # a 16-bit y field would wrap y^20000 * y^20000 into the x field
-    a = [{tadic._pack(i, j): 1}, {tadic._pack(i + 1, j + 1): 2}]
-    b = [{tadic._pack(i, j): 3}, {}]
-    expected = [{tadic._pack(2 * i, 2 * j): 3}, {tadic._pack(2 * i + 1, 2 * j + 1): 6}]
+    a = {0: {_pack(i, j): 1}, 1: {_pack(i + 1, j + 1): 2}}
+    b = {0: {_pack(i, j): 3}}
+    expected = {0: {_pack(2 * i, 2 * j): 3}, 1: {_pack(2 * i + 1, 2 * j + 1): 6}}
     sums = (((0, 0),),)
     assert tadic._packed_sums([a], [b], sums, 2, terms=float("inf"))[0] == expected
     assert _dict_sums([a], [b], sums, 2, monkeypatch)[0] == expected
-    assert tadic._unpack(tadic._pack(2 * i, 2 * j)) == (2 * i, 2 * j)
+    assert _unpack(_pack(2 * i, 2 * j)) == (2 * i, 2 * j)
 
 
 def test_sparse_operands_stay_on_the_dict_loop():
     # packing x^0 and x^100000 would need 10^5 fields for 4 terms
-    a = [{tadic._pack(0, 0): 1, tadic._pack(100000, 0): 1}]
+    a = {0: {_pack(0, 0): 1, _pack(100000, 0): 1}}
     assert tadic._packed_sums([a], [a], (((0, 0),),), 1, terms=4) is None
 
 
-def _identity(m):
-    return SeriesContext(m).identity().e
+IDENTITY = [{0: {_KONE: 1}}, {}, {}, {0: {_KONE: 1}}]
+
+
+def _well_formed(entries, m):
+    """The one form of R[s]/(s^m): slots 0 <= r < m, none empty, no zero coefficient."""
+    return all(0 <= sl < m and s and all(s.values()) for ent in entries for sl, s in ent.items())
+
+
+def test_series_helpers_keep_the_entry_form(monkeypatch):
+    # outputs of every helper that builds entries, on random operands and on
+    # sums that cancel to zero, against the form _eval_steps returns
+
+    @DIFF_SETTINGS
+    @given(data=st.data(), m=st.integers(1, 6))
+    def check(data, m):
+        left = data.draw(_entries(m, entries=4))
+        right = data.draw(_entries(m, entries=4))
+        det = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        w = data.draw(st.text(alphabet="aAbB", max_size=10))
+        ctx = SeriesContext(m)
+        neg = [tadic._slot_sum(((-1, e),)) for e in left]
+        cancel = tuple(((idx, 0), (4 + idx, 0)) for idx in range(4))
+        outs = []
+        for sums, ops in ((tadic._MATRIX_SUMS, (left, right)), (cancel, (left + neg, right))):
+            outs.append(tadic._packed_sums(*ops, sums, m, terms=float("inf")))
+            outs.append(_dict_sums(*ops, sums, m, monkeypatch))
+        assert outs[2] == outs[3] == [{}] * 4
+        outs.append([tadic._slot_sum(((1, a), (-1, b), (1, b))) for a, b in zip(left, right)])
+        assert outs[-1] == left
+        outs.append([tadic._slot_sum(((1, a), (-1, a)), live) for a in left
+                     for live in range(m + 1)])
+        X = tadic.SeriesMatrix(m, left)
+        for c in (-1, 1, 2):
+            outs.append(tadic._plus_identity(X, c).e)
+        outs.append(tadic._over_det(X, det).e)
+        value = ctx.eval_word(w)
+        assert value.e == groups._eval_steps(ctx.steps, w, m)
+        outs.append(value.e)
+        outs.append(tadic._plus_identity(value, -1).e)
+        assert tadic._plus_identity(ctx.identity(), -1).e == [{}] * 4
+        for out in outs:
+            assert _well_formed(out, m), out
+
+    check()
 
 
 def _adjugate(V):
     p, q, r, u = V.e
-    return tadic.SeriesMatrix(V.m, [u, tadic._slot_sum(((-1, q),), V.m),
-                                    tadic._slot_sum(((-1, r),), V.m), p])
+    return tadic.SeriesMatrix(V.m, [u, tadic._slot_sum(((-1, q),)),
+                                    tadic._slot_sum(((-1, r),)), p])
 
 
 @DIFF_SETTINGS
@@ -352,8 +465,8 @@ def test_leaf_inverse_is_adjugate_over_det(w, m):
     ctx = SeriesContext(m)
     V = ctx.eval_word(w)
     inv = tadic._over_det(_adjugate(V), tadic._word_det(w))
-    assert V.mul(inv).e == _identity(m)
-    assert inv.mul(V).e == _identity(m)
+    assert V.mul(inv).e == IDENTITY
+    assert inv.mul(V).e == IDENTITY
     assert inv.e == ctx.eval_word(word_inverse(w)).e
 
 
@@ -441,7 +554,7 @@ def test_commutator_inverse_is_adjugate(seed, m):
     ctx = SeriesContext(m)
     for sub in _subtrees(sample_layer_element(random.Random(seed), 2, ctx).tree):
         if sub[0] == "c":
-            L, R = tadic._eval_tree(sub[1], ctx), tadic._eval_tree(sub[2], ctx)
+            L, R = _eval_tree(sub[1], ctx), _eval_tree(sub[2], ctx)
             LR = tadic._plus_identity(L.delta, 1).mul(tadic._plus_identity(R.delta, 1))
             D = tadic._bracket(L.delta, R.delta)
             det = (L.det[0] + R.det[0], L.det[1] + R.det[1])
@@ -466,8 +579,8 @@ def test_bracket_matches_ab_minus_ba(pack, monkeypatch):
     @DIFF_SETTINGS
     @given(data=st.data(), m=st.integers(1, 6))
     def check(data, m):
-        A = tadic.SeriesMatrix(m, data.draw(_slot_lists(m, entries=4)))
-        B = tadic.SeriesMatrix(m, data.draw(_slot_lists(m, entries=4)))
+        A = tadic.SeriesMatrix(m, data.draw(_entries(m, entries=4)))
+        B = tadic.SeriesMatrix(m, data.draw(_entries(m, entries=4)))
         expected = tadic._matrix_sum(((1, A.mul(B)), (-1, B.mul(A))), m)
         assert tadic._bracket(A, B).e == expected.e
 
@@ -484,11 +597,11 @@ def test_node_delta_with_leaf_children(m):
     # det ab = x yt and det bA = x^-1 yt, so the delta divides by y^2 t^2
     tree = ("c", ("w", "ab"), ("w", "bA"))
     ctx = SeriesContext(m)
-    assert tadic._eval_tree(tree, ctx).det == (0, 0)
+    assert _eval_tree(tree, ctx).det == (0, 0)
     assert (tadic._word_det("ab"), tadic._word_det("bA")) == ((1, 1), (-1, 1))
-    assert tadic._eval_tree(tree, ctx).delta.e == _delta_of_word(tree, ctx)
+    assert _eval_tree(tree, ctx).delta.e == _delta_of_word(tree, ctx)
     nested = ("c", tree, ("w", "Ba"))
-    assert tadic._eval_tree(nested, ctx).delta.e == _delta_of_word(nested, ctx)
+    assert _eval_tree(nested, ctx).delta.e == _delta_of_word(nested, ctx)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -497,7 +610,7 @@ def test_node_deltas_with_one_slot(seed, k):
     ctx = SeriesContext(1)
     tree = sample_layer_element(random.Random(seed), k, ctx, maxlen=2).tree
     for sub in _subtrees(tree):
-        assert tadic._eval_tree(sub, ctx).delta.e == _delta_of_word(sub, ctx)
+        assert _eval_tree(sub, ctx).delta.e == _delta_of_word(sub, ctx)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -509,9 +622,9 @@ def test_node_deltas_where_three_deltas_vanish(seed, m):
     rng = random.Random(seed)
     left, right = (sample_layer_element(rng, 2, ctx).tree for _ in range(2))
     tree = ("c", left, right)
-    L, R = tadic._eval_tree(left, ctx), tadic._eval_tree(right, ctx)
+    L, R = _eval_tree(left, ctx), _eval_tree(right, ctx)
     assert 3 * min(L.valuation, R.valuation) >= m
-    delta = tadic._eval_tree(tree, ctx).delta.e
+    delta = _eval_tree(tree, ctx).delta.e
     assert delta == tadic._bracket(L.delta, R.delta).e
     assert delta == _delta_of_word(tree, ctx)
 
@@ -529,7 +642,7 @@ def test_node_values_match_exact_words(k, maxlen, examples, free_ctx):
         tree = sample_layer_element(random.Random(seed), k, ctx, maxlen=maxlen).tree
         for sub in _subtrees(tree):
             g = free_ctx.eval_word(free_reduce(flatten_tree(sub)))
-            assert tadic._eval_tree(sub, ctx).valuation == min(t1_valuation(g), m)
+            assert _eval_tree(sub, ctx).valuation == min(t1_valuation(g), m)
             image = [tadic._laurent_to_series(e, m) for e in g.entries()]
             assert eval_tree_series(sub, ctx).e == image
 
@@ -546,7 +659,7 @@ def test_commutator_value_matches_letter_by_letter_product(seed, m):
     ctx = SeriesContext(m)
     rng = random.Random(seed)
     left, right = (sample_layer_element(rng, 2, ctx).tree for _ in range(2))
-    node = tadic._eval_tree(("c", left, right), ctx)
+    node = _eval_tree(("c", left, right), ctx)
     lw, rw = flatten_tree(left), flatten_tree(right)
     expected = ctx.eval_word(lw + rw + word_inverse(lw) + word_inverse(rw))
     assert eval_tree_series(("c", left, right), ctx).e == expected.e
