@@ -109,7 +109,9 @@ class QuotientTables:
     one: tuple
     growth: int
     # steps[w] = (cols, dt_min, M): the numpy lane's step for right
-    # multiplication by the letter w or, at N <= PAIR_MAX_N, the pair w
+    # multiplication by the letter w, M of shape [2N, (span+1) N], or, at
+    # N <= PAIR_MAX_N, the pair w, M stacked by t-offset, [(span+1) 2N, 2N]
+    # (see _step_matrix)
     steps: _StepTable
     # built from the t = 1 generators: S(q) itself, see _letters
     at_t1: bool = False
@@ -145,29 +147,37 @@ def _matrix_terms(M, D: int) -> dict:
 def _step_matrix(terms: dict, maps: tuple, N: int, cols: tuple) -> tuple:
     """(cols, dt_min, M): right multiplication by a matrix whose other columns are e_j.
 
-    Only the columns in cols change: M is a dense float64
-    [2N, (span + 1) len(cols) N] matrix, and row l*N + src, column
-    (o len(cols) + c) N + dst holds the coefficient that sends basis
-    coefficient src of entry (i, l) at t to basis coefficient dst of entry
-    (i, cols[c]) at t + dt_min + o.
+    M sends basis coefficient src of entry (i, l) at t to basis coefficient
+    dst of entry (i, cols[c]) at t + dt_min + o, for 0 <= o <= span.  A
+    letter (one column) has M of shape [2N, (span + 1) N], row l*N + src and
+    column o N + dst.  A pair (both columns) has M stacked by offset, of
+    shape [(span + 1) 2N, 2N], row (span - o) 2N + l*N + src and column
+    c N + dst: window rows r - span, ..., r side by side, times M, give the
+    new coefficients at row r's t-exponent plus dt_min.
     """
     dts = [dt for l in range(2) for j in cols for dt, _, _ in terms[(l, j)]]
     dt_min = min(dts)
-    M = np.zeros((2 * N, max(dts) - dt_min + 1, len(cols), N))
+    span = max(dts) - dt_min
+    pair = len(cols) == 2
+    M = np.zeros((span + 1, 2 * N, 2 * N) if pair else (2 * N, span + 1, N))
     for l in range(2):
         for c, j in enumerate(cols):
             for dt, mp, v in terms[(l, j)]:
                 src, dst = maps[mp]
-                M[l * N + src, dt - dt_min, c, dst] += v
-    return cols, dt_min, M.reshape(2 * N, -1)
+                o = dt - dt_min
+                if pair:
+                    M[span - o, l * N + src, c * N + dst] += v
+                else:
+                    M[l * N + src, o, dst] += v
+    return cols, dt_min, M.reshape(-1, 2 * N) if pair else M.reshape(2 * N, -1)
 
 
 class _StepTable(dict):
     """steps[w]: the step of the letter or pair w, built from terms[w] on
     first use.  A letter's step is on the one column it changes, a pair's on
-    both: bb and BB change one column too, but over a t-span of 2, where the
-    lane's kept-column copy zeroes one edge row only.  A cancelling pair (aA,
-    Aa, bB, Bb) has terms None, the identity, and gives None."""
+    both, so that one product writes the pair's whole output window (bb and
+    BB change one column too).  A cancelling pair (aA, Aa, bB, Bb) has terms
+    None, the identity, and gives None."""
 
     def __init__(self, terms: dict, D: int):
         super().__init__()
@@ -343,35 +353,54 @@ def _eval_python(word: str, tables: QuotientTables, stops=(1,)):
 
 
 # ---------------------------------------------------------------------------
-# numpy lane: two float64 [T, 2 rows, 2 columns, N] buffers over a trimmed t-window
+# numpy lane: two float64 [T + 2P, 2 rows, 2 columns, N] buffers over a trimmed t-window
 #
 # Exactness: a letter changes one column j of the running product, a pair
-# both.  A step's new coefficients are the float64 product of the live
-# window, [2w, 2N], with its matrix, [2N, (span+1) len(cols) N], in row chunks
-# of at most SERIAL_MNK multiply-adds, and the span+1 offset blocks are added
-# into place; a letter's other column is copied.  Every output coefficient
+# both.  A letter's new coefficients are the float64 product of the live
+# window, [2w, 2N], with its matrix, [2N, (span+1) N]; the span+1 offset
+# blocks of the product are added into place and the other column is
+# copied.  A pair's are one product, [2 nw, (span+1) 2N] by its stacked
+# matrix [(span+1) 2N, 2N], of the span+1 window rows that feed each output
+# row, side by side, written straight into the next window.  Products are
+# taken in row chunks of at most SERIAL_MNK multiply-adds, and a pair copies
+# its rows out of the view one chunk at a time.  Every output coefficient
 # sums one product c * v per term of its column (each shift map is
-# injective), so every product and partial sum that BLAS or the block adds
-# form, in any order, is an integer of magnitude at most growth * max|v|:
-# growth bounds letters and pairs alike.  The lane runs a step only from
-# max|v| <= guard_limit = 2^53 // (2 growth), so all of them lie below 2^52
-# and float64 holds each exactly.  It carries a proven bound, bnd *= growth
-# per step, and measures max|v| only when bnd passes the limit.  When the
-# measured value passes it too, Sigma^D tables raise KernelOverflow; S(q)
-# tables reduce the window through the lattice on an int64 copy, whose mod
-# step takes every value below q (see the python lane).  On Sigma^D tables a
-# pair whose step could pass the guard runs as its two letters, so that
-# KernelOverflow names the first letter after which the values the lane
-# holds pass it.  A cancelling pair (aA, Aa, bB, Bb) takes no step: the lane
-# never holds the value between its letters.  At a stop the lane reduces the
-# window the same way and hands out canonical int64 vectors; a run goes on
-# from them.
+# injective, and the rows around the window are exact zeros), so every
+# product and partial sum that BLAS or the block adds form, in any order, is
+# an integer of magnitude at most growth * max|v|: growth bounds letters and
+# pairs alike.  The lane runs a step only from max|v| <= guard_limit =
+# 2^53 // (2 growth), so all of them lie below 2^52 and float64 holds each
+# exactly.  It carries a proven bound, bnd *= growth per step, and measures
+# max|v| only when bnd passes the limit.  When the measured value passes it
+# too, Sigma^D tables raise KernelOverflow; S(q) tables reduce the window
+# through the lattice on an int64 copy, whose mod step takes every value
+# below q (see the python lane).  On Sigma^D tables a pair whose step could
+# pass the guard runs as its two letters, so that KernelOverflow names the
+# first letter after which the values the lane holds pass it.  A cancelling
+# pair (aA, Aa, bB, Bb) takes no step: the lane never holds the value
+# between its letters.  At a stop the lane reduces the window the same way
+# and hands out canonical int64 vectors; a run goes on from them.
 #
-# The window is re-based to row 0 on every step, so T only has to hold the
-# live window: it starts at one copy's 1 + sum of spans and doubles on demand.
+# Every step writes its output from buffer row P, so T only has to hold the
+# live window.  T comes from the word: one copy's 1 + #b + #B, since each
+# step widens the window by its t-span, one per b or B it holds, or 1 on the
+# t = 1 tables, whose steps have span 0; it doubles on demand.  On paired
+# tables P is the largest span, 2 (0 at t = 1), and the P rows on each side
+# of the window are kept zero, so that the rows feeding every output row
+# are one read-only strided view of the buffer (_feed), made once per
+# buffer.  Tables without pairs have P = 0.
 
-def _buffers(T: int, N: int) -> list:
-    return [np.zeros((T, 2, 2, N)) for _ in range(2)]
+def _buffers(rows: int, N: int) -> list:
+    return [np.zeros((rows, 2, 2, N)) for _ in range(2)]
+
+
+def _feed(buf: np.ndarray, P: int) -> np.ndarray:
+    """Read-only view [rows - P, 2, P + 1, 2N] of buf: feed[x, i] holds the
+    row i coefficients of buffer rows x, ..., x + P, one row of 2N each."""
+    n, _, _, N = buf.shape
+    st, si, _, sn = buf.strides
+    return np.lib.stride_tricks.as_strided(buf, (n - P, 2, P + 1, 2 * N), (st, si, st, sn),
+                                           writeable=False)
 
 
 def _steps(word: str, tables: QuotientTables):
@@ -390,11 +419,15 @@ def _steps(word: str, tables: QuotientTables):
 def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
     N = tables.N
     steps = tables.steps
-    T = 1 + sum(M.shape[1] // (len(cols) * N) - 1 for _, (cols, _, M) in _steps(word, tables))
-    cur, nxt = _buffers(T, N)
-    cur[0, 0, 0, 0] = cur[0, 1, 1, 0] = 1
-    lo = hi = 0  # live rows of cur
-    t0 = 0       # t-exponent of row 0 of cur
+    paired = N <= PAIR_MAX_N
+    P = 2 if paired and not tables.at_t1 else 0
+    T = 1 if tables.at_t1 else 1 + word.count("b") + word.count("B")
+    cur, nxt = _buffers(T + 2 * P, N)
+    if paired:
+        feed, feed_nxt = _feed(cur, P), _feed(nxt, P)
+    cur[P, 0, 0, 0] = cur[P, 1, 1, 0] = 1
+    lo = hi = P  # live rows of cur
+    t0 = -P      # t-exponent of row 0 of cur
     bnd = 1      # proven bound on max|v| over the window
     limit, growth = tables.guard_limit, tables.growth
     lattice = tables.lattice
@@ -409,36 +442,51 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
             for k, (cols, dt_min, M) in run:
                 nc = len(cols)
                 w = hi - lo + 1
-                span = M.shape[1] // (nc * N) - 1
+                span = (M.shape[0] // (2 * N) if nc == 2 else M.shape[1] // N) - 1
                 nw = w + span
                 if nw > T:
                     T = max(nw, 2 * T)
-                    grown, nxt = _buffers(T, N)
-                    grown[:w] = cur[lo:hi + 1]
-                    cur, t0, lo, hi = grown, t0 + lo, 0, w - 1
-                win = cur[lo:hi + 1]
-                flat, chunk = win.reshape(2 * w, 2 * N), max(1, SERIAL_MNK // M.size)
-                prod = np.empty((2 * w, M.shape[1]))
-                for r in range(0, 2 * w, chunk):
-                    np.matmul(flat[r:r + chunk], M, out=prod[r:r + chunk])
-                prod = prod.reshape(w, 2, span + 1, nc, N)
-                out = nxt[:nw]
-                c = slice(cols[0], cols[0] + nc)
-                out[:w, :, c] = prod[:, :, 0]
-                if span:
-                    out[w:, :, c] = 0
-                    for o in range(1, span + 1):
-                        out[o:o + w, :, c] += prod[:, :, o]
-                if nc == 1:
+                    grown, nxt = _buffers(T + 2 * P, N)
+                    grown[P:P + w] = cur[lo:hi + 1]
+                    cur, t0, lo, hi = grown, t0 + lo - P, P, P + w - 1
+                    if paired:
+                        feed, feed_nxt = _feed(cur, P), _feed(nxt, P)
+                out = nxt[P:P + nw]
+                chunk = max(1, SERIAL_MNK // M.size)
+                if nc == 2:
+                    # output row r sums window rows r - span .. r times the
+                    # offset blocks of M: one product of those rows side by
+                    # side, copied out of the view nr output rows at a time
+                    nr = max(1, chunk // 2)
+                    x = feed[lo - span:hi + 1, :, :span + 1]
+                    y = out.reshape(2 * nw, 2 * N)
+                    for r in range(0, nw, nr):
+                        np.matmul(x[r:r + nr].reshape(-1, M.shape[0]), M,
+                                  out=y[2 * r:2 * (r + nr)])
+                else:
+                    win = cur[lo:hi + 1]
+                    flat = win.reshape(2 * w, 2 * N)
+                    prod = np.empty((2 * w, M.shape[1]))
+                    for r in range(0, 2 * w, chunk):
+                        np.matmul(flat[r:r + chunk], M, out=prod[r:r + chunk])
+                    prod = prod.reshape(w, 2, span + 1, N)
+                    c = cols[0]
+                    out[:w, :, c] = prod[:, :, 0]
+                    if span:
+                        out[w:, :, c] = 0
+                        for o in range(1, span + 1):
+                            out[o:o + w, :, c] += prod[:, :, o]
                     # the kept column lands at offset -dt_min; a letter's span
                     # is at most 1, so at most one edge row is 0
-                    j = 1 - cols[0]
+                    j = 1 - c
                     s = -dt_min
                     out[s:s + w, :, j] = win[:, :, j]
                     if span:
                         out[0 if s else w, :, j] = 0
-                t0 += lo + dt_min
-                lo, hi = 0, nw - 1
+                if P:
+                    nxt[P + nw:2 * P + nw] = 0
+                t0 += lo + dt_min - P
+                lo, hi = P, P + nw - 1
                 trim = span
                 bnd *= growth
                 if bnd > limit:
@@ -455,11 +503,13 @@ def _eval_numpy(word: str, tables: QuotientTables, stops=(1,)):
                 # trim t-slices that are zero in all four entries: only a t-shift
                 # or a reduction can leave one, as the steps are invertible
                 if trim:
-                    while lo < hi and not np.count_nonzero(out[lo]):
+                    while lo < hi and not np.count_nonzero(nxt[lo]):
                         lo += 1
-                    while hi > lo and not np.count_nonzero(out[hi]):
+                    while hi > lo and not np.count_nonzero(nxt[hi]):
                         hi -= 1
                 cur, nxt = nxt, cur
+                if paired:
+                    feed, feed_nxt = feed_nxt, feed
         if copy in stops:
             exact = cur[lo:hi + 1].astype(np.int64)
             if lattice is not None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import LaurentPoly, divide_one_minus, xpow_coeffs
+from .rings import ExactDivisionError, LaurentPoly, divide_one_minus, xpow_coeffs
 from .groups import (Matrix2, _KONE, _YBITS, _YMASK, _eval_steps, _free_generators,
                      _letter_steps, _pack, commutator_word, free_reduce,
                      random_reduced_word)
@@ -50,7 +50,8 @@ def t1_valuation(g: Matrix2) -> int | float:
 
     The entries of g - I are e11 - 1, e12, e21 and e22 - 1, so only the
     diagonal is copied.  An entry is divided by 1 - t (the sign does not
-    change divisibility) only while its count is below the least so far.
+    change divisibility) only while its count is below the least so far;
+    the division fails exactly when the entry is nonzero at t = 1.
     """
     e11, e12, e21, e22 = g.entries()
     best = math.inf
@@ -58,8 +59,11 @@ def t1_valuation(g: Matrix2) -> int | float:
         if f.is_zero():
             continue
         v = 0
-        while v < best and f.specialize(t=1).is_zero():
-            f = divide_one_minus(f, 2)
+        while v < best:
+            try:
+                f = divide_one_minus(f, 2)
+            except ExactDivisionError:
+                break
             v += 1
         best = v
     return best

@@ -150,10 +150,9 @@ def test_guard_keeps_float64_exact():
     for label in sorted({*TABLE_LABELS, *PAIRED_LABELS}):
         tables = _tables(label)
         assert 2 * tables.growth * tables.guard_limit <= kernels.FLOAT_EXACT
-        N = tables.N
         letters = [tables.steps[ch] for ch in "aAbB"]
-        for cols, _, M in [*letters, *filter(None, _pair_steps(tables).values())]:
-            l1 = np.abs(M.reshape(2 * N, -1, len(cols) * N)).sum(axis=(0, 1))
+        for step in [*letters, *filter(None, _pair_steps(tables).values())]:
+            l1 = np.abs(_offset_blocks(step, tables.N)).sum(axis=(0, 1))
             assert l1.max() <= tables.growth
     # pairs raise the bound at D = 5 from the letters' 19 to 59
     assert _tables("S5").growth == _tables("Sigma5").growth == 59
@@ -184,6 +183,19 @@ def _pair_steps(tables):
     return {xy: tables.steps[xy] for xy in PAIRS if xy in tables.steps.terms}
 
 
+def _offset_blocks(step, N):
+    """[span + 1, 2N, len(cols) N]: block o sends basis coefficient src of
+    entry (i, l), row l*N + src, to coefficient dst of entry (i, cols[c]) at
+    t + dt_min + o, column c*N + dst.  A letter's M is [2N, (span + 1) N],
+    column o*N + dst; a pair's is stacked, [(span + 1) 2N, 2N], with block o
+    in rows (span - o) 2N up."""
+    cols, _, M = step
+    if len(cols) == 1:
+        return M.reshape(2 * N, -1, N).transpose(1, 0, 2)
+    assert M.shape[0] % (2 * N) == 0 and M.shape[1] == 2 * N
+    return M.reshape(-1, 2 * N, 2 * N)[::-1]
+
+
 def test_tables_of_one_truncation_share_their_letter_matrices():
     s = {q: tables_for(_sctx(q)) for q in (4, 5, 8, 9)}
     assert s[4].steps is s[5].steps is sigma_tables(5).steps
@@ -208,23 +220,46 @@ def test_tables_of_one_truncation_share_their_letter_matrices():
             if step is None:
                 assert step1 is None
                 continue
-            cols, dt_min, M = step
-            cols1, dt1, M1 = step1
+            (cols, dt_min, M), (cols1, dt1, M1) = step, step1
             assert (cols1, dt1, M1.shape) == (cols, 0, (2 * N, len(cols) * N))
-            assert np.array_equal(M1, M.reshape(2 * N, -1, len(cols) * N).sum(axis=1))
+            blocks, blocks1 = _offset_blocks(step, N), _offset_blocks(step1, N)
+            assert blocks1.shape == (1, *blocks.shape[1:])
+            assert np.array_equal(blocks1[0], blocks.sum(axis=0))
     # a and A change column 1 at no t-shift; b and B column 0 over two shifts
     letters = {ch: s[8].steps[ch] for ch in "aAbB"}
-    assert {ch: (cols, dt_min, M.shape[1] // s[8].N)
-            for ch, (cols, dt_min, M) in letters.items()} == {
+    assert {ch: (step[0], step[1], len(_offset_blocks(step, s[8].N)))
+            for ch, step in letters.items()} == {
         "a": ((1,), 0, 1), "A": ((1,), 0, 1), "b": ((0,), 0, 2), "B": ((0,), -1, 2)}
     # a pair changes both columns over the summed shifts; xX is the identity
-    shapes = {xy: step and (step[0], step[1], step[2].shape[1] // (2 * s[4].N))
+    shapes = {xy: step and (step[0], step[1], len(_offset_blocks(step, s[4].N)))
               for xy, step in _pair_steps(s[4]).items()}
     assert shapes == {
         "aa": ((0, 1), 0, 1), "aA": None, "ab": ((0, 1), 0, 2), "aB": ((0, 1), -1, 2),
         "Aa": None, "AA": ((0, 1), 0, 1), "Ab": ((0, 1), 0, 2), "AB": ((0, 1), -1, 2),
         "ba": ((0, 1), 0, 2), "bA": ((0, 1), 0, 2), "bb": ((0, 1), 0, 3), "bB": None,
         "Ba": ((0, 1), -1, 2), "BA": ((0, 1), -1, 2), "Bb": None, "BB": ((0, 1), -2, 3)}
+
+
+@pytest.mark.parametrize("label", ["S4", "S4@t1", "S9", "Sigma2"])
+def test_step_matrices_hold_their_terms(label):
+    # block o of a letter's or pair's matrix holds, at row l*N + src and
+    # column c*N + dst, the coefficient of every term of entry (l, cols[c])
+    # with t-shift dt_min + o whose shift map sends src to dst
+    tables = _tables(label)
+    N = tables.N
+    for w, terms in tables.steps.terms.items():
+        step = tables.steps[w]
+        if step is None:
+            continue
+        cols, dt_min, _ = step
+        blocks = _offset_blocks(step, N)
+        expected = np.zeros_like(blocks)
+        for l in range(2):
+            for c, j in enumerate(cols):
+                for dt, mp, v in terms[(l, j)]:
+                    for src, dst in zip(*tables.maps[mp]):
+                        expected[dt - dt_min, l * N + src, c * N + dst] += v
+        assert np.array_equal(blocks, expected), w
 
 
 def test_t1_growth_bounds_the_t1_terms():
@@ -397,9 +432,9 @@ def test_t_runs_trim_both_window_edges(label, monkeypatch):
     real_buffers = kernels._buffers
     sizes = []
 
-    def recording_buffers(T, N):
-        sizes.append(T)
-        return real_buffers(T, N)
+    def recording_buffers(rows, N):
+        sizes.append(rows)
+        return real_buffers(rows, N)
 
     monkeypatch.setattr(kernels, "_buffers", recording_buffers)
     for word in ("BBBbbbbbBBa", "b" * 9 + "B" * 9, "BBBBaAbbbb"):
@@ -407,6 +442,32 @@ def test_t_runs_trim_both_window_edges(label, monkeypatch):
         stops = (1, 2, 5, 20)
         got = list(kernels._eval_numpy(word, tables, stops))
         assert len(sizes) == 1, word
+        exact = list(kernels._eval_python(word, tables, stops))
+        assert ([kernels._normalize(r, tables) for r in got]
+                == [kernels._normalize(r, tables) for r in exact]), word
+
+
+@pytest.mark.parametrize("label", [*PAIRED_LABELS, "S9"])
+def test_buffer_growth_keeps_the_margin_rows(label, monkeypatch):
+    # a word of nonzero t-sum widens the window by one t-slice per copy, so an
+    # order-style run over 32 copies outgrows the buffers sized for one and
+    # copies its window into larger ones, zero rows on each side included;
+    # at t = 1 the window stays one slice wide and never grows
+    tables = _tables(label)
+    real_buffers = kernels._buffers
+    sizes = []
+
+    def recording_buffers(rows, N):
+        sizes.append(rows)
+        return real_buffers(rows, N)
+
+    monkeypatch.setattr(kernels, "_buffers", recording_buffers)
+    stops = (1, 2, 4, 8, 16, 32)
+    for word in ("b", "ab", "aB", "bab", "abB"):
+        sizes.clear()
+        got = list(kernels._eval_numpy(word, tables, stops))
+        grows = not tables.at_t1 and word.count("b") != word.count("B")
+        assert (len(sizes) > 1) == grows, word
         exact = list(kernels._eval_python(word, tables, stops))
         assert ([kernels._normalize(r, tables) for r in got]
                 == [kernels._normalize(r, tables) for r in exact]), word

@@ -189,6 +189,25 @@ def test_valuation_and_sigma_check_leave_g_unchanged(free_ctx):
     assert [t1_valuation(g) for g in gs[2:5]] == [2, 1, 2]
 
 
+@st.composite
+def _entries_over_t_minus_one(draw):
+    """(t - 1)^k r: r with x, y and t exponents from -2 (or 0) to 2, k 0..3."""
+    low = draw(st.sampled_from([-2, 0]))
+    exps = st.tuples(*[st.integers(low, 2)] * 3)
+    r = LaurentPoly(draw(st.dictionaries(exps, st.integers(-3, 3), max_size=6)))
+    return parse_poly("t - 1") ** draw(st.integers(0, 3)) * r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fs=st.lists(_entries_over_t_minus_one(), min_size=4, max_size=4))
+def test_t1_valuation_matches_its_definition_on_random_entries(fs):
+    # divisible entries, and entries nonzero at t = 1, with and without
+    # negative exponents: dividing until the division fails counts as
+    # dividing while the entry vanishes at t = 1
+    g = Matrix2(ONE + fs[0], fs[1], fs[2], ONE + fs[3])
+    assert t1_valuation(g) == _t1_valuation_by_definition(g)
+
+
 def test_vanishes_mod_sigma_definition(free_ctx):
     for d in (1, 2, 5):
         assert vanishes_mod_sigma(free_ctx.identity(), d)
